@@ -24,8 +24,9 @@ _ALGORITHM_NAMES = {
 
 
 def __getattr__(name):
-    # Lazy imports keep `import relquad` cheap; the algorithms module pulls
-    # in every stencil degree on first use.
+    # Lazy imports keep `import relquad` from loading numpy and the
+    # submodules until a name is used; stencils are built later still, one
+    # degree at a time, when get_stencil is first asked for it.
     if name in _ENGINE_NAMES:
         from relquad import engine
 

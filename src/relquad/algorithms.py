@@ -26,7 +26,8 @@ away), never propagated into q or eps by the two coefficient-based methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,6 +106,21 @@ def _engine_cfg(tau: float, base: EngineConfig | None) -> EngineConfig:
                         max_neval=base.max_neval)
 
 
+def _unordered(integrator, integrand, a: float, b: float, tau: float,
+               config) -> QuadResult:
+    """Bounds that are not finite with a < b, which the loops never see.
+
+    Non-finite bounds raise before any evaluation; [a, a] integrates to 0
+    exactly, at no cost; a > b integrates over [b, a] and negates q.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds must be finite, got a={a!r}, b={b!r}")
+    if a == b:
+        return QuadResult(q=0.0, eps=0.0, neval=0, status=Status.CONVERGED)
+    res = integrator(integrand, b, a, tau, config)
+    return replace(res, q=-res.q)
+
+
 def _status(total_eps: float, tau: float) -> Status:
     return Status.CONVERGED if total_eps <= tau else Status.TOLERANCE_NOT_MET
 
@@ -157,6 +173,8 @@ def int_naive(integrand, a: float, b: float, tau: float,
     """Doubly adaptive quadrature over [a, b] to absolute tolerance tau."""
     ncfg = config if config is not None else NaiveConfig()
     ecfg = _engine_cfg(tau, ncfg.engine)
+    if not -math.inf < a < b < math.inf:
+        return _unordered(int_naive, integrand, a, b, tau, config)
     fn = integrand if isinstance(integrand, CountedFunction) else CountedFunction(integrand)
 
     st_top = get_stencil(ncfg.degree(ncfg.d_max))
@@ -225,20 +243,23 @@ def _refined_child(fn, rec: IntervalRecord, side: str, st: RuleStencil,
     if side == "left":
         ca, cb = rec.a, mid
         reuse = {0: rec.samples.raw(n // 2), n: rec.samples.raw(n)}
-        T, Tf = st.t_left, st.t_left_full
+        Tf, b_xfer, pi_xfer = st.t_left_full, st.b_xfer_left, st.pi_xfer_left
     else:
         ca, cb = mid, rec.b
         reuse = {0: rec.samples.raw(0), n: rec.samples.raw(n // 2)}
-        T, Tf = st.t_right, st.t_right_full
+        Tf, b_xfer, pi_xfer = st.t_right_full, st.b_xfer_right, st.pi_xfer_right
     sv = sample(fn, ca, cb, st, reuse=reuse)
     cv = fit(sv, st)
     q = integral(cv, ca, cb)
     nr_div = divergence_update(q, rec.q, rec, ecfg)
     c_xfer = transfer_to_child(rec.coeffs, side, st)
-    # re-normalize the parent Newton polynomial to monic in child coords
-    b_xfer = 2.0 ** (rec.coeffs.eff_degree + 1) * (Tf @ rec.coeffs.newton)
+    if rec.coeffs.eff_degree < n:
+        # a masked parent has a downdated Newton vector: re-normalize it to
+        # monic in child coords here (the stencil holds this for st.b)
+        b_xfer = 2.0 ** (rec.coeffs.eff_degree + 1) * (Tf @ rec.coeffs.newton)
+        pi_xfer = st.p_newton @ b_xfer
     est = refined_error(cv, c_xfer, cv.newton, b_xfer, sv,
-                        st.P @ c_xfer.c, st.p_newton @ b_xfer,
+                        st.P @ c_xfer.c, pi_xfer,
                         theta1=theta1, halfwidth=h)
     return IntervalRecord(a=ca, b=cb, coeffs=cv, q=q, eps=est.eps, q_base=q,
                           nr_div=nr_div, nr_rec=rec.nr_rec + 1, samples=sv)
@@ -250,6 +271,8 @@ def int_refined(integrand, a: float, b: float, tau: float,
     tau, with the derivative-extracting error estimate."""
     rcfg = config if config is not None else RefinedConfig()
     ecfg = _engine_cfg(tau, rcfg.engine)
+    if not -math.inf < a < b < math.inf:
+        return _unordered(int_refined, integrand, a, b, tau, config)
     fn = integrand if isinstance(integrand, CountedFunction) else CountedFunction(integrand)
 
     st = get_stencil(rcfg.n)

@@ -188,6 +188,12 @@ class RuleStencil:
                  degree-(n+1) Newton vector during error estimation.
     p_newton     (n+1)x(n+2) evaluation matrix p_j(nodes) including j = n+1,
                  for evaluating transferred Newton polynomials at the nodes.
+    b_xfer_*     2^(n+1) * (t_*_full @ b): the Newton polynomial moved onto
+                 the left/right half-interval and re-normalized to monic in
+                 its coordinates.  This is what the refined error estimate
+                 compares a child against whenever the parent has no masked
+                 nodes (its Newton vector is then exactly b).
+    pi_xfer_*    p_newton @ b_xfer_*: that polynomial's values at the nodes.
     """
 
     n: int
@@ -202,6 +208,10 @@ class RuleStencil:
     t_left_full: np.ndarray
     t_right_full: np.ndarray
     p_newton: np.ndarray
+    b_xfer_left: np.ndarray
+    b_xfer_right: np.ndarray
+    pi_xfer_left: np.ndarray
+    pi_xfer_right: np.ndarray
     rec: LegendreRecurrence
 
     @property
@@ -232,6 +242,8 @@ def build_stencil(n: int, rec: LegendreRecurrence) -> RuleStencil:
     b = _newton_vector(rec, nodes)
     t_left_full = _bisection_transform(rec, n + 2, -1.0)
     t_right_full = _bisection_transform(rec, n + 2, +1.0)
+    b_xfer_left = 2.0 ** (n + 1) * (t_left_full @ b)
+    b_xfer_right = 2.0 ** (n + 1) * (t_right_full @ b)
     return RuleStencil(
         n=n,
         nodes=nodes,
@@ -245,6 +257,10 @@ def build_stencil(n: int, rec: LegendreRecurrence) -> RuleStencil:
         t_left_full=t_left_full,
         t_right_full=t_right_full,
         p_newton=p_newton,
+        b_xfer_left=b_xfer_left,
+        b_xfer_right=b_xfer_right,
+        pi_xfer_left=p_newton @ b_xfer_left,
+        pi_xfer_right=p_newton @ b_xfer_right,
         rec=rec,
     )
 

@@ -17,11 +17,12 @@ flagged as a fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from relquad.interp import CoeffVector, SampleVector, l2_norm
+from relquad.interp import CoeffVector, SampleVector
 
 __all__ = ["RefinedEstimate", "naive_error", "refined_error"]
 
@@ -73,11 +74,12 @@ def refined_error(
     nodes are excluded from the pointwise test — they carry no function
     value to disagree with.
     """
-    diff_norm = l2_norm(
-        CoeffVector(c=c_child.c - c_parent_xfer.c,
-                    eff_degree=c_child.eff_degree,
-                    stencil_n=c_child.stencil_n))
-    denom = float(np.linalg.norm(b_stencil - b_parent_xfer_scaled))
+    # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D real
+    # vector, without its dispatch overhead
+    d = c_child.c - c_parent_xfer.c
+    diff_norm = math.sqrt(d.dot(d))
+    d = b_stencil - b_parent_xfer_scaled
+    denom = math.sqrt(d.dot(d))
     if denom < _DEGENERATE_DENOM:
         return RefinedEstimate(eps=halfwidth * diff_norm,
                                deriv_scale=float("inf"), used_fallback=True)
@@ -93,11 +95,14 @@ def refined_error(
     # exact arithmetic, so including them would make the > 0 comparison a
     # coin flip between rounding residues.  Skip them along with any masked
     # (non-numeric) nodes, which carry no value to disagree with.
-    skip = set(f_at_child_nodes.nan_mask)
-    skip.update((0, margin.size - 1))
-    margin = np.delete(margin, sorted(skip))
+    if f_at_child_nodes.nan_mask:
+        skip = set(f_at_child_nodes.nan_mask)
+        skip.update((0, margin.size - 1))
+        margin = np.delete(margin, sorted(skip))
+    else:
+        margin = margin[1:-1]
     if margin.size and margin.max() > 0.0:
         return RefinedEstimate(eps=halfwidth * diff_norm,
                                deriv_scale=deriv, used_fallback=True)
-    eps = halfwidth * deriv * float(np.linalg.norm(b_stencil))
+    eps = halfwidth * deriv * math.sqrt(b_stencil.dot(b_stencil))
     return RefinedEstimate(eps=eps, deriv_scale=deriv, used_fallback=False)

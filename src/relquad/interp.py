@@ -86,22 +86,24 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     ``reuse`` maps node indices to previously computed raw values (NaN for
     previously non-numeric nodes); those nodes are not re-evaluated and do
     not increment the evaluation counter.
+
+    The integrand receives ``np.float64`` nodes, so that ``1/x`` or
+    ``x ** -1.5`` at a node gives inf (masked) rather than raising.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    f = np.zeros(stencil.n + 1)
-    mask: list[int] = []
+    get = reuse.get if reuse else {}.get
+    values = []
     with np.errstate(all="ignore"):
-        for i, x in enumerate(stencil.nodes):
-            if reuse is not None and i in reuse:
-                v = reuse[i]
-            else:
-                v = integrand(mid + half * x)
-            if np.isfinite(v):
-                f[i] = v
-            else:
-                mask.append(i)
-    return SampleVector(f=f, nan_mask=tuple(mask))
+        for i, x in enumerate(mid + half * stencil.nodes):
+            v = get(i)
+            values.append(integrand(x) if v is None else v)
+    f = np.array(values, dtype=float)
+    bad = ~np.isfinite(f)
+    if not bad.any():
+        return SampleVector(f=f, nan_mask=())
+    f[bad] = 0.0
+    return SampleVector(f=f, nan_mask=tuple(np.flatnonzero(bad).tolist()))
 
 
 def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:

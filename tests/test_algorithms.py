@@ -200,3 +200,44 @@ def test_result_fields_and_status_values():
     assert Status.CONVERGED.value == "Converged"
     assert Status.TOLERANCE_NOT_MET.value == "ToleranceNotMet"
     assert Status.DIVERGENT.value == "Divergent"
+
+
+def _peak(x):
+    return 1e-4 / ((x - 0.5) ** 2 + 1e-4)
+
+
+PEAK_REF = 0.02 * math.atan(50.0)  # integral of _peak over [0, 1]
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_reversed_interval_negates(alg):
+    # over [1, 0] both used to stop after the first fit with a negative eps
+    # and a wrong Converged (naive -0.05522, refined -0.03011)
+    fwd = alg(_peak, 0.0, 1.0, 1e-8)
+    rev = alg(_peak, 1.0, 0.0, 1e-8)
+    assert rev.q == -fwd.q
+    assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
+    assert rev.status is Status.CONVERGED
+    assert 0.0 <= rev.eps <= 1e-8
+    assert abs(rev.q + PEAK_REF) <= 1e-8
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_empty_interval_is_exactly_zero(alg):
+    # refined used to return eps = 1.8e308 and ToleranceNotMet here
+    calls = []
+    res = alg(lambda x: calls.append(x) or _peak(x), 0.5, 0.5, 1e-8)
+    assert (res.q, res.eps, res.neval, res.status) == (0.0, 0.0, 0,
+                                                        Status.CONVERGED)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                  (math.inf, 0.0), (math.nan, 1.0),
+                                  (0.0, math.nan), (math.inf, math.inf)])
+def test_nonfinite_bounds_rejected_before_any_evaluation(alg, a, b):
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        alg(lambda x: calls.append(x) or 1.0, a, b, 1e-6)
+    assert calls == []

@@ -14,6 +14,7 @@ from relquad.basis import (
     legendre_values,
     shared_recurrence,
 )
+from relquad.interp import fit, sample
 
 RULE_DEGREES = (4, 8, 10, 16, 32)
 
@@ -199,6 +200,20 @@ def test_full_transform_moves_newton_vector():
     np.testing.assert_allclose(eval_series(st.rec, moved, xs),
                                eval_series(st.rec, st.b, (xs - 1) / 2),
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", RULE_DEGREES)
+def test_transferred_newton_fields_are_the_runtime_products(n):
+    # bit for bit what the refined integrator would compute from an
+    # unmasked parent, whose fitted Newton vector is exactly b
+    st = get_stencil(n)
+    newton = fit(sample(np.exp, 0.0, 1.0, st), st).newton
+    assert newton.tobytes() == st.b.tobytes()
+    for Tf, b_xfer, pi_xfer in ((st.t_left_full, st.b_xfer_left, st.pi_xfer_left),
+                                (st.t_right_full, st.b_xfer_right, st.pi_xfer_right)):
+        want = 2.0 ** (n + 1) * (Tf @ newton)
+        assert b_xfer.tobytes() == want.tobytes()
+        assert pi_xfer.tobytes() == (st.p_newton @ want).tobytes()
 
 
 def test_p_newton_extends_p():

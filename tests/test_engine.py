@@ -155,3 +155,63 @@ def test_status_values():
     assert Status.CONVERGED.value == "Converged"
     assert Status.TOLERANCE_NOT_MET.value == "ToleranceNotMet"
     assert Status.DIVERGENT.value == "Divergent"
+
+
+def _select_scan(heap, order):
+    """The record-attribute scan select_worst replaced; `order` gives each
+    record's insertion number."""
+    best = 0
+    for i in range(1, len(heap)):
+        r = heap[i]
+        if r.eps > heap[best].eps or (r.eps == heap[best].eps
+                                      and order[id(r)] < order[id(heap[best])]):
+            best = i
+    return heap.pop(best)
+
+
+def _cap_scan(heap, cap):
+    evicted = []
+    while len(heap) > cap:
+        worst = min(range(len(heap)), key=lambda i: heap[i].eps)
+        evicted.append(heap.pop(worst))
+    return evicted
+
+
+def test_heap_upkeep_matches_list_scans():
+    # eps drawn from a handful of values, so ties (0.0 against -0.0 too)
+    # are the rule; pushes, selections and evictions interleave at random
+    rng = np.random.default_rng(3)
+    pool = (0.0, -0.0, 1.0, 1.0, 2.0, 3.0, float("nan"))
+    for _ in range(200):
+        st = AdaptiveState()
+        ref, order = [], {}
+        cfg = _cfg(heap_cap=int(rng.integers(2, 6)))
+        for k in range(40):
+            op = rng.random()
+            if op < 0.6 or not ref:
+                r = _rec(q=float(k), eps=pool[rng.integers(len(pool))])
+                order[id(r)] = k
+                st.push(r)
+                ref.append(r)
+            elif op < 0.85:
+                assert select_worst(st) is _select_scan(ref, order)
+            else:
+                before = st.excess_eps
+                evicted = _cap_scan(ref, cfg.heap_cap)
+                enforce_heap_cap(st, cfg)
+                want = before
+                for r in evicted:
+                    want += r.eps
+                assert st.excess_eps == want or (np.isnan(want)
+                                                 and np.isnan(st.excess_eps))
+            assert [id(r) for r in st.heap] == [id(r) for r in ref]
+            assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
+
+
+def test_heap_eps_sums_in_heap_order():
+    # the same float as summing the records' eps in heap order
+    st = AdaptiveState()
+    for eps in (1e16, 1.0, -1e16, 3.0, 0.1):
+        st.push(_rec(eps=eps))
+    select_worst(st)
+    assert st.heap_eps() == sum(r.eps for r in st.heap)

@@ -177,3 +177,56 @@ def test_masked_nodes_excluded_from_pointwise_test():
     est2 = refined_error(c_child, c_xfer, ST.b, b_xfer, sv2,
                          pred, ST.p_newton @ b_xfer, THETA1, 0.5)
     assert est2.used_fallback
+
+
+def _refined_error_by_deletion(c_child, c_parent_xfer, b_stencil,
+                               b_parent_xfer_scaled, f_at_child_nodes,
+                               parent_pred_at_child_nodes,
+                               parent_newton_pred_at_child_nodes,
+                               theta1, halfwidth):
+    """refined_error as it was written with np.linalg.norm and np.delete on
+    every call: the reference for its fast path."""
+    diff_norm = float(np.linalg.norm(c_child.c - c_parent_xfer.c))
+    denom = float(np.linalg.norm(b_stencil - b_parent_xfer_scaled))
+    if denom < 1e-300:
+        return (halfwidth * diff_norm, float("inf"), True)
+    deriv = diff_norm / denom
+    resid = np.abs(parent_pred_at_child_nodes - f_at_child_nodes.f)
+    slack = theta1 * deriv * np.abs(parent_newton_pred_at_child_nodes)
+    margin = resid - slack
+    skip = set(f_at_child_nodes.nan_mask)
+    skip.update((0, margin.size - 1))
+    margin = np.delete(margin, sorted(skip))
+    if margin.size and margin.max() > 0.0:
+        return (halfwidth * diff_norm, deriv, True)
+    return (halfwidth * deriv * float(np.linalg.norm(b_stencil)), deriv, False)
+
+
+@pytest.mark.parametrize("n", (4, 10, 16))
+def test_refined_error_matches_deletion_path(n):
+    # unmasked children take the interior slice, masked ones (the poles at
+    # 0 and 0.37) the deletion path; both must give the same floats
+    st = get_stencil(n)
+    fns = [np.exp, lambda x: np.sin(40.0 * x), lambda x: abs(x - 0.3),
+           lambda x: 1.0 if x > 0.3 else 0.0, lambda x: x ** 11,
+           lambda x: 1.0 / x, lambda x: abs(x - 0.37) ** -0.4]
+    n_masked = 0
+    verdicts = set()
+    for fn in fns:
+        for a, b in ((0.0, 1.0), (0.0, 0.74), (-1.0, 3.0), (0.3, 0.31)):
+            cv_par = fit(sample(fn, a, b, st), st)
+            mid = 0.5 * (a + b)
+            for side, ca, cb, Tf in (("left", a, mid, st.t_left_full),
+                                     ("right", mid, b, st.t_right_full)):
+                sv = sample(fn, ca, cb, st)
+                n_masked += bool(sv.nan_mask)
+                cv = fit(sv, st)
+                c_xfer = transfer_to_child(cv_par, side, st)
+                b_xfer = 2.0 ** (cv_par.eff_degree + 1) * (Tf @ cv_par.newton)
+                args = (cv, c_xfer, cv.newton, b_xfer, sv, st.P @ c_xfer.c,
+                        st.p_newton @ b_xfer, THETA1, 0.5 * (b - a))
+                est = refined_error(*args)
+                verdicts.add(est.used_fallback)
+                assert ((est.eps, est.deriv_scale, est.used_fallback)
+                        == _refined_error_by_deletion(*args))
+    assert n_masked > 0 and verdicts == {True, False}

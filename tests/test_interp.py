@@ -6,6 +6,7 @@ from relquad.basis import get_stencil, legendre_values
 from relquad.interp import (
     CoeffVector,
     CountedFunction,
+    SampleVector,
     TooManyNonNumeric,
     fit,
     integral,
@@ -233,3 +234,64 @@ def test_transfer_rejects_bad_side():
     cv = CoeffVector(c=np.zeros(5), eff_degree=4, stencil_n=4)
     with pytest.raises(ValueError):
         transfer_to_child(cv, "up", st)
+
+
+def _sample_per_node(integrand, a, b, stencil, reuse=None):
+    """The per-node loop that sample() vectorizes: the reference for it."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    f = np.zeros(stencil.n + 1)
+    mask = []
+    with np.errstate(all="ignore"):
+        for i, x in enumerate(stencil.nodes):
+            if reuse is not None and i in reuse:
+                v = reuse[i]
+            else:
+                v = integrand(mid + half * x)
+            if np.isfinite(v):
+                f[i] = v
+            else:
+                mask.append(i)
+    return SampleVector(f=f, nan_mask=tuple(mask))
+
+
+@pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
+def test_sample_matches_per_node_loop(n):
+    # random intervals, reuse maps and NaN/Inf values, at nodes and in the
+    # reused values: same bytes, mask, count and evaluation points
+    st = get_stencil(n)
+    rng = np.random.default_rng(n)
+    specials = (np.nan, np.inf, -np.inf)
+    for _ in range(60):
+        a = float(rng.uniform(-2.0, 2.0))
+        b = a + float(rng.choice((1e-9, 1e-3, 0.5, 3.0)))
+        xs = [0.5 * (a + b) + 0.5 * (b - a) * x for x in st.nodes]
+        table = {xs[i]: specials[i % 3]
+                 for i in rng.choice(n + 1, size=rng.integers(0, 4))}
+
+        def g(x):
+            return table.get(x, np.exp(x) - 1.0)
+
+        reuse = None
+        if rng.random() < 0.7:
+            keys = rng.choice(n + 1, size=rng.integers(1, n + 1), replace=False)
+            reuse = {int(k): float(rng.choice((*specials, rng.standard_normal())))
+                     for k in keys}
+        seen, seen_ref = [], []
+        fn = CountedFunction(lambda x: seen.append(x) or g(x))
+        fn_ref = CountedFunction(lambda x: seen_ref.append(x) or g(x))
+        got = sample(fn, a, b, st, reuse=reuse)
+        want = _sample_per_node(fn_ref, a, b, st, reuse=reuse)
+        assert got.f.tobytes() == want.f.tobytes()
+        assert got.nan_mask == want.nan_mask
+        assert fn.count == fn_ref.count
+        assert np.array(seen).tobytes() == np.array(seen_ref).tobytes()
+        assert all(type(x) is np.float64 for x in seen)
+
+
+def test_sample_passes_numpy_scalars_so_poles_mask():
+    # with np.float64 nodes, 0.0 ** -1.5 and 1/0 give inf (masked) instead
+    # of raising ZeroDivisionError as Python floats would
+    st = get_stencil(4)
+    sv = sample(lambda x: x ** -1.5 + 1.0 / x, 0.0, 1.0, st)
+    assert sv.nan_mask == (4,)
