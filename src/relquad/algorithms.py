@@ -1,5 +1,9 @@
 """The public integrators.
 
+``int_naive`` and ``int_refined`` share one adaptive driver, ``_drive``
+(heap, floors, cap, divergence count, budget); each brings only its start-up
+fit and a refinement step, and both build bisection children with ``_child``.
+
 ``int_naive`` is doubly adaptive: every interval carries a rule degree from
 the ladder n0, 2*n0, ..., n0*2^d_max (default 4/8/16/32) and the worst
 interval first exhausts the ladder — reusing nested node values — before it
@@ -45,7 +49,7 @@ from relquad.engine import (
     select_worst,
     should_drop,
 )
-from relquad.errest import refined_error
+from relquad.errest import naive_error, refined_error
 from relquad.interp import (
     CountedFunction,
     SampleVector,
@@ -99,16 +103,12 @@ class RefinedConfig:
 
 def _engine_cfg(tau: float, base: EngineConfig | None) -> EngineConfig:
     """The explicit tolerance argument wins over any tau in the config."""
-    if base is None:
-        return EngineConfig(tau=tau)
-    return EngineConfig(tau=tau, heap_cap=base.heap_cap,
-                        nr_divmax=base.nr_divmax, eps_mach=base.eps_mach,
-                        max_neval=base.max_neval)
+    return EngineConfig(tau=tau) if base is None else replace(base, tau=tau)
 
 
 def _unordered(integrator, integrand, a: float, b: float, tau: float,
                config) -> QuadResult:
-    """Bounds that are not finite with a < b, which the loops never see.
+    """Bounds that are not finite with a < b, which the driver never sees.
 
     Non-finite bounds raise before any evaluation; [a, a] integrates to 0
     exactly, at no cost; a > b integrates over [b, a] and negates q.
@@ -121,52 +121,60 @@ def _unordered(integrator, integrand, a: float, b: float, tau: float,
     return replace(res, q=-res.q)
 
 
-def _status(total_eps: float, tau: float) -> Status:
-    return Status.CONVERGED if total_eps <= tau else Status.TOLERANCE_NOT_MET
-
-
-def _result(state: AdaptiveState, fn: CountedFunction, tau: float,
-            status: Status | None = None) -> QuadResult:
+def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
+           ecfg: EngineConfig, refine) -> QuadResult:
+    """Refine the worst interval until the heap's error is within tau, the
+    budget is spent or a chain diverges.  ``refine(state, rec)`` pushes the
+    refinement of the popped record rec: all the two integrators differ in."""
+    state = AdaptiveState()
+    state.push(root)
+    status = None
+    try:
+        while state.heap and state.heap_eps() > tau:
+            if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
+                status = Status.TOLERANCE_NOT_MET
+                break
+            rec = select_worst(state)
+            if should_drop(rec, get_stencil(rec.coeffs.stencil_n), ecfg):
+                accumulate_excess(state, rec)
+                continue
+            refine(state, rec)
+            enforce_heap_cap(state, ecfg)
+    except DivergentIntegral:
+        status = Status.DIVERGENT
     q, eps = state.totals()
-    return QuadResult(q=q, eps=eps, neval=fn.count,
-                      status=status if status is not None else _status(eps, tau))
+    if status is None:
+        status = Status.CONVERGED if eps <= tau else Status.TOLERANCE_NOT_MET
+    return QuadResult(q=q, eps=eps, neval=fn.count, status=status)
+
+
+def _child(fn, rec: IntervalRecord, side: str, st: RuleStencil,
+           ecfg: EngineConfig, estimate) -> IntervalRecord:
+    """One half of rec fitted at stencil st, reusing the values at its two
+    end nodes (nodes of rec).  Its eps is ``estimate(cv, c_xfer, sv, h)`` of
+    its fit, rec's fit moved onto it, its samples and rec's half-width."""
+    n_par = rec.coeffs.stencil_n
+    mid = 0.5 * (rec.a + rec.b)
+    h = 0.5 * (rec.b - rec.a)
+    if side == "left":
+        ca, cb = rec.a, mid
+        reuse = {0: rec.samples.raw(n_par // 2), st.n: rec.samples.raw(n_par)}
+    else:
+        ca, cb = mid, rec.b
+        reuse = {0: rec.samples.raw(0), st.n: rec.samples.raw(n_par // 2)}
+    sv = sample(fn, ca, cb, st, reuse=reuse)
+    cv = fit(sv, st)
+    q = integral(cv, ca, cb)
+    nr_div = divergence_update(q, rec.q_base, rec, ecfg)
+    c_xfer = transfer_to_child(rec.coeffs, side, get_stencil(n_par))
+    return IntervalRecord(a=ca, b=cb, coeffs=cv, q=q,
+                          eps=estimate(cv, c_xfer, sv, h), q_base=q,
+                          nr_div=nr_div, nr_rec=rec.nr_rec + 1, samples=sv)
 
 
 # ---------------------------------------------------------------------------
 # doubly adaptive integrator (degree ladder + bisection)
 # ---------------------------------------------------------------------------
-
-def _even_subsample(sv: SampleVector, n_lo: int) -> SampleVector:
-    """Sample vector of the degree-n_lo rule extracted from a degree-2*n_lo
-    sample: even-indexed nodes coincide by Chebyshev nesting."""
-    f = sv.f[::2].copy()
-    mask = tuple(i // 2 for i in sv.nan_mask if i % 2 == 0)
-    return SampleVector(f=f, nan_mask=mask)
-
-
-def _naive_split(state: AdaptiveState, rec: IntervalRecord, fn,
-                 ncfg: NaiveConfig, ecfg: EngineConfig) -> None:
-    """Bisect into two lowest-degree children with endpoint value reuse."""
-    st_par = get_stencil(ncfg.degree(rec.d))
-    st0 = get_stencil(ncfg.n0)
-    mid = 0.5 * (rec.a + rec.b)
-    h = 0.5 * (rec.b - rec.a)
-    n_par = st_par.n
-    for side, ca, cb in (("left", rec.a, mid), ("right", mid, rec.b)):
-        if side == "left":
-            reuse = {0: rec.samples.raw(n_par // 2), st0.n: rec.samples.raw(n_par)}
-        else:
-            reuse = {0: rec.samples.raw(0), st0.n: rec.samples.raw(n_par // 2)}
-        sv = sample(fn, ca, cb, st0, reuse=reuse)
-        cv = fit(sv, st0)
-        q = integral(cv, ca, cb)
-        nr_div = divergence_update(q, rec.q_base, rec, ecfg)
-        xfer = transfer_to_child(rec.coeffs, side, st_par)
-        eps = h * float(np.linalg.norm(cv.c - xfer.c[: st0.n + 1]))
-        state.push(IntervalRecord(
-            a=ca, b=cb, coeffs=cv, q=q, eps=eps, q_base=q,
-            nr_div=nr_div, nr_rec=rec.nr_rec + 1, d=0, samples=sv))
-
 
 def int_naive(integrand, a: float, b: float, tau: float,
               config: NaiveConfig | None = None) -> QuadResult:
@@ -175,59 +183,47 @@ def int_naive(integrand, a: float, b: float, tau: float,
     ecfg = _engine_cfg(tau, ncfg.engine)
     if not -math.inf < a < b < math.inf:
         return _unordered(int_naive, integrand, a, b, tau, config)
-    fn = integrand if isinstance(integrand, CountedFunction) else CountedFunction(integrand)
+    fn = CountedFunction(integrand)
 
     st_top = get_stencil(ncfg.degree(ncfg.d_max))
     st_lo = get_stencil(ncfg.degree(ncfg.d_max - 1))
+    st0 = get_stencil(ncfg.n0)
     sv = sample(fn, a, b, st_top)
     c_top = fit(sv, st_top)
-    c_lo = fit(_even_subsample(sv, st_lo.n), st_lo)
+    # the lower rule's nodes are the even-indexed ones (Chebyshev nesting)
+    c_lo = fit(SampleVector(f=sv.f[::2].copy(), nan_mask=tuple(
+        i // 2 for i in sv.nan_mask if i % 2 == 0)), st_lo)
     q0 = integral(c_top, a, b)
-    h0 = 0.5 * (b - a)
-    eps0 = h0 * float(np.linalg.norm(
-        c_top.c - np.concatenate([c_lo.c, np.zeros(st_top.n - st_lo.n)])))
+    root = IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
+                          eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
+                          q_base=q0, d=ncfg.d_max, samples=sv)
 
-    state = AdaptiveState()
-    state.push(IntervalRecord(a=a, b=b, coeffs=c_top, q=q0, eps=eps0,
-                              q_base=q0, d=ncfg.d_max, samples=sv))
-    try:
-        while state.heap and state.heap_eps() > tau:
-            if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
-                return _result(state, fn, tau, Status.TOLERANCE_NOT_MET)
-            rec = select_worst(state)
-            st_cur = get_stencil(ncfg.degree(rec.d))
-            if should_drop(rec, st_cur, ecfg):
-                accumulate_excess(state, rec)
-                continue
-            if rec.d < ncfg.d_max:
-                # one step up the degree ladder, reusing nested node values
-                st_hi = get_stencil(ncfg.degree(rec.d + 1))
-                reuse = {2 * i: rec.samples.raw(i) for i in range(st_cur.n + 1)}
-                sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=reuse)
-                cv_hi = fit(sv_hi, st_hi)
-                h = 0.5 * (rec.b - rec.a)
-                diff = float(np.linalg.norm(
-                    cv_hi.c - np.concatenate([rec.coeffs.c,
-                                              np.zeros(st_hi.n - st_cur.n)])))
-                rec.d += 1
-                rec.samples = sv_hi
-                rec.coeffs = cv_hi
-                rec.q = integral(cv_hi, rec.a, rec.b)
-                rec.eps = h * diff
-                norm_hi = float(np.linalg.norm(cv_hi.c))
-                # relative coefficient change: a large jump even at the new
-                # degree means the ladder is not converging here — bisect
-                split = diff > ncfg.hint * norm_hi if norm_hi > 0.0 else diff > 0.0
-                if split:
-                    _naive_split(state, rec, fn, ncfg, ecfg)
-                else:
-                    state.push(rec)
-            else:
-                _naive_split(state, rec, fn, ncfg, ecfg)
-            enforce_heap_cap(state, ecfg)
-    except DivergentIntegral:
-        return _result(state, fn, tau, Status.DIVERGENT)
-    return _result(state, fn, tau)
+    def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
+        if rec.d < ncfg.d_max:
+            # one step up the degree ladder, reusing nested node values
+            st_hi = get_stencil(ncfg.degree(rec.d + 1))
+            reuse = {2 * i: rec.samples.raw(i)
+                     for i in range(rec.coeffs.stencil_n + 1)}
+            sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=reuse)
+            cv_hi = fit(sv_hi, st_hi)
+            diff = naive_error(cv_hi, rec.coeffs, 1.0)
+            rec.d += 1
+            rec.samples = sv_hi
+            rec.coeffs = cv_hi
+            rec.q = integral(cv_hi, rec.a, rec.b)
+            rec.eps = 0.5 * (rec.b - rec.a) * diff
+            norm_hi = float(np.linalg.norm(cv_hi.c))
+            # relative coefficient change: a large jump even at the new
+            # degree means the ladder is not converging here — bisect
+            split = diff > ncfg.hint * norm_hi if norm_hi > 0.0 else diff > 0.0
+            if not split:
+                state.push(rec)
+                return
+        for side in ("left", "right"):
+            state.push(_child(fn, rec, side, st0, ecfg,
+                              lambda cv, xf, sv, h: naive_error(cv, xf, h)))
+
+    return _drive(fn, root, tau, ecfg, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +233,22 @@ def int_naive(integrand, a: float, b: float, tau: float,
 def _refined_child(fn, rec: IntervalRecord, side: str, st: RuleStencil,
                    theta1: float, ecfg: EngineConfig) -> IntervalRecord:
     """Fit one half of rec and estimate its error against the parent."""
-    mid = 0.5 * (rec.a + rec.b)
-    h = 0.5 * (rec.b - rec.a)
-    n = st.n
     if side == "left":
-        ca, cb = rec.a, mid
-        reuse = {0: rec.samples.raw(n // 2), n: rec.samples.raw(n)}
         Tf, b_xfer, pi_xfer = st.t_left_full, st.b_xfer_left, st.pi_xfer_left
     else:
-        ca, cb = mid, rec.b
-        reuse = {0: rec.samples.raw(0), n: rec.samples.raw(n // 2)}
         Tf, b_xfer, pi_xfer = st.t_right_full, st.b_xfer_right, st.pi_xfer_right
-    sv = sample(fn, ca, cb, st, reuse=reuse)
-    cv = fit(sv, st)
-    q = integral(cv, ca, cb)
-    nr_div = divergence_update(q, rec.q, rec, ecfg)
-    c_xfer = transfer_to_child(rec.coeffs, side, st)
-    if rec.coeffs.eff_degree < n:
+    if rec.coeffs.eff_degree < st.n:
         # a masked parent has a downdated Newton vector: re-normalize it to
         # monic in child coords here (the stencil holds this for st.b)
         b_xfer = 2.0 ** (rec.coeffs.eff_degree + 1) * (Tf @ rec.coeffs.newton)
         pi_xfer = st.p_newton @ b_xfer
-    est = refined_error(cv, c_xfer, cv.newton, b_xfer, sv,
-                        st.P @ c_xfer.c, pi_xfer,
-                        theta1=theta1, halfwidth=h)
-    return IntervalRecord(a=ca, b=cb, coeffs=cv, q=q, eps=est.eps, q_base=q,
-                          nr_div=nr_div, nr_rec=rec.nr_rec + 1, samples=sv)
+
+    def estimate(cv, c_xfer, sv, h) -> float:
+        return refined_error(cv, c_xfer, cv.newton, b_xfer, sv,
+                             st.P @ c_xfer.c, pi_xfer,
+                             theta1=theta1, halfwidth=h).eps
+
+    return _child(fn, rec, side, st, ecfg, estimate)
 
 
 def int_refined(integrand, a: float, b: float, tau: float,
@@ -273,32 +259,20 @@ def int_refined(integrand, a: float, b: float, tau: float,
     ecfg = _engine_cfg(tau, rcfg.engine)
     if not -math.inf < a < b < math.inf:
         return _unordered(int_refined, integrand, a, b, tau, config)
-    fn = integrand if isinstance(integrand, CountedFunction) else CountedFunction(integrand)
+    fn = CountedFunction(integrand)
 
     st = get_stencil(rcfg.n)
     sv = sample(fn, a, b, st)
     cv = fit(sv, st)
     q0 = integral(cv, a, b)
-    eps0 = float(np.finfo(float).max)  # pessimistic: force the first split
+    root = IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0, samples=sv,
+                          eps=float(np.finfo(float).max))  # force a split
 
-    state = AdaptiveState()
-    state.push(IntervalRecord(a=a, b=b, coeffs=cv, q=q0, eps=eps0,
-                              q_base=q0, samples=sv))
-    try:
-        while state.heap and state.heap_eps() > tau:
-            if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
-                return _result(state, fn, tau, Status.TOLERANCE_NOT_MET)
-            rec = select_worst(state)
-            if should_drop(rec, st, ecfg):
-                accumulate_excess(state, rec)
-                continue
-            for side in ("left", "right"):
-                state.push(_refined_child(fn, rec, side, st,
-                                          rcfg.theta1, ecfg))
-            enforce_heap_cap(state, ecfg)
-    except DivergentIntegral:
-        return _result(state, fn, tau, Status.DIVERGENT)
-    return _result(state, fn, tau)
+    def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
+        for side in ("left", "right"):
+            state.push(_refined_child(fn, rec, side, st, rcfg.theta1, ecfg))
+
+    return _drive(fn, root, tau, ecfg, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +284,7 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
                          max_depth: int = 50) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
     accept test; no floors, no non-numeric handling, no divergence guard."""
-    fn = integrand if isinstance(integrand, CountedFunction) else CountedFunction(integrand)
+    fn = CountedFunction(integrand)
     with np.errstate(all="ignore"):
         fa, fb = fn(a), fn(b)
         m = 0.5 * (a + b)
@@ -340,12 +314,8 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
 
         s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         q, eps = recurse(a, b, fa, fm, fb, s1, tau, 0)
-    if capped:
-        status = Status.TOLERANCE_NOT_MET
-    elif np.isfinite(q) and eps <= tau:
-        status = Status.CONVERGED
-    else:
-        status = Status.TOLERANCE_NOT_MET
+    status = (Status.CONVERGED if not capped and np.isfinite(q) and eps <= tau
+              else Status.TOLERANCE_NOT_MET)
     return QuadResult(q=float(q), eps=float(eps), neval=fn.count, status=status)
 
 
@@ -377,9 +347,9 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         fn = CountedFunction(integrand)
         sv_par = sample(fn, a0, b0, st)
         cv_par = fit(sv_par, st)
-        parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par,
-                                q=integral(cv_par, a0, b0), eps=0.0,
-                                q_base=0.0, samples=sv_par)
+        q_par = integral(cv_par, a0, b0)
+        parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par, q=q_par, eps=0.0,
+                                q_base=q_par, samples=sv_par)
         child = _refined_child(fn, parent, "left", st, 1.1,
                                EngineConfig(tau=1.0, nr_divmax=10 ** 9))
         return child.eps, child.q

@@ -4,12 +4,13 @@ All interpolants downstream are stored as coefficient vectors with respect to
 the Legendre polynomials normalized on [-1, 1]:
 
     p_0(x) = 1/sqrt(2),    p_1(x) = sqrt(3/2) x,
-    alpha_k p_{k+1}(x) = (x + beta_k) p_k(x) - gamma_k p_{k-1}(x),
+    alpha_k p_{k+1}(x) = x p_k(x) - gamma_k p_{k-1}(x),
 
-with alpha_k = (k+1)/sqrt((2k+1)(2k+3)), beta_k = 0 and
-gamma_k = k/sqrt((2k-1)(2k+1)).  Orthonormality makes the Euclidean norm
-of a coefficient vector equal to the L2 norm of the polynomial it
-represents, which is what the error estimates measure.
+with alpha_k = (k+1)/sqrt((2k+1)(2k+3)) and gamma_k = k/sqrt((2k-1)(2k+1))
+(the shift beta_k of the general three-term recurrence is zero here).
+Orthonormality makes the Euclidean norm of a coefficient vector equal to the
+L2 norm of the polynomial it represents, which is what the error estimates
+measure.
 
 A ``RuleStencil`` packages everything a fixed-degree rule needs and is
 precomputed once per degree: Chebyshev nodes x_i = cos(pi*i/n) (descending,
@@ -31,7 +32,6 @@ __all__ = [
     "StencilBuildError",
     "build_recurrence",
     "build_stencil",
-    "downdate_matrix",
     "downdate_newton",
     "get_stencil",
     "legendre_values",
@@ -53,12 +53,11 @@ class StencilBuildError(RuntimeError):
 class LegendreRecurrence:
     """Three-term recurrence coefficients for the orthonormal basis.
 
-    ``alpha[k]``, ``beta[k]``, ``gamma[k]`` drive
-    alpha_k p_{k+1} = (x + beta_k) p_k - gamma_k p_{k-1}.
+    ``alpha[k]`` and ``gamma[k]`` drive
+    alpha_k p_{k+1} = x p_k - gamma_k p_{k-1}.
     """
 
     alpha: np.ndarray
-    beta: np.ndarray
     gamma: np.ndarray
     max_degree: int
 
@@ -69,11 +68,10 @@ def build_recurrence(max_degree: int) -> LegendreRecurrence:
         raise ValueError("max_degree must be >= 1")
     k = np.arange(max_degree + 1, dtype=float)
     alpha = (k + 1.0) / np.sqrt((2.0 * k + 1.0) * (2.0 * k + 3.0))
-    beta = np.zeros(max_degree + 1)
     gamma = np.zeros(max_degree + 1)
     kk = k[1:]
     gamma[1:] = kk / np.sqrt((2.0 * kk - 1.0) * (2.0 * kk + 1.0))
-    return LegendreRecurrence(alpha=alpha, beta=beta, gamma=gamma, max_degree=max_degree)
+    return LegendreRecurrence(alpha=alpha, gamma=gamma, max_degree=max_degree)
 
 
 def legendre_values(rec: LegendreRecurrence, degree: int, x: np.ndarray) -> np.ndarray:
@@ -97,7 +95,7 @@ def eval_series(rec: LegendreRecurrence, coeffs: np.ndarray, x: np.ndarray) -> n
 def _multiply_by_x(rec: LegendreRecurrence, v: np.ndarray) -> np.ndarray:
     """Coefficients of x * poly(v); output one entry longer than v.
 
-    Uses x p_k = alpha_k p_{k+1} + gamma_k p_{k-1} (beta_k = 0).
+    Uses x p_k = alpha_k p_{k+1} + gamma_k p_{k-1}.
     """
     m = len(v)
     w = np.zeros(m + 1)
@@ -214,14 +212,6 @@ class RuleStencil:
     pi_xfer_right: np.ndarray
     rec: LegendreRecurrence
 
-    @property
-    def T_left(self) -> np.ndarray:
-        return self.t_left
-
-    @property
-    def T_right(self) -> np.ndarray:
-        return self.t_right
-
 
 def build_stencil(n: int, rec: LegendreRecurrence) -> RuleStencil:
     """Build the full stencil for degree n (needs rec.max_degree >= n+1)."""
@@ -272,26 +262,17 @@ def downdate_newton(b_vec: np.ndarray, x_j: float, rec: LegendreRecurrence) -> n
     result has length m+1.  Solves the upper-triangular 3-band system arising
     from the multiply-by-(x - x_j) recurrence by back-substitution:
 
-        alpha_k u_k - (x_j + beta_{k+1}) u_{k+1} + gamma_{k+2} u_{k+2} = b_{k+1}
+        alpha_k u_k - x_j u_{k+1} + gamma_{k+2} u_{k+2} = b_{k+1}
     """
     m = len(b_vec) - 2
-    alpha, beta, gamma = rec.alpha, rec.beta, rec.gamma
+    alpha, gamma = rec.alpha, rec.gamma
     u = np.empty(m + 1)
     u[m] = b_vec[m + 1] / alpha[m]
     if m >= 1:
-        u[m - 1] = (b_vec[m] + (x_j + beta[m]) * u[m]) / alpha[m - 1]
+        u[m - 1] = (b_vec[m] + x_j * u[m]) / alpha[m - 1]
     for k in range(m - 2, -1, -1):
-        u[k] = (
-            b_vec[k + 1] + (x_j + beta[k + 1]) * u[k + 1] - gamma[k + 2] * u[k + 2]
-        ) / alpha[k]
+        u[k] = (b_vec[k + 1] + x_j * u[k + 1] - gamma[k + 2] * u[k + 2]) / alpha[k]
     return u
-
-
-def downdate_matrix(stencil: RuleStencil, j: int) -> np.ndarray:
-    """Newton vector of the stencil with node j removed (length n+1)."""
-    if not 0 <= j <= stencil.n:
-        raise ValueError(f"node index {j} outside 0..{stencil.n}")
-    return downdate_newton(stencil.b, float(stencil.nodes[j]), stencil.rec)
 
 
 _RECURRENCE: LegendreRecurrence | None = None

@@ -1,4 +1,5 @@
-"""Globally adaptive driver state shared by both integrators.
+"""State and steps of the one adaptive driver that serves both integrators
+(``relquad.algorithms._drive``).
 
 The "heap" is a plain list of records in insertion order, with a parallel
 float list ``eps`` holding their error estimates.  Selection and eviction
@@ -128,12 +129,10 @@ class AdaptiveState:
     def heap_eps(self) -> float:
         return sum(self.eps)
 
-    def heap_q(self) -> float:
-        return sum(r.q for r in self.heap)
-
     def totals(self) -> tuple[float, float]:
         """(q, eps) over heap plus excess — the return-line sums."""
-        return self.excess_q + self.heap_q(), self.excess_eps + self.heap_eps()
+        return (self.excess_q + sum(r.q for r in self.heap),
+                self.excess_eps + self.heap_eps())
 
 
 def select_worst(state: AdaptiveState) -> IntervalRecord:

@@ -43,9 +43,11 @@ class RefinedEstimate:
 
 
 def naive_error(c_hi: CoeffVector, c_lo: CoeffVector, halfwidth: float) -> float:
-    """halfwidth * ||c_hi - c_lo||_2, with c_lo zero-padded to c_hi's length."""
+    """halfwidth * ||c_hi - c_lo||_2 over c_hi's length: c_lo is zero-padded
+    if shorter, and cut off if longer (a higher-degree parent moved onto a
+    lowest-degree child is compared up to the child's degree only)."""
     hi = c_hi.c
-    lo = c_lo.c
+    lo = c_lo.c[: len(hi)]
     if len(lo) < len(hi):
         lo = np.concatenate([lo, np.zeros(len(hi) - len(lo))])
     return float(halfwidth * np.linalg.norm(hi - lo))

@@ -26,7 +26,6 @@ __all__ = [
     "sample",
     "fit",
     "integral",
-    "l2_norm",
     "transfer_to_child",
 ]
 
@@ -138,11 +137,6 @@ def integral(c: CoeffVector, a: float, b: float) -> float:
     reference interval, so omega @ c collapses to sqrt(2) * c_0.
     """
     return 0.5 * (b - a) * SQRT2 * float(c.c[0])
-
-
-def l2_norm(c: CoeffVector) -> float:
-    """Reference-interval L2 norm of the interpolant (Parseval)."""
-    return float(np.linalg.norm(c.c))
 
 
 def transfer_to_child(c: CoeffVector, side: str, stencil: RuleStencil) -> CoeffVector:

@@ -12,6 +12,7 @@ from relquad.algorithms import (
     int_simpson_baseline,
 )
 from relquad.engine import EngineConfig, Status
+from relquad.interp import CountedFunction
 from relquad.testlib import battery_get, lk_family, waldvogel_family_draw
 
 
@@ -241,3 +242,25 @@ def test_nonfinite_bounds_rejected_before_any_evaluation(alg, a, b):
     with pytest.raises(ValueError, match="finite"):
         alg(lambda x: calls.append(x) or 1.0, a, b, 1e-6)
     assert calls == []
+
+
+@pytest.mark.parametrize("alg, budget", [
+    (int_naive,
+     lambda n: {"config": NaiveConfig(engine=EngineConfig(1.0, max_neval=n))}),
+    (int_refined,
+     lambda n: {"config": RefinedConfig(engine=EngineConfig(1.0, max_neval=n))}),
+    (int_simpson_baseline, lambda n: {"max_neval": n}),
+], ids=("int_naive", "int_refined", "int_simpson_baseline"))
+def test_neval_counts_only_this_call(alg, budget):
+    # a CountedFunction passed in keeps counting across calls; each result
+    # used to report that running count and be charged for it by the budget
+    fresh = alg(_peak, 0.0, 1.0, 1e-8)
+    fn = CountedFunction(_peak)
+    first = alg(fn, 0.0, 1.0, 1e-8)
+    second = alg(fn, 0.0, 1.0, 1e-8)
+    assert first.neval == second.neval == fresh.neval
+    assert fn.count == 2 * fresh.neval
+    # a budget the call fits in is not spent by the counter's earlier calls
+    capped = alg(fn, 0.0, 1.0, 1e-8, **budget(fresh.neval))
+    assert (capped.q, capped.eps, capped.neval, capped.status) == (
+        fresh.q, fresh.eps, fresh.neval, fresh.status)

@@ -7,7 +7,6 @@ from relquad.basis import (
     StencilBuildError,
     build_recurrence,
     build_stencil,
-    downdate_matrix,
     downdate_newton,
     eval_series,
     get_stencil,
@@ -25,11 +24,10 @@ GL_X, GL_W = npleg.leggauss(200)
 
 def test_recurrence_first_coefficients():
     rec = build_recurrence(6)
-    # alpha_0 = 1/sqrt(3), gamma_1 = 1/sqrt(3), gamma_0 = 0, all beta = 0
+    # alpha_0 = 1/sqrt(3), gamma_1 = 1/sqrt(3), gamma_0 = 0
     np.testing.assert_allclose(rec.alpha[0], 1.0 / np.sqrt(3.0), rtol=1e-15)
     np.testing.assert_allclose(rec.gamma[1], 1.0 / np.sqrt(3.0), rtol=1e-15)
     assert rec.gamma[0] == 0.0
-    assert not rec.beta.any()
     np.testing.assert_allclose(rec.alpha[1], 2.0 / np.sqrt(15.0), rtol=1e-15)
     assert np.isfinite(rec.alpha).all()
     assert np.isfinite(rec.gamma).all()
@@ -134,7 +132,7 @@ def test_newton_vector_norm_frozen():
 def test_downdate_removes_exactly_one_root(n):
     st = get_stencil(n)
     for j in range(n + 1):
-        u = downdate_matrix(st, j)
+        u = downdate_newton(st.b, float(st.nodes[j]), st.rec)
         assert len(u) == n + 1
         vals = st.P @ u
         others = [i for i in range(n + 1) if i != j]
@@ -154,14 +152,6 @@ def test_downdate_multiply_back_identity():
         lhs = (x - st.nodes[j]) * eval_series(st.rec, u, x)
         np.testing.assert_allclose(lhs, eval_series(st.rec, st.b, x),
                                    rtol=0, atol=1e-14)
-
-
-def test_downdate_rejects_bad_index():
-    st = get_stencil(4)
-    with pytest.raises(ValueError):
-        downdate_matrix(st, 5)
-    with pytest.raises(ValueError):
-        downdate_matrix(st, -1)
 
 
 @pytest.mark.parametrize("n", RULE_DEGREES)

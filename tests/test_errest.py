@@ -42,6 +42,15 @@ def test_naive_zero_pads_shorter_vector():
     assert naive_error(hi, lo, 1.0) == 0.0
 
 
+def test_naive_cuts_off_longer_vector():
+    # a higher-degree parent moved onto a lowest-degree child is compared
+    # over the child's length only
+    lo = CoeffVector(c=np.array([1.0, 2.0]), eff_degree=1, stencil_n=1)
+    hi = CoeffVector(c=np.array([1.0, 5.0, 7.0, 9.0]), eff_degree=3,
+                     stencil_n=3)
+    assert naive_error(lo, hi, 0.5) == 1.5
+
+
 def test_naive_degree4_polynomial_exact_at_both_degrees():
     st4, st8 = get_stencil(4), get_stencil(8)
     rng = np.random.default_rng(1)
