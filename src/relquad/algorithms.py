@@ -148,20 +148,22 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
     return QuadResult(q=q, eps=eps, neval=fn.count, status=status)
 
 
-def _child(fn, rec: IntervalRecord, side: str, st: RuleStencil,
+def _child(fn, rec: IntervalRecord, side: int, st: RuleStencil,
            ecfg: EngineConfig, estimate) -> IntervalRecord:
-    """One half of rec fitted at stencil st, reusing the values at its two
-    end nodes (nodes of rec).  Its eps is ``estimate(cv, c_xfer, sv, h)`` of
-    its fit, rec's fit moved onto it, its samples and rec's half-width."""
+    """The half of rec on side 0 (left) or 1 (right), fitted at stencil st,
+    reusing the values at its two end nodes (nodes of rec).  Its eps is
+    ``estimate(cv, c_xfer, sv, h)`` of its fit, rec's fit moved onto it, its
+    samples and rec's half-width."""
     n_par = rec.coeffs.stencil_n
     mid = 0.5 * (rec.a + rec.b)
     h = 0.5 * (rec.b - rec.a)
-    if side == "left":
-        ca, cb = rec.a, mid
-        reuse = {0: rec.samples.raw(n_par // 2), st.n: rec.samples.raw(n_par)}
+    # nodes descend: the child's node 0 is its right end, node n its left;
+    # j0 and jn are the parent nodes there
+    if side == 0:
+        ca, cb, j0, jn = rec.a, mid, n_par // 2, n_par
     else:
-        ca, cb = mid, rec.b
-        reuse = {0: rec.samples.raw(0), st.n: rec.samples.raw(n_par // 2)}
+        ca, cb, j0, jn = mid, rec.b, 0, n_par // 2
+    reuse = {0: rec.samples.raw(j0), st.n: rec.samples.raw(jn)}
     sv = sample(fn, ca, cb, st, reuse=reuse)
     cv = fit(sv, st)
     q = integral(cv, ca, cb)
@@ -219,7 +221,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
             if not split:
                 state.push(rec)
                 return
-        for side in ("left", "right"):
+        for side in (0, 1):
             state.push(_child(fn, rec, side, st0, ecfg,
                               lambda cv, xf, sv, h: naive_error(cv, xf, h)))
 
@@ -230,25 +232,11 @@ def int_naive(integrand, a: float, b: float, tau: float,
 # refined integrator (fixed degree, derivative-extracting estimate)
 # ---------------------------------------------------------------------------
 
-def _refined_child(fn, rec: IntervalRecord, side: str, st: RuleStencil,
+def _refined_child(fn, rec: IntervalRecord, side: int, st: RuleStencil,
                    theta1: float, ecfg: EngineConfig) -> IntervalRecord:
     """Fit one half of rec and estimate its error against the parent."""
-    if side == "left":
-        Tf, b_xfer, pi_xfer = st.t_left_full, st.b_xfer_left, st.pi_xfer_left
-    else:
-        Tf, b_xfer, pi_xfer = st.t_right_full, st.b_xfer_right, st.pi_xfer_right
-    if rec.coeffs.eff_degree < st.n:
-        # a masked parent has a downdated Newton vector: re-normalize it to
-        # monic in child coords here (the stencil holds this for st.b)
-        b_xfer = 2.0 ** (rec.coeffs.eff_degree + 1) * (Tf @ rec.coeffs.newton)
-        pi_xfer = st.p_newton @ b_xfer
-
-    def estimate(cv, c_xfer, sv, h) -> float:
-        return refined_error(cv, c_xfer, cv.newton, b_xfer, sv,
-                             st.P @ c_xfer.c, pi_xfer,
-                             theta1=theta1, halfwidth=h).eps
-
-    return _child(fn, rec, side, st, ecfg, estimate)
+    return _child(fn, rec, side, st, ecfg, lambda cv, xf, sv, h: refined_error(
+        cv, xf, sv, rec.coeffs, side, st, theta1, h).eps)
 
 
 def int_refined(integrand, a: float, b: float, tau: float,
@@ -269,7 +257,7 @@ def int_refined(integrand, a: float, b: float, tau: float,
                           eps=float(np.finfo(float).max))  # force a split
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        for side in ("left", "right"):
+        for side in (0, 1):
             state.push(_refined_child(fn, rec, side, st, rcfg.theta1, ecfg))
 
     return _drive(fn, root, tau, ecfg, refine)
@@ -337,7 +325,8 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         raise ValueError("alpha must be in [-2, 0)")
     if not h > 0.0:
         raise ValueError("h must be positive")
-    st = get_stencil(10)
+    rcfg = RefinedConfig()
+    st = get_stencil(rcfg.n)
 
     def integrand(x: float) -> float:
         with np.errstate(all="ignore"):
@@ -350,7 +339,7 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         q_par = integral(cv_par, a0, b0)
         parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par, q=q_par, eps=0.0,
                                 q_base=q_par, samples=sv_par)
-        child = _refined_child(fn, parent, "left", st, 1.1,
+        child = _refined_child(fn, parent, 0, st, rcfg.theta1,
                                EngineConfig(tau=1.0, nr_divmax=10 ** 9))
         return child.eps, child.q
 

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+#: Unit roundoff of the float type every sample and coefficient is held in.
+EPS_MACH = float(np.finfo(float).eps)
+
+
 class Status(enum.Enum):
     CONVERGED = "Converged"
     TOLERANCE_NOT_MET = "ToleranceNotMet"
@@ -69,7 +73,6 @@ class EngineConfig:
     tau: float
     heap_cap: int = 200
     nr_divmax: int = 20
-    eps_mach: float = float(np.finfo(float).eps)
     max_neval: int | None = None
 
     def __post_init__(self):
@@ -145,7 +148,7 @@ def should_drop(rec: IntervalRecord, stencil: RuleStencil,
                 cfg: EngineConfig) -> bool:
     """Numerical floor (eps below attainable accuracy) or interval so
     narrow that adjacent mapped nodes coincide in floating point."""
-    if rec.eps < abs(rec.q) * cfg.eps_mach * stencil.cond:
+    if rec.eps < abs(rec.q) * EPS_MACH * stencil.cond:
         return True
     mid = 0.5 * (rec.a + rec.b)
     half = 0.5 * (rec.b - rec.a)

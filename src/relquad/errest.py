@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from relquad.basis import RuleStencil
 from relquad.interp import CoeffVector, SampleVector
 
 __all__ = ["RefinedEstimate", "naive_error", "refined_error"]
@@ -56,39 +57,43 @@ def naive_error(c_hi: CoeffVector, c_lo: CoeffVector, halfwidth: float) -> float
 def refined_error(
     c_child: CoeffVector,
     c_parent_xfer: CoeffVector,
-    b_stencil: np.ndarray,
-    b_parent_xfer_scaled: np.ndarray,
-    f_at_child_nodes: SampleVector,
-    parent_pred_at_child_nodes: np.ndarray,
-    parent_newton_pred_at_child_nodes: np.ndarray,
+    samples: SampleVector,
+    parent: CoeffVector,
+    side: int,
+    stencil: RuleStencil,
     theta1: float,
     halfwidth: float,
 ) -> RefinedEstimate:
     """Derivative-extracting error estimate with pointwise validity test.
 
-    b_stencil is the child's own (possibly downdated) Newton vector;
-    b_parent_xfer_scaled is the parent's Newton vector transferred onto the
-    child and scaled by 2**deg so both describe monic-normalized polynomials
-    in child coordinates.  parent_pred_at_child_nodes and
-    parent_newton_pred_at_child_nodes are the transferred parent interpolant
-    and Newton polynomial evaluated at the child's nodes; supplying them
-    precomputed keeps this a pure vector function.  Masked (non-numeric)
-    nodes are excluded from the pointwise test — they carry no function
-    value to disagree with.
+    c_child and samples are the child's fit and values at stencil's nodes;
+    parent is the fit, at the same stencil, of the interval the child halves
+    on side 0 (left) or 1 (right), and c_parent_xfer that fit moved onto the
+    child.  The parent's Newton vector is moved likewise and scaled by
+    2**(deg+1), monic in child coordinates like the child's own: the stencil
+    holds it for an unmasked parent, and a masked parent's downdated vector
+    is moved here.
     """
+    if parent.eff_degree < stencil.n:
+        b_xfer = 2.0 ** (parent.eff_degree + 1) * (
+            stencil.t_full[side] @ parent.newton)
+        pi_xfer = stencil.p_newton @ b_xfer
+    else:
+        b_xfer, pi_xfer = stencil.b_xfer[side], stencil.pi_xfer[side]
+    b_child = c_child.newton
     # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D real
     # vector, without its dispatch overhead
     d = c_child.c - c_parent_xfer.c
     diff_norm = math.sqrt(d.dot(d))
-    d = b_stencil - b_parent_xfer_scaled
+    d = b_child - b_xfer
     denom = math.sqrt(d.dot(d))
     if denom < _DEGENERATE_DENOM:
         return RefinedEstimate(eps=halfwidth * diff_norm,
                                deriv_scale=float("inf"), used_fallback=True)
     deriv = diff_norm / denom
 
-    resid = np.abs(parent_pred_at_child_nodes - f_at_child_nodes.f)
-    slack = theta1 * deriv * np.abs(parent_newton_pred_at_child_nodes)
+    resid = np.abs(stencil.P @ c_parent_xfer.c - samples.f)
+    slack = theta1 * deriv * np.abs(pi_xfer)
     margin = resid - slack
     # The child's first and last nodes coincide with parent nodes (endpoint
     # and midpoint of the parent interval), where the parent interpolant
@@ -97,8 +102,8 @@ def refined_error(
     # exact arithmetic, so including them would make the > 0 comparison a
     # coin flip between rounding residues.  Skip them along with any masked
     # (non-numeric) nodes, which carry no value to disagree with.
-    if f_at_child_nodes.nan_mask:
-        skip = set(f_at_child_nodes.nan_mask)
+    if samples.nan_mask:
+        skip = set(samples.nan_mask)
         skip.update((0, margin.size - 1))
         margin = np.delete(margin, sorted(skip))
     else:
@@ -106,5 +111,5 @@ def refined_error(
     if margin.size and margin.max() > 0.0:
         return RefinedEstimate(eps=halfwidth * diff_norm,
                                deriv_scale=deriv, used_fallback=True)
-    eps = halfwidth * deriv * math.sqrt(b_stencil.dot(b_stencil))
+    eps = halfwidth * deriv * math.sqrt(b_child.dot(b_child))
     return RefinedEstimate(eps=eps, deriv_scale=deriv, used_fallback=False)

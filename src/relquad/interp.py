@@ -121,7 +121,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
     m = n
     b = stencil.b
     for j in sorted(samples.nan_mask):
-        b = downdate_newton(b, float(stencil.nodes[j]), stencil.rec)
+        b = downdate_newton(b, float(stencil.nodes[j]))
         c[: m + 1] -= (c[m] / b[m]) * b[: m + 1]
         c[m] = 0.0
         m -= 1
@@ -134,23 +134,19 @@ def integral(c: CoeffVector, a: float, b: float) -> float:
     """Integral over [a, b] of the polynomial c represents there.
 
     Only the constant component integrates to something nonzero on the
-    reference interval, so omega @ c collapses to sqrt(2) * c_0.
+    reference interval: p_0 = 1/sqrt(2) integrates to sqrt(2) there, every
+    higher p_k to 0.
     """
     return 0.5 * (b - a) * SQRT2 * float(c.c[0])
 
 
-def transfer_to_child(c: CoeffVector, side: str, stencil: RuleStencil) -> CoeffVector:
-    """Re-expand the interpolant in the coordinates of one half-interval.
+def transfer_to_child(c: CoeffVector, side: int, stencil: RuleStencil) -> CoeffVector:
+    """Re-expand the interpolant in the coordinates of one half-interval,
+    side 0 (left) or 1 (right).
 
     The transforms are upper triangular, so zero-padding above eff_degree
     survives; the result predicts the parent's interpolant on the child and
     carries no Newton vector of its own.
     """
-    if side == "left":
-        T = stencil.t_left
-    elif side == "right":
-        T = stencil.t_right
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return CoeffVector(c=T @ c.c, eff_degree=c.eff_degree,
+    return CoeffVector(c=stencil.t[side] @ c.c, eff_degree=c.eff_degree,
                        stencil_n=c.stencil_n, newton=None)

@@ -28,7 +28,7 @@ from relquad.algorithms import (
     int_refined,
     int_simpson_baseline,
 )
-from relquad.basis import eval_series, get_stencil, legendre_values, shared_recurrence
+from relquad.basis import eval_series, get_stencil, legendre_values
 from relquad.cli import CSV_HEADER, main
 from relquad.interp import fit, sample
 from relquad.testlib import (
@@ -92,11 +92,10 @@ def verdict(request):
 def test_criterion_1_basis_quality(verdict):
     with verdict(1, "orthonormal basis, inverse residual, conditioning"):
         t0 = time.perf_counter()
-        rec = shared_recurrence()
         gl_x, gl_w = np.polynomial.legendre.leggauss(64)
         for n in DEGREES:
             st = get_stencil(n)
-            vals = legendre_values(rec, n, gl_x)
+            vals = legendre_values(n, gl_x)
             gram = vals.T @ (gl_w[:, None] * vals)
             assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-12
             resid = st.P @ st.P_inv - np.eye(n + 1)
@@ -107,7 +106,6 @@ def test_criterion_1_basis_quality(verdict):
 
 def test_criterion_2_interpolation_exactness(verdict):
     with verdict(2, "polynomial reproduction, bisection transform, Parseval"):
-        rec = shared_recurrence()
         ox, ow = np.polynomial.legendre.leggauss(200)
         xs = np.linspace(-1.0, 1.0, 41)
         for n in DEGREES:
@@ -123,20 +121,19 @@ def test_criterion_2_interpolation_exactness(verdict):
                 assert err <= 1e-12 * max(1.0, np.linalg.norm(c_true, np.inf))
 
             c = rng.standard_normal(n + 1)
-            ref = max(1.0, np.max(np.abs(eval_series(rec, c, xs))))
-            for tmat, shift in ((st.t_left, -1.0), (st.t_right, 1.0)):
-                on_child = eval_series(rec, tmat @ c, xs)
-                on_parent = eval_series(rec, c, (xs + shift) / 2.0)
+            ref = max(1.0, np.max(np.abs(eval_series(c, xs))))
+            for tmat, shift in zip(st.t, (-1.0, 1.0)):
+                on_child = eval_series(tmat @ c, xs)
+                on_parent = eval_series(c, (xs + shift) / 2.0)
                 assert np.max(np.abs(on_child - on_parent)) <= 1e-12 * ref
 
-            f_sq = eval_series(rec, c, ox) ** 2
+            f_sq = eval_series(c, ox) ** 2
             assert abs(c @ c - ow @ f_sq) <= 1e-10 * max(1.0, c @ c)
 
 
 def test_criterion_3_node_removal_interpolation(verdict):
     with verdict(3, "single-node removal keeps interpolation at remaining nodes"):
         st = get_stencil(10)
-        rec = st.rec
         rng = np.random.default_rng(31)
 
         def check(fn, j):
@@ -147,7 +144,7 @@ def test_criterion_3_node_removal_interpolation(verdict):
             assert sorted(sv.nan_mask) == [j]
             cv = fit(sv, st)
             keep = [i for i in range(11) if i != j]
-            got = eval_series(rec, cv.c, st.nodes[keep])
+            got = eval_series(cv.c, st.nodes[keep])
             want = np.array([fn(x) for x in st.nodes[keep]])
             tol = 1e-10 * max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= tol

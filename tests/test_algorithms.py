@@ -244,6 +244,22 @@ def test_nonfinite_bounds_rejected_before_any_evaluation(alg, a, b):
     assert calls == []
 
 
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+@pytest.mark.parametrize("integrand, error", [
+    (lambda x: 1.0 / float(x), ZeroDivisionError),
+    (math.log, ValueError),
+], ids=("float_division", "math_log"))
+def test_integrand_exceptions_propagate(alg, integrand, error):
+    # nodes arrive as np.float64, whose arithmetic gives a masked inf at a
+    # pole; an integrand that computes in Python floats raises there
+    # instead, and the exception reaches the caller unchanged, after the
+    # evaluations before it
+    calls = []
+    with pytest.raises(error):
+        alg(lambda x: calls.append(x) or integrand(x), 0.0, 1.0, 1e-6)
+    assert len(calls) > 1 and calls[-1] == 0.0
+
+
 @pytest.mark.parametrize("alg, budget", [
     (int_naive,
      lambda n: {"config": NaiveConfig(engine=EngineConfig(1.0, max_neval=n))}),

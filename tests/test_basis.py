@@ -3,17 +3,17 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from relquad.basis import (
+    ALPHA,
+    GAMMA,
     SQRT2,
     StencilBuildError,
-    build_recurrence,
     build_stencil,
     downdate_newton,
     eval_series,
     get_stencil,
     legendre_values,
-    shared_recurrence,
 )
-from relquad.interp import fit, sample
+from relquad.interp import CoeffVector, fit, integral, sample
 
 RULE_DEGREES = (4, 8, 10, 16, 32)
 
@@ -23,21 +23,19 @@ GL_X, GL_W = npleg.leggauss(200)
 
 
 def test_recurrence_first_coefficients():
-    rec = build_recurrence(6)
     # alpha_0 = 1/sqrt(3), gamma_1 = 1/sqrt(3), gamma_0 = 0
-    np.testing.assert_allclose(rec.alpha[0], 1.0 / np.sqrt(3.0), rtol=1e-15)
-    np.testing.assert_allclose(rec.gamma[1], 1.0 / np.sqrt(3.0), rtol=1e-15)
-    assert rec.gamma[0] == 0.0
-    np.testing.assert_allclose(rec.alpha[1], 2.0 / np.sqrt(15.0), rtol=1e-15)
-    assert np.isfinite(rec.alpha).all()
-    assert np.isfinite(rec.gamma).all()
+    np.testing.assert_allclose(ALPHA[0], 1.0 / np.sqrt(3.0), rtol=1e-15)
+    np.testing.assert_allclose(GAMMA[1], 1.0 / np.sqrt(3.0), rtol=1e-15)
+    assert GAMMA[0] == 0.0
+    np.testing.assert_allclose(ALPHA[1], 2.0 / np.sqrt(15.0), rtol=1e-15)
+    assert np.isfinite(ALPHA).all()
+    assert np.isfinite(GAMMA).all()
 
 
 def test_values_match_scaled_classical_legendre():
     # p_k(x) = sqrt((2k+1)/2) * P_k(x) with P_k the classical polynomials
-    rec = shared_recurrence()
     x = np.linspace(-1.0, 1.0, 57)
-    vals = legendre_values(rec, 12, x)
+    vals = legendre_values(12, x)
     for k in range(13):
         ck = np.zeros(k + 1)
         ck[k] = np.sqrt((2.0 * k + 1.0) / 2.0)
@@ -46,8 +44,7 @@ def test_values_match_scaled_classical_legendre():
 
 
 def test_orthonormality_under_quadrature_oracle():
-    rec = shared_recurrence()
-    vals = legendre_values(rec, 33, GL_X)
+    vals = legendre_values(33, GL_X)
     gram = (vals * GL_W[:, None]).T @ vals
     np.testing.assert_allclose(gram, np.eye(34), rtol=0, atol=1e-12)
 
@@ -91,15 +88,16 @@ def test_nodes_nested_under_degree_doubling():
 def test_integration_weights_exact_for_every_basis_function():
     # integral of p_0 over [-1,1] is sqrt(2); all higher p_k integrate to 0
     for n in RULE_DEGREES:
-        st = get_stencil(n)
-        oracle = legendre_values(st.rec, n, GL_X).T @ GL_W
-        np.testing.assert_allclose(st.omega, oracle, rtol=0, atol=1e-13)
-        assert st.omega[0] == SQRT2
-        assert not st.omega[1:].any()
+        oracle = legendre_values(n, GL_X).T @ GL_W
+        weights = np.array([integral(CoeffVector(c=e, eff_degree=n, stencil_n=n),
+                                     -1.0, 1.0) for e in np.eye(n + 1)])
+        np.testing.assert_allclose(weights, oracle, rtol=0, atol=1e-13)
+        assert weights[0] == SQRT2
+        assert not weights[1:].any()
 
 
 def test_degree_one_stencil_by_hand():
-    st = build_stencil(1, shared_recurrence())
+    st = build_stencil(1)
     np.testing.assert_array_equal(st.nodes, [1.0, -1.0])
     np.testing.assert_allclose(
         st.P,
@@ -108,7 +106,7 @@ def test_degree_one_stencil_by_hand():
     )
     # Newton polynomial (x-1)(x+1) = x^2 - 1
     x = np.linspace(-1, 1, 11)
-    np.testing.assert_allclose(eval_series(st.rec, st.b, x), x * x - 1.0,
+    np.testing.assert_allclose(eval_series(st.b, x), x * x - 1.0,
                                rtol=0, atol=1e-15)
 
 
@@ -119,7 +117,7 @@ def test_newton_vector_is_node_product(n):
     direct = np.ones_like(x)
     for t in st.nodes:
         direct *= x - t
-    np.testing.assert_allclose(eval_series(st.rec, st.b, x), direct,
+    np.testing.assert_allclose(eval_series(st.b, x), direct,
                                rtol=0, atol=1e-14)
 
 
@@ -132,7 +130,7 @@ def test_newton_vector_norm_frozen():
 def test_downdate_removes_exactly_one_root(n):
     st = get_stencil(n)
     for j in range(n + 1):
-        u = downdate_newton(st.b, float(st.nodes[j]), st.rec)
+        u = downdate_newton(st.b, float(st.nodes[j]))
         assert len(u) == n + 1
         vals = st.P @ u
         others = [i for i in range(n + 1) if i != j]
@@ -148,9 +146,9 @@ def test_downdate_multiply_back_identity():
     st = get_stencil(10)
     x = np.linspace(-1.0, 1.0, 67)
     for j in (0, 3, 5, 10):
-        u = downdate_newton(st.b, float(st.nodes[j]), st.rec)
-        lhs = (x - st.nodes[j]) * eval_series(st.rec, u, x)
-        np.testing.assert_allclose(lhs, eval_series(st.rec, st.b, x),
+        u = downdate_newton(st.b, float(st.nodes[j]))
+        lhs = (x - st.nodes[j]) * eval_series(u, x)
+        np.testing.assert_allclose(lhs, eval_series(st.b, x),
                                    rtol=0, atol=1e-14)
 
 
@@ -161,24 +159,24 @@ def test_bisection_transforms_pointwise(n):
     xs = np.linspace(-1.0, 1.0, 33)
     for _ in range(5):
         c = rng.standard_normal(n + 1)
-        left = eval_series(st.rec, st.t_left @ c, xs)
-        right = eval_series(st.rec, st.t_right @ c, xs)
-        np.testing.assert_allclose(left, eval_series(st.rec, c, (xs - 1) / 2),
+        left = eval_series(st.t[0] @ c, xs)
+        right = eval_series(st.t[1] @ c, xs)
+        np.testing.assert_allclose(left, eval_series(c, (xs - 1) / 2),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(right, eval_series(st.rec, c, (xs + 1) / 2),
+        np.testing.assert_allclose(right, eval_series(c, (xs + 1) / 2),
                                    rtol=0, atol=1e-12)
 
 
 def test_bisection_transforms_upper_triangular_and_nested():
     st = get_stencil(10)
-    assert np.allclose(st.t_left, np.triu(st.t_left))
-    assert np.allclose(st.t_right, np.triu(st.t_right))
+    assert np.allclose(st.t[0], np.triu(st.t[0]))
+    assert np.allclose(st.t[1], np.triu(st.t[1]))
     # the (n+1)-sized transforms are the leading blocks of the full ones
-    np.testing.assert_array_equal(st.t_left, st.t_left_full[:11, :11])
-    np.testing.assert_array_equal(st.t_right, st.t_right_full[:11, :11])
+    np.testing.assert_array_equal(st.t[0], st.t_full[0][:11, :11])
+    np.testing.assert_array_equal(st.t[1], st.t_full[1][:11, :11])
     # left/right are mirror images: T_right = D T_left D with D = diag((-1)^k)
     d = (-1.0) ** np.arange(11)
-    np.testing.assert_allclose(st.t_right, d[:, None] * st.t_left * d[None, :],
+    np.testing.assert_allclose(st.t[1], d[:, None] * st.t[0] * d[None, :],
                                rtol=0, atol=1e-15)
 
 
@@ -186,9 +184,9 @@ def test_full_transform_moves_newton_vector():
     # b transferred to a half interval equals the polynomial evaluated there
     st = get_stencil(10)
     xs = np.linspace(-1.0, 1.0, 41)
-    moved = st.t_left_full @ st.b
-    np.testing.assert_allclose(eval_series(st.rec, moved, xs),
-                               eval_series(st.rec, st.b, (xs - 1) / 2),
+    moved = st.t_full[0] @ st.b
+    np.testing.assert_allclose(eval_series(moved, xs),
+                               eval_series(st.b, (xs - 1) / 2),
                                rtol=0, atol=1e-15)
 
 
@@ -199,8 +197,7 @@ def test_transferred_newton_fields_are_the_runtime_products(n):
     st = get_stencil(n)
     newton = fit(sample(np.exp, 0.0, 1.0, st), st).newton
     assert newton.tobytes() == st.b.tobytes()
-    for Tf, b_xfer, pi_xfer in ((st.t_left_full, st.b_xfer_left, st.pi_xfer_left),
-                                (st.t_right_full, st.b_xfer_right, st.pi_xfer_right)):
+    for Tf, b_xfer, pi_xfer in zip(st.t_full, st.b_xfer, st.pi_xfer):
         want = 2.0 ** (n + 1) * (Tf @ newton)
         assert b_xfer.tobytes() == want.tobytes()
         assert pi_xfer.tobytes() == (st.p_newton @ want).tobytes()
@@ -210,27 +207,25 @@ def test_p_newton_extends_p():
     st = get_stencil(10)
     np.testing.assert_array_equal(st.p_newton[:, :11], st.P)
     np.testing.assert_allclose(st.p_newton[:, 11],
-                               legendre_values(st.rec, 11, st.nodes)[:, 11],
+                               legendre_values(11, st.nodes)[:, 11],
                                rtol=1e-15)
 
 
 def test_parseval_identity_against_quadrature():
     # ||c||_2^2 equals the L2 inner product of the represented polynomial
-    rec = shared_recurrence()
     rng = np.random.default_rng(7)
     for deg in (3, 10, 25):
         c = rng.standard_normal(deg + 1)
-        vals = eval_series(rec, c, GL_X)
+        vals = eval_series(c, GL_X)
         np.testing.assert_allclose(vals @ (GL_W * vals), c @ c,
                                    rtol=1e-10)
 
 
 def test_build_stencil_degree_bounds():
-    rec = build_recurrence(5)
     with pytest.raises(ValueError):
-        build_stencil(0, rec)
+        build_stencil(0)
     with pytest.raises(ValueError):
-        build_stencil(5, rec)  # needs coefficients up to degree n+1
+        build_stencil(len(ALPHA) - 1)  # needs coefficients up to degree n+1
 
 
 def test_get_stencil_caches():

@@ -14,21 +14,13 @@ def _pad(c, length):
 
 
 def _split_estimate(fn, a, b, side, st=ST, theta1=THETA1):
-    # One parent fit + one child fit, wired into refined_error the same way
-    # the integrator does it: transferred parent coefficients, parent Newton
-    # vector re-normalized to monic in child coordinates via the 2^deg scale.
+    # One parent fit + one child fit on side 0 (left) or 1 (right)
     cv_par = fit(sample(fn, a, b, st), st)
     mid = 0.5 * (a + b)
-    ca, cb = (a, mid) if side == "left" else (mid, b)
+    ca, cb = (a, mid) if side == 0 else (mid, b)
     sv_ch = sample(fn, ca, cb, st)
-    cv_ch = fit(sv_ch, st)
-    c_xfer = transfer_to_child(cv_par, side, st)
-    Tf = st.t_left_full if side == "left" else st.t_right_full
-    b_xfer = 2.0 ** (cv_par.eff_degree + 1) * (Tf @ cv_par.newton)
-    return refined_error(
-        cv_ch, c_xfer, cv_ch.newton, b_xfer, sv_ch,
-        st.P @ c_xfer.c, st.p_newton @ b_xfer,
-        theta1=theta1, halfwidth=0.5 * (b - a))
+    return refined_error(fit(sv_ch, st), transfer_to_child(cv_par, side, st),
+                         sv_ch, cv_par, side, st, theta1, 0.5 * (b - a))
 
 
 def test_naive_identical_vectors():
@@ -55,7 +47,7 @@ def test_naive_degree4_polynomial_exact_at_both_degrees():
     st4, st8 = get_stencil(4), get_stencil(8)
     rng = np.random.default_rng(1)
     c_true = rng.standard_normal(5)
-    fn = lambda x: float(legendre_values(st4.rec, 4, np.array([x]))[0] @ c_true)
+    fn = lambda x: float(legendre_values(4, np.array([x]))[0] @ c_true)
     c4 = fit(sample(fn, -1.0, 1.0, st4), st4)
     c8 = fit(sample(fn, -1.0, 1.0, st8), st8)
     assert naive_error(c8, c4, 1.0) < 1e-13
@@ -75,8 +67,8 @@ def test_refined_zero_for_low_degree_polynomial():
     # degree <= n: parent and child interpolants are the same polynomial
     rng = np.random.default_rng(2)
     c_true = rng.standard_normal(8)
-    fn = lambda x: float(legendre_values(ST.rec, 7, np.array([x]))[0] @ c_true)
-    est = _split_estimate(fn, -1.0, 1.0, "left")
+    fn = lambda x: float(legendre_values(7, np.array([x]))[0] @ c_true)
+    est = _split_estimate(fn, -1.0, 1.0, 0)
     assert est.deriv_scale < 1e-11
     assert est.eps < 1e-12
 
@@ -84,8 +76,8 @@ def test_refined_zero_for_low_degree_polynomial():
 def test_refined_constant_high_derivative_both_children():
     # f = x^11 has constant 11th derivative: the extracted proxy must agree
     # between children to high relative accuracy and the test must pass
-    left = _split_estimate(lambda x: x ** 11, -1.0, 1.0, "left")
-    right = _split_estimate(lambda x: x ** 11, -1.0, 1.0, "right")
+    left = _split_estimate(lambda x: x ** 11, -1.0, 1.0, 0)
+    right = _split_estimate(lambda x: x ** 11, -1.0, 1.0, 1)
     assert not left.used_fallback and not right.used_fallback
     np.testing.assert_allclose(left.deriv_scale, right.deriv_scale, rtol=1e-10)
     # the proxy measures the derivative in child reference coordinates:
@@ -95,7 +87,7 @@ def test_refined_constant_high_derivative_both_children():
 
 def test_refined_step_triggers_fallback():
     fn = lambda x: 1.0 if x > 0.3 else 0.0
-    est = _split_estimate(fn, 0.0, 1.0, "left")  # jump inside [0, 0.5]
+    est = _split_estimate(fn, 0.0, 1.0, 0)  # jump inside [0, 0.5]
     assert est.used_fallback
 
 
@@ -105,8 +97,8 @@ def test_refined_fallback_over_random_jumps():
     for _ in range(100):
         lam = float(rng.uniform(0.05, 0.95))
         fn = lambda x: 1.0 if x > lam else 0.0
-        flagged = (_split_estimate(fn, 0.0, 1.0, "left").used_fallback
-                   or _split_estimate(fn, 0.0, 1.0, "right").used_fallback)
+        flagged = (_split_estimate(fn, 0.0, 1.0, 0).used_fallback
+                   or _split_estimate(fn, 0.0, 1.0, 1).used_fallback)
         assert flagged, f"jump at {lam} not flagged"
 
 
@@ -115,8 +107,8 @@ def test_scale_equivariance_exact_for_power_of_two():
     # estimators scale bitwise
     fn = np.sin
     fns = lambda x: 8.0 * np.sin(x)
-    base = _split_estimate(fn, 0.1, 1.7, "right")
-    scaled = _split_estimate(fns, 0.1, 1.7, "right")
+    base = _split_estimate(fn, 0.1, 1.7, 1)
+    scaled = _split_estimate(fns, 0.1, 1.7, 1)
     assert scaled.used_fallback == base.used_fallback
     assert scaled.eps == 8.0 * base.eps
 
@@ -135,7 +127,7 @@ def test_monotone_decay_on_smooth_function():
     a, b = 0.0, 8.0
     eps_levels = []
     for _ in range(5):
-        est = _split_estimate(np.exp, a, b, "left")
+        est = _split_estimate(np.exp, a, b, 0)
         eps_levels.append(est.eps)
         b = 0.5 * (a + b)
     assert all(e >= 0 and np.isfinite(e) for e in eps_levels)
@@ -149,42 +141,44 @@ def test_refined_no_negative_or_nan_eps():
         (lambda x: 0.0, -2.0, 3.0),
     ]
     for fn, a, b in cases:
-        for side in ("left", "right"):
+        for side in (0, 1):
             est = _split_estimate(fn, a, b, side)
             assert np.isfinite(est.eps) and est.eps >= 0.0
             assert est.deriv_scale >= 0.0
 
 
 def test_degenerate_denominator_falls_back():
-    c1 = CoeffVector(c=np.r_[1.0, np.zeros(10)], eff_degree=10, stencil_n=10)
+    # the child's Newton vector equals the parent's moved onto it
+    c1 = CoeffVector(c=np.r_[1.0, np.zeros(10)], eff_degree=10, stencil_n=10,
+                     newton=ST.b_xfer[0])
     c2 = CoeffVector(c=np.r_[2.0, np.zeros(10)], eff_degree=10, stencil_n=10)
     sv = sample(lambda x: 1.0, 0.0, 1.0, ST)
-    same_b = ST.b.copy()
-    est = refined_error(c1, c2, same_b, same_b, sv,
-                        np.zeros(11), np.zeros(11), THETA1, 0.5)
+    parent = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10,
+                         newton=ST.b)
+    est = refined_error(c1, c2, sv, parent, 0, ST, THETA1, 0.5)
     assert est.used_fallback
     np.testing.assert_allclose(est.eps, 0.5 * 1.0, rtol=1e-15)
     assert est.deriv_scale == float("inf")
 
 
 def test_masked_nodes_excluded_from_pointwise_test():
-    # the stored 0 at a masked node is not a function value: a residual of
-    # 5.0 there must not trip the fallback when every real node is fine
+    # a value at a masked node is not a function value: a residual of 5.0
+    # there must not trip the fallback when every real node is fine
     from relquad.interp import SampleVector
 
-    c_child = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10)
+    c_child = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10,
+                          newton=ST.b)
     c_xfer = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10)
-    sv = SampleVector(f=np.zeros(11), nan_mask=(3,))
-    pred = np.zeros(11)
-    pred[3] = 5.0  # disagrees wildly, but only at the masked node
-    b_xfer = 2.0 ** 11 * (ST.t_left_full @ ST.b)
-    est = refined_error(c_child, c_xfer, ST.b, b_xfer, sv,
-                        pred, ST.p_newton @ b_xfer, THETA1, 0.5)
+    parent = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10,
+                         newton=ST.b)
+    f = np.zeros(11)
+    f[3] = 5.0  # disagrees wildly with the parent, but only at the masked node
+    sv = SampleVector(f=f, nan_mask=(3,))
+    est = refined_error(c_child, c_xfer, sv, parent, 0, ST, THETA1, 0.5)
     assert not est.used_fallback
     # unmasked version of the same inputs does trip it
-    sv2 = SampleVector(f=np.zeros(11), nan_mask=())
-    est2 = refined_error(c_child, c_xfer, ST.b, b_xfer, sv2,
-                         pred, ST.p_newton @ b_xfer, THETA1, 0.5)
+    sv2 = SampleVector(f=f, nan_mask=())
+    est2 = refined_error(c_child, c_xfer, sv2, parent, 0, ST, THETA1, 0.5)
     assert est2.used_fallback
 
 
@@ -225,17 +219,18 @@ def test_refined_error_matches_deletion_path(n):
         for a, b in ((0.0, 1.0), (0.0, 0.74), (-1.0, 3.0), (0.3, 0.31)):
             cv_par = fit(sample(fn, a, b, st), st)
             mid = 0.5 * (a + b)
-            for side, ca, cb, Tf in (("left", a, mid, st.t_left_full),
-                                     ("right", mid, b, st.t_right_full)):
+            for side, ca, cb in ((0, a, mid), (1, mid, b)):
                 sv = sample(fn, ca, cb, st)
                 n_masked += bool(sv.nan_mask)
                 cv = fit(sv, st)
                 c_xfer = transfer_to_child(cv_par, side, st)
-                b_xfer = 2.0 ** (cv_par.eff_degree + 1) * (Tf @ cv_par.newton)
-                args = (cv, c_xfer, cv.newton, b_xfer, sv, st.P @ c_xfer.c,
-                        st.p_newton @ b_xfer, THETA1, 0.5 * (b - a))
-                est = refined_error(*args)
+                b_xfer = 2.0 ** (cv_par.eff_degree + 1) * (
+                    st.t_full[side] @ cv_par.newton)
+                est = refined_error(cv, c_xfer, sv, cv_par, side, st, THETA1,
+                                    0.5 * (b - a))
                 verdicts.add(est.used_fallback)
                 assert ((est.eps, est.deriv_scale, est.used_fallback)
-                        == _refined_error_by_deletion(*args))
+                        == _refined_error_by_deletion(
+                            cv, c_xfer, cv.newton, b_xfer, sv, st.P @ c_xfer.c,
+                            st.p_newton @ b_xfer, THETA1, 0.5 * (b - a)))
     assert n_masked > 0 and verdicts == {True, False}

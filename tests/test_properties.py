@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from relquad.algorithms import int_naive, int_refined
-from relquad.engine import Status
-from relquad.testlib import lk_draw, lk_family
+from relquad.algorithms import NaiveConfig, RefinedConfig, int_naive, int_refined
+from relquad.engine import EngineConfig, Status
+from relquad.testlib import divergence_draw, lk_draw, lk_family
 
 INTEGRATORS = (int_naive, int_refined)
 
@@ -46,6 +46,37 @@ def test_reversed_limits_negate_q(alg, case):
     rev = alg(fn, b, a, tau)
     assert rev.q == -fwd.q
     assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
+
+
+def _assert_sign_equivariant(alg, fn, a, b, tau, config=None):
+    # negation is exact and rounding is symmetric in sign, so every step
+    # on -f mirrors the one on f: q flips, the norms behind eps do not
+    pos = alg(fn, a, b, tau, config)
+    neg = alg(lambda x: -fn(x), a, b, tau, config)
+    assert neg.q == -pos.q
+    assert (neg.eps, neg.neval, neg.status) == (pos.eps, pos.neval, pos.status)
+
+
+@pytest.mark.parametrize("alg", INTEGRATORS)
+@settings(max_examples=100, deadline=None)
+@given(case=lk_cases)
+def test_negated_integrand_negates_q(alg, case):
+    fn, (a, b), tau = _lk(*case)
+    _assert_sign_equivariant(alg, fn, a, b, tau)
+
+
+@pytest.mark.parametrize("alg, config", [
+    (int_naive, NaiveConfig(engine=EngineConfig(tau=1.0, max_neval=10_000))),
+    (int_refined, RefinedConfig(engine=EngineConfig(tau=1.0, max_neval=10_000))),
+])
+@settings(max_examples=25, deadline=None)
+@given(k=hs.integers(1, 20), seed=hs.integers(0, 10 ** 6))
+def test_negated_singular_integrand_negates_q(alg, config, k, seed):
+    # |x - lam|^alpha, alpha = -0.1 ... -2.0: masked nodes, floors, budget
+    # stops and Divergent verdicts mirror too
+    fn, exact = divergence_draw(-k / 10.0, seed)
+    tau = 1e-6 * abs(exact) if exact is not None else 1e-6
+    _assert_sign_equivariant(alg, fn, 0.0, 1.0, tau, config)
 
 
 @pytest.mark.parametrize("alg, max_degree, neval", [
