@@ -97,6 +97,10 @@ class RefinedConfig:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("n must be at least 4")
+        if self.n % 2:
+            # a child reuses its parent's node n // 2 as the parent's
+            # midpoint, which that node is only for even n
+            raise ValueError("n must be even")
         if self.theta1 < 1.0:
             raise ValueError("theta1 must be at least 1")
 
@@ -106,6 +110,11 @@ def _engine_cfg(tau: float, base: EngineConfig | None) -> EngineConfig:
     return EngineConfig(tau=tau) if base is None else replace(base, tau=tau)
 
 
+def _check_finite(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds must be finite, got a={a!r}, b={b!r}")
+
+
 def _unordered(integrator, integrand, a: float, b: float, tau: float,
                config) -> QuadResult:
     """Bounds that are not finite with a < b, which the driver never sees.
@@ -113,8 +122,7 @@ def _unordered(integrator, integrand, a: float, b: float, tau: float,
     Non-finite bounds raise before any evaluation; [a, a] integrates to 0
     exactly, at no cost; a > b integrates over [b, a] and negates q.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"bounds must be finite, got a={a!r}, b={b!r}")
+    _check_finite(a, b)
     if a == b:
         return QuadResult(q=0.0, eps=0.0, neval=0, status=Status.CONVERGED)
     res = integrator(integrand, b, a, tau, config)
@@ -146,6 +154,16 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
     if status is None:
         status = Status.CONVERGED if eps <= tau else Status.TOLERANCE_NOT_MET
     return QuadResult(q=q, eps=eps, neval=fn.count, status=status)
+
+
+def _nested_reuse(sv: SampleVector) -> dict[int, float]:
+    """Reuse map of the rule of twice sv's degree on the same interval: its
+    even-indexed nodes are sv's nodes (Chebyshev nesting).  Masked values
+    are NaN, so that the raised rule inherits the mask."""
+    f = sv.f.tolist()
+    for i in sv.nan_mask:
+        f[i] = math.nan
+    return dict(zip(range(0, 2 * len(f), 2), f))
 
 
 def _child(fn, rec: IntervalRecord, side: int, st: RuleStencil,
@@ -190,23 +208,13 @@ def int_naive(integrand, a: float, b: float, tau: float,
     st_top = get_stencil(ncfg.degree(ncfg.d_max))
     st_lo = get_stencil(ncfg.degree(ncfg.d_max - 1))
     st0 = get_stencil(ncfg.n0)
-    sv = sample(fn, a, b, st_top)
-    c_top = fit(sv, st_top)
-    # the lower rule's nodes are the even-indexed ones (Chebyshev nesting)
-    c_lo = fit(SampleVector(f=sv.f[::2].copy(), nan_mask=tuple(
-        i // 2 for i in sv.nan_mask if i % 2 == 0)), st_lo)
-    q0 = integral(c_top, a, b)
-    root = IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
-                          eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
-                          q_base=q0, d=ncfg.d_max, samples=sv)
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
         if rec.d < ncfg.d_max:
             # one step up the degree ladder, reusing nested node values
             st_hi = get_stencil(ncfg.degree(rec.d + 1))
-            reuse = {2 * i: rec.samples.raw(i)
-                     for i in range(rec.coeffs.stencil_n + 1)}
-            sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=reuse)
+            sv_hi = sample(fn, rec.a, rec.b, st_hi,
+                           reuse=_nested_reuse(rec.samples))
             cv_hi = fit(sv_hi, st_hi)
             diff = naive_error(cv_hi, rec.coeffs, 1.0)
             rec.d += 1
@@ -214,7 +222,8 @@ def int_naive(integrand, a: float, b: float, tau: float,
             rec.coeffs = cv_hi
             rec.q = integral(cv_hi, rec.a, rec.b)
             rec.eps = 0.5 * (rec.b - rec.a) * diff
-            norm_hi = float(np.linalg.norm(cv_hi.c))
+            c = cv_hi.c
+            norm_hi = math.sqrt(c.dot(c))
             # relative coefficient change: a large jump even at the new
             # degree means the ladder is not converging here — bisect
             split = diff > ncfg.hint * norm_hi if norm_hi > 0.0 else diff > 0.0
@@ -225,7 +234,17 @@ def int_naive(integrand, a: float, b: float, tau: float,
             state.push(_child(fn, rec, side, st0, ecfg,
                               lambda cv, xf, sv, h: naive_error(cv, xf, h)))
 
-    return _drive(fn, root, tau, ecfg, refine)
+    with np.errstate(all="ignore"):  # for the whole run: see sample
+        sv = sample(fn, a, b, st_top)
+        c_top = fit(sv, st_top)
+        # the lower rule's nodes are the even-indexed ones (Chebyshev nesting)
+        c_lo = fit(SampleVector(f=sv.f[::2].copy(), nan_mask=tuple(
+            i // 2 for i in sv.nan_mask if i % 2 == 0)), st_lo)
+        q0 = integral(c_top, a, b)
+        root = IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
+                              eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
+                              q_base=q0, d=ncfg.d_max, samples=sv)
+        return _drive(fn, root, tau, ecfg, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +267,20 @@ def int_refined(integrand, a: float, b: float, tau: float,
     if not -math.inf < a < b < math.inf:
         return _unordered(int_refined, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
-
     st = get_stencil(rcfg.n)
-    sv = sample(fn, a, b, st)
-    cv = fit(sv, st)
-    q0 = integral(cv, a, b)
-    root = IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0, samples=sv,
-                          eps=float(np.finfo(float).max))  # force a split
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
         for side in (0, 1):
             state.push(_refined_child(fn, rec, side, st, rcfg.theta1, ecfg))
 
-    return _drive(fn, root, tau, ecfg, refine)
+    with np.errstate(all="ignore"):  # for the whole run: see sample
+        sv = sample(fn, a, b, st)
+        cv = fit(sv, st)
+        q0 = integral(cv, a, b)
+        root = IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0,
+                              samples=sv,
+                              eps=float(np.finfo(float).max))  # force a split
+        return _drive(fn, root, tau, ecfg, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +291,9 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
                          max_neval: int = 100_000,
                          max_depth: int = 50) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
-    accept test; no floors, no non-numeric handling, no divergence guard."""
+    accept test; no floors, no non-numeric handling, no divergence guard.
+    Non-finite bounds raise ValueError before any evaluation."""
+    _check_finite(a, b)
     fn = CountedFunction(integrand)
     with np.errstate(all="ignore"):
         fa, fb = fn(a), fn(b)

@@ -209,19 +209,14 @@ def build_stencil(n: int) -> RuleStencil:
     b = _newton_vector(nodes)
     t_full = tuple(_bisection_transform(n + 2, sign) for sign in (-1.0, 1.0))
     b_xfer = tuple(2.0 ** (n + 1) * (tf @ b) for tf in t_full)
-    return RuleStencil(
-        n=n,
-        nodes=nodes,
-        P=P,
-        P_inv=P_inv,
-        cond=cond,
-        b=b,
-        p_newton=p_newton,
-        t=tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full),
-        t_full=t_full,
-        b_xfer=b_xfer,
-        pi_xfer=tuple(p_newton @ bx for bx in b_xfer),
-    )
+    t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
+    pi_xfer = tuple(p_newton @ bx for bx in b_xfer)
+    # stencils are shared by every run, and fits hand out b itself
+    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full, *b_xfer, *pi_xfer):
+        arr.setflags(write=False)
+    return RuleStencil(n=n, nodes=nodes, P=P, P_inv=P_inv, cond=cond, b=b,
+                       p_newton=p_newton, t=t, t_full=t_full, b_xfer=b_xfer,
+                       pi_xfer=pi_xfer)
 
 
 def downdate_newton(b_vec: np.ndarray, x_j: float) -> np.ndarray:

@@ -48,10 +48,16 @@ def naive_error(c_hi: CoeffVector, c_lo: CoeffVector, halfwidth: float) -> float
     if shorter, and cut off if longer (a higher-degree parent moved onto a
     lowest-degree child is compared up to the child's degree only)."""
     hi = c_hi.c
-    lo = c_lo.c[: len(hi)]
+    lo = c_lo.c
     if len(lo) < len(hi):
-        lo = np.concatenate([lo, np.zeros(len(hi) - len(lo))])
-    return float(halfwidth * np.linalg.norm(hi - lo))
+        # hi - 0.0 is hi bit for bit, so this is hi minus zero-padded lo
+        d = hi.copy()
+        d[: len(lo)] -= lo
+    else:
+        d = hi - lo[: len(hi)]
+    # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D real
+    # vector, without its dispatch overhead
+    return float(halfwidth * math.sqrt(d.dot(d)))
 
 
 def refined_error(

@@ -12,6 +12,7 @@ healthy node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class CountedFunction:
     """Wraps an integrand and counts evaluations.
 
     The counter is the budget and reporting currency of every integration
-    run; reused values must never pass through __call__.
+    run; reused values must never be counted.  ``sample`` adds its new
+    nodes to ``count`` once per call and calls ``fn`` itself.
     """
 
     __slots__ = ("fn", "count")
@@ -84,20 +86,29 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
 
     ``reuse`` maps node indices to previously computed raw values (NaN for
     previously non-numeric nodes); those nodes are not re-evaluated and do
-    not increment the evaluation counter.
+    not increment the evaluation counter.  A ``CountedFunction`` is counted
+    once per call and its wrapped function called directly; any other
+    callable is called as it is.
 
     The integrand receives ``np.float64`` nodes, so that ``1/x`` or
-    ``x ** -1.5`` at a node gives inf (masked) rather than raising.
+    ``x ** -1.5`` at a node gives inf (masked) rather than raising.  The
+    caller owns the floating-point error state: the integrators ignore
+    numpy's warnings for the whole run, so sample does not set it.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    counted = type(integrand) is CountedFunction
+    fn = integrand.fn if counted else integrand
     get = reuse.get if reuse else {}.get
-    values = []
-    with np.errstate(all="ignore"):
-        for i, x in enumerate(mid + half * stencil.nodes):
-            v = get(i)
-            values.append(integrand(x) if v is None else v)
-    f = np.array(values, dtype=float)
+    values = [float(fn(x)) if (v := get(i)) is None else v
+              for i, x in enumerate(mid + half * stencil.nodes)]
+    if counted:
+        integrand.count += len(values) - len(reuse or ())
+    f = np.array(values)
+    # a sum is finite only if every term is; a finite sum that overflows
+    # takes the exact test below
+    if math.isfinite(sum(values)):
+        return SampleVector(f=f, nan_mask=())
     bad = ~np.isfinite(f)
     if not bad.any():
         return SampleVector(f=f, nan_mask=())
@@ -111,16 +122,19 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
     Masked nodes are processed in ascending index order; each step divides
     the current Newton polynomial by (x - x_j) and subtracts the multiple of
     it that zeroes the top coefficient, dropping the effective degree by one.
+    With no masked node the Newton vector is the stencil's own, read-only
+    ``b``, not a copy.
     """
     n = stencil.n
-    if len(samples.nan_mask) >= n:
-        raise TooManyNonNumeric(
-            f"{len(samples.nan_mask)} of {n + 1} nodes non-numeric"
-        )
+    mask = samples.nan_mask
     c = stencil.P_inv @ samples.f
+    if not mask:
+        return CoeffVector(c=c, eff_degree=n, stencil_n=n, newton=stencil.b)
+    if len(mask) >= n:
+        raise TooManyNonNumeric(f"{len(mask)} of {n + 1} nodes non-numeric")
     m = n
     b = stencil.b
-    for j in sorted(samples.nan_mask):
+    for j in sorted(mask):
         b = downdate_newton(b, float(stencil.nodes[j]))
         c[: m + 1] -= (c[m] / b[m]) * b[: m + 1]
         c[m] = 0.0

@@ -6,13 +6,14 @@ import pytest
 from relquad.algorithms import (
     NaiveConfig,
     RefinedConfig,
+    _nested_reuse,
     divergence_ratio_probe,
     int_naive,
     int_refined,
     int_simpson_baseline,
 )
 from relquad.engine import EngineConfig, Status
-from relquad.interp import CountedFunction
+from relquad.interp import CountedFunction, SampleVector
 from relquad.testlib import battery_get, lk_family, waldvogel_family_draw
 
 
@@ -194,6 +195,39 @@ def test_config_validation():
         EngineConfig(tau=1.0, heap_cap=0)
 
 
+@pytest.mark.parametrize("n", (5, 7, 9))
+def test_refined_rejects_odd_degree(n):
+    # a child reuses parent node n // 2 as the parent's midpoint, which it
+    # is only for even n; odd n used to end ToleranceNotMet ~1e-4 off
+    with pytest.raises(ValueError, match="even"):
+        RefinedConfig(n=n)
+
+
+@pytest.mark.parametrize("n", (10, 12))
+def test_refined_even_degrees_converge(n):
+    r = int_refined(math.exp, 0.0, 1.0, 1e-10, RefinedConfig(n=n))
+    assert r.status is Status.CONVERGED
+    assert abs(r.q - (math.e - 1.0)) <= 1e-10
+
+
+def test_nested_reuse_matches_per_node_raw():
+    # the ladder's reuse map, built from one tolist(), against one raw(i)
+    # per node: same keys in the same order, same value bytes, masked
+    # nodes NaN
+    rng = np.random.default_rng(7)
+    for n in (4, 8, 16):
+        for mask in ((), (0,), (1, n), tuple(range(0, n + 1, 3))):
+            f = rng.standard_normal(n + 1)
+            f[list(mask)] = 0.0
+            sv = SampleVector(f=f, nan_mask=mask)
+            got = _nested_reuse(sv)
+            want = {2 * i: sv.raw(i) for i in range(n + 1)}
+            assert list(got) == list(want)
+            assert (np.array(list(got.values())).tobytes()
+                    == np.array(list(want.values())).tobytes())
+            assert all(type(v) is float for v in got.values())
+
+
 def test_result_fields_and_status_values():
     r = int_naive(np.exp, 0.0, 1.0, 1e-6)
     assert set(("q", "eps", "neval", "status")) <= set(r.__dataclass_fields__)
@@ -233,7 +267,7 @@ def test_empty_interval_is_exactly_zero(alg):
     assert calls == []
 
 
-@pytest.mark.parametrize("alg", (int_naive, int_refined))
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
                                   (math.inf, 0.0), (math.nan, 1.0),
                                   (0.0, math.nan), (math.inf, math.inf)])

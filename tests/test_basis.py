@@ -228,5 +228,16 @@ def test_build_stencil_degree_bounds():
         build_stencil(len(ALPHA) - 1)  # needs coefficients up to degree n+1
 
 
+def test_stencil_arrays_are_read_only():
+    # every run shares a stencil, and unmasked fits hand out its b itself
+    st = build_stencil(10)
+    arrays = [st.nodes, st.P, st.P_inv, st.b, st.p_newton]
+    for pair in (st.t, st.t_full, st.b_xfer, st.pi_xfer):
+        arrays.extend(pair)
+    assert not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError):
+        st.b[0] = 0.0
+
+
 def test_get_stencil_caches():
     assert get_stencil(8) is get_stencil(8)

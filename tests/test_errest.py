@@ -43,6 +43,38 @@ def test_naive_cuts_off_longer_vector():
     assert naive_error(lo, hi, 0.5) == 1.5
 
 
+def _naive_error_by_concatenation(c_hi, c_lo, halfwidth):
+    """naive_error as it was written with np.concatenate and np.linalg.norm:
+    the reference for its fast path."""
+    hi = c_hi.c
+    lo = c_lo.c[: len(hi)]
+    if len(lo) < len(hi):
+        lo = np.concatenate([lo, np.zeros(len(hi) - len(lo))])
+    return float(halfwidth * np.linalg.norm(hi - lo))
+
+
+@pytest.mark.parametrize("n_hi", (4, 8, 10, 16, 32))
+def test_naive_error_matches_concatenation_path(n_hi):
+    # c_lo shorter (padded), equal and longer (cut off), with signed zeros,
+    # exact cancellations and magnitudes far apart: same float bit for bit
+    rng = np.random.default_rng(400 + n_hi)
+    for n_lo in sorted({2, n_hi // 2, n_hi, 2 * n_hi, 32}):
+        for _ in range(40):
+            scale = 10.0 ** float(rng.integers(-150, 150))
+            c_hi = rng.standard_normal(n_hi + 1) * scale
+            c_lo = rng.standard_normal(n_lo + 1) * scale
+            c_hi[rng.random(n_hi + 1) < 0.2] = -0.0
+            m = min(n_hi, n_lo) + 1
+            same = rng.random(m) < 0.3   # exact zeros in the difference
+            c_lo[:m][same] = c_hi[:m][same]
+            hi = CoeffVector(c=c_hi, eff_degree=n_hi, stencil_n=n_hi)
+            lo = CoeffVector(c=c_lo, eff_degree=n_lo, stencil_n=n_lo)
+            h = float(rng.uniform(1e-9, 4.0))
+            got = naive_error(hi, lo, h)
+            assert type(got) is float
+            assert got.hex() == _naive_error_by_concatenation(hi, lo, h).hex()
+
+
 def test_naive_degree4_polynomial_exact_at_both_degrees():
     st4, st8 = get_stencil(4), get_stencil(8)
     rng = np.random.default_rng(1)
@@ -215,22 +247,24 @@ def test_refined_error_matches_deletion_path(n):
            lambda x: 1.0 / x, lambda x: abs(x - 0.37) ** -0.4]
     n_masked = 0
     verdicts = set()
-    for fn in fns:
-        for a, b in ((0.0, 1.0), (0.0, 0.74), (-1.0, 3.0), (0.3, 0.31)):
-            cv_par = fit(sample(fn, a, b, st), st)
-            mid = 0.5 * (a + b)
-            for side, ca, cb in ((0, a, mid), (1, mid, b)):
-                sv = sample(fn, ca, cb, st)
-                n_masked += bool(sv.nan_mask)
-                cv = fit(sv, st)
-                c_xfer = transfer_to_child(cv_par, side, st)
-                b_xfer = 2.0 ** (cv_par.eff_degree + 1) * (
-                    st.t_full[side] @ cv_par.newton)
-                est = refined_error(cv, c_xfer, sv, cv_par, side, st, THETA1,
-                                    0.5 * (b - a))
-                verdicts.add(est.used_fallback)
-                assert ((est.eps, est.deriv_scale, est.used_fallback)
-                        == _refined_error_by_deletion(
-                            cv, c_xfer, cv.newton, b_xfer, sv, st.P @ c_xfer.c,
-                            st.p_newton @ b_xfer, THETA1, 0.5 * (b - a)))
+    with np.errstate(all="ignore"):  # as the integrators run sample
+        for fn in fns:
+            for a, b in ((0.0, 1.0), (0.0, 0.74), (-1.0, 3.0), (0.3, 0.31)):
+                cv_par = fit(sample(fn, a, b, st), st)
+                mid = 0.5 * (a + b)
+                for side, ca, cb in ((0, a, mid), (1, mid, b)):
+                    sv = sample(fn, ca, cb, st)
+                    n_masked += bool(sv.nan_mask)
+                    cv = fit(sv, st)
+                    c_xfer = transfer_to_child(cv_par, side, st)
+                    b_xfer = 2.0 ** (cv_par.eff_degree + 1) * (
+                        st.t_full[side] @ cv_par.newton)
+                    est = refined_error(cv, c_xfer, sv, cv_par, side, st,
+                                        THETA1, 0.5 * (b - a))
+                    verdicts.add(est.used_fallback)
+                    assert ((est.eps, est.deriv_scale, est.used_fallback)
+                            == _refined_error_by_deletion(
+                                cv, c_xfer, cv.newton, b_xfer, sv,
+                                st.P @ c_xfer.c, st.p_newton @ b_xfer, THETA1,
+                                0.5 * (b - a)))
     assert n_masked > 0 and verdicts == {True, False}

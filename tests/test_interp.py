@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from relquad.basis import get_stencil, legendre_values
+from relquad.basis import downdate_newton, get_stencil, legendre_values
 from relquad.interp import (
     CoeffVector,
     CountedFunction,
@@ -30,7 +32,8 @@ def test_sample_masks_nonnumeric_at_left_endpoint():
     # sin(x)/x is 0/0 at x=0, which maps to the last (descending) node
     st = get_stencil(4)
     fn = CountedFunction(lambda x: np.sin(x) / x)
-    sv = sample(fn, 0.0, 1.0, st)
+    with np.errstate(all="ignore"):  # sample's caller owns the errstate
+        sv = sample(fn, 0.0, 1.0, st)
     assert sv.nan_mask == (4,)
     assert sv.f[4] == 0.0
     assert np.isnan(sv.raw(4))
@@ -55,7 +58,8 @@ def test_sample_reuse_skips_counter():
 def test_sample_reuse_propagates_nan_without_eval():
     st = get_stencil(4)
     fn = CountedFunction(lambda x: 1.0 / x)
-    sv = sample(fn, 0.0, 1.0, st)
+    with np.errstate(all="ignore"):
+        sv = sample(fn, 0.0, 1.0, st)
     assert sv.nan_mask == (4,)
     # a child reusing the masked endpoint inherits the mask for free
     fn2 = CountedFunction(lambda x: 1.0 / x)
@@ -285,5 +289,73 @@ def test_sample_passes_numpy_scalars_so_poles_mask():
     # with np.float64 nodes, 0.0 ** -1.5 and 1/0 give inf (masked) instead
     # of raising ZeroDivisionError as Python floats would
     st = get_stencil(4)
-    sv = sample(lambda x: x ** -1.5 + 1.0 / x, 0.0, 1.0, st)
+    with np.errstate(all="ignore"):
+        sv = sample(lambda x: x ** -1.5 + 1.0 / x, 0.0, 1.0, st)
     assert sv.nan_mask == (4,)
+
+
+def test_sample_finite_values_whose_sum_overflows_stay_unmasked():
+    # 1e308 + 1e308 overflows to inf although both terms are finite: the
+    # exact per-node test must clear the mask again
+    st = get_stencil(4)
+    xs = (0.5 + 0.5 * st.nodes).tolist()
+    big = {xs[1]: 1e308, xs[3]: 1e308}
+    fn = CountedFunction(lambda x: big.get(x, 1.0))
+    sv = sample(fn, 0.0, 1.0, st)
+    assert sv.nan_mask == ()
+    assert sv.f.tolist() == [1.0, 1e308, 1.0, 1e308, 1.0]
+    assert math.isinf(sum(sv.f.tolist()))
+    assert fn.count == 5
+
+
+def test_sample_masks_both_infinities():
+    # inf + (-inf) sums to nan, not inf: both nodes are still masked
+    st = get_stencil(4)
+    xs = (0.5 + 0.5 * st.nodes).tolist()
+    inf = {xs[0]: math.inf, xs[2]: -math.inf}
+    sv = sample(CountedFunction(lambda x: inf.get(x, 1.0)), 0.0, 1.0, st)
+    assert sv.nan_mask == (0, 2)
+    assert sv.f.tolist() == [0.0, 1.0, 0.0, 1.0, 1.0]
+
+
+def _fit_by_downdate(samples, stencil):
+    """fit() as it was written before its unmasked fast path: every fit,
+    masked or not, ran the downdate loop and copied the Newton vector into
+    a zero-padded array.  The reference for that fast path."""
+    n = stencil.n
+    if len(samples.nan_mask) >= n:
+        raise TooManyNonNumeric(
+            f"{len(samples.nan_mask)} of {n + 1} nodes non-numeric"
+        )
+    c = stencil.P_inv @ samples.f
+    m = n
+    b = stencil.b
+    for j in sorted(samples.nan_mask):
+        b = downdate_newton(b, float(stencil.nodes[j]))
+        c[: m + 1] -= (c[m] / b[m]) * b[: m + 1]
+        c[m] = 0.0
+        m -= 1
+    newton = np.zeros(n + 2)
+    newton[: m + 2] = b
+    return CoeffVector(c=c, eff_degree=m, stencil_n=n, newton=newton)
+
+
+@pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
+def test_fit_matches_downdate_path(n):
+    # unmasked fits skip the downdate loop and hand out the stencil's own
+    # Newton vector: same bytes as the loop's zero-padded copy
+    st = get_stencil(n)
+    rng = np.random.default_rng(300 + n)
+    for trial in range(60):
+        f = rng.standard_normal(n + 1) * 10.0 ** float(rng.integers(-8, 9))
+        k = 0 if trial % 2 else int(rng.integers(0, 3))
+        mask = tuple(sorted(rng.choice(n + 1, size=k, replace=False).tolist()))
+        f[list(mask)] = 0.0
+        sv = SampleVector(f=f, nan_mask=mask)
+        got, want = fit(sv, st), _fit_by_downdate(sv, st)
+        assert got.c.tobytes() == want.c.tobytes()
+        assert (got.eff_degree, got.stencil_n) == (want.eff_degree,
+                                                   want.stencil_n)
+        assert got.newton.tobytes() == want.newton.tobytes()
+        if not mask:
+            assert got.newton is st.b

@@ -65,6 +65,32 @@ def test_negated_integrand_negates_q(alg, case):
     _assert_sign_equivariant(alg, fn, a, b, tau)
 
 
+def _sparse_nan(fn, salt, rate=1 / 64):
+    """fn, but NaN wherever a multiplicative hash of x, mixed with salt,
+    falls in the lowest `rate` share of its range: deterministic points,
+    spread pseudo-randomly and sparsely over the domain."""
+    cut = int(rate * 2 ** 64)
+
+    def g(x):
+        h = ((hash(float(x)) ^ salt) * 0x9E3779B97F4A7C15) % 2 ** 64
+        return math.nan if h < cut else fn(x)
+
+    return g
+
+
+@pytest.mark.parametrize("alg", INTEGRATORS)
+@settings(max_examples=100, deadline=None)
+@given(case=lk_cases, salt=hs.integers(0, 2 ** 64 - 1))
+def test_sparse_nan_nodes_leave_q_and_eps_finite(alg, case, salt):
+    # NaN values are masked and downdated away, never summed.  At one point
+    # in 64, nearly every run meets some (1,171 of 1,200 in a scan of lk
+    # draws), and none loses n of a fit's n + 1 nodes: that is the separate
+    # case of an integrand that is NaN on a whole subinterval
+    fn, (a, b), tau = _lk(*case)
+    r = alg(_sparse_nan(fn, salt), a, b, tau)
+    assert math.isfinite(r.q) and math.isfinite(r.eps) and r.eps >= 0.0
+
+
 @pytest.mark.parametrize("alg, config", [
     (int_naive, NaiveConfig(engine=EngineConfig(tau=1.0, max_neval=10_000))),
     (int_refined, RefinedConfig(engine=EngineConfig(tau=1.0, max_neval=10_000))),
