@@ -2,7 +2,7 @@
 
 ``int_naive`` and ``int_refined`` share one adaptive driver, ``_drive``
 (heap, floors, cap, divergence count, budget); each brings only its start-up
-fit and a refinement step, and both build bisection children with ``_child``.
+fit and a refinement step, and both bisect an interval with ``_split``.
 
 ``int_naive`` is doubly adaptive: every interval carries a rule degree from
 the ladder n0, 2*n0, ..., n0*2^d_max (default 4/8/16/32) and the worst
@@ -26,6 +26,8 @@ All three return a ``QuadResult`` whose eps is the total (heap + excess)
 error estimate and whose status reports Converged / ToleranceNotMet /
 Divergent honestly; NaN/Inf integrand values are data (masked and downdated
 away), never propagated into q or eps by the two coefficient-based methods.
+An interval whose refinement has too few numeric values left to fit is
+retired as it stands, and the run then ends ToleranceNotMet at best.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from relquad.errest import naive_error, refined_error
 from relquad.interp import (
     CountedFunction,
     SampleVector,
+    TooManyNonNumeric,
     fit,
     integral,
     sample,
@@ -133,10 +136,15 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
            ecfg: EngineConfig, refine) -> QuadResult:
     """Refine the worst interval until the heap's error is within tau, the
     budget is spent or a chain diverges.  ``refine(state, rec)`` pushes the
-    refinement of the popped record rec: all the two integrators differ in."""
+    refinement of the popped record rec: all the two integrators differ in.
+
+    A refinement that meets a fit with too few numeric values pushes
+    nothing; rec is then retired into excess with its own q and eps, and
+    the run cannot return Converged."""
     state = AdaptiveState()
     state.push(root)
     status = None
+    nonnumeric = False
     try:
         while state.heap and state.heap_eps() > tau:
             if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
@@ -146,13 +154,19 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
             if should_drop(rec, get_stencil(rec.coeffs.stencil_n), ecfg):
                 accumulate_excess(state, rec)
                 continue
-            refine(state, rec)
+            try:
+                refine(state, rec)
+            except TooManyNonNumeric:
+                accumulate_excess(state, rec)
+                nonnumeric = True
+                continue
             enforce_heap_cap(state, ecfg)
     except DivergentIntegral:
         status = Status.DIVERGENT
     q, eps = state.totals()
     if status is None:
-        status = Status.CONVERGED if eps <= tau else Status.TOLERANCE_NOT_MET
+        status = (Status.CONVERGED if eps <= tau and not nonnumeric
+                  else Status.TOLERANCE_NOT_MET)
     return QuadResult(q=q, eps=eps, neval=fn.count, status=status)
 
 
@@ -166,30 +180,60 @@ def _nested_reuse(sv: SampleVector) -> dict[int, float]:
     return dict(zip(range(0, 2 * len(f), 2), f))
 
 
-def _child(fn, rec: IntervalRecord, side: int, st: RuleStencil,
-           ecfg: EngineConfig, estimate) -> IntervalRecord:
-    """The half of rec on side 0 (left) or 1 (right), fitted at stencil st,
-    reusing the values at its two end nodes (nodes of rec).  Its eps is
-    ``estimate(cv, c_xfer, sv, h)`` of its fit, rec's fit moved onto it, its
-    samples and rec's half-width."""
-    n_par = rec.coeffs.stencil_n
-    mid = 0.5 * (rec.a + rec.b)
-    h = 0.5 * (rec.b - rec.a)
-    # nodes descend: the child's node 0 is its right end, node n its left;
-    # j0 and jn are the parent nodes there
-    if side == 0:
-        ca, cb, j0, jn = rec.a, mid, n_par // 2, n_par
-    else:
-        ca, cb, j0, jn = mid, rec.b, 0, n_par // 2
-    reuse = {0: rec.samples.raw(j0), st.n: rec.samples.raw(jn)}
-    sv = sample(fn, ca, cb, st, reuse=reuse)
-    cv = fit(sv, st)
-    q = integral(cv, ca, cb)
-    nr_div = divergence_update(q, rec.q_base, rec, ecfg)
-    c_xfer = transfer_to_child(rec.coeffs, side, get_stencil(n_par))
-    return IntervalRecord(a=ca, b=cb, coeffs=cv, q=q,
-                          eps=estimate(cv, c_xfer, sv, h), q_base=q,
-                          nr_div=nr_div, nr_rec=rec.nr_rec + 1, samples=sv)
+def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
+           ecfg: EngineConfig, estimate) -> None:
+    """Bisect rec: fit its left and right halves at stencil st, then push
+    both.  Each half reuses the values at its two end nodes (nodes of rec).
+    Its eps is ``estimate(cv, c_xfer, sv, parent, side, h)`` of its fit,
+    rec's fit moved onto it, its samples, rec's fit, its side (0 left,
+    1 right) and rec's half-width.
+
+    The left half's divergence_update runs before the right half is
+    sampled, so a verdict on the left costs no right-half evaluations.  A
+    verdict on the right ends the run with the left half pushed, so the
+    partial totals count it.  A fit with too few numeric values raises
+    TooManyNonNumeric before either half is pushed.
+    """
+    a, b = rec.a, rec.b
+    mid = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    parent = rec.coeffs
+    n_par = parent.stencil_n
+    st_par = get_stencil(n_par)
+    sv_par = rec.samples
+    f_b, f_mid, f_a = sv_par.raw(0), sv_par.raw(n_par // 2), sv_par.raw(n_par)
+    n = st.n
+    halves = []
+    # nodes descend: a half's node 0 is its right end, node n its left
+    for side, ca, cb, reuse in ((0, a, mid, {0: f_mid, n: f_a}),
+                                (1, mid, b, {0: f_b, n: f_mid})):
+        sv = sample(fn, ca, cb, st, reuse=reuse)
+        cv = fit(sv, st)
+        q = integral(cv, ca, cb)
+        try:
+            nr_div = divergence_update(q, rec.q_base, rec, ecfg)
+        except DivergentIntegral:
+            for half in halves:
+                state.push(half)
+            raise
+        c_xfer = transfer_to_child(parent, side, st_par)
+        # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, d, samples
+        halves.append(IntervalRecord(
+            ca, cb, cv, q, estimate(cv, c_xfer, sv, parent, side, h), q,
+            nr_div, rec.nr_rec + 1, 0, sv))
+    for half in halves:
+        state.push(half)
+
+
+def _naive_estimate(cv, c_xfer, sv, parent, side, h) -> float:
+    """The error estimate of a naive half, in ``_split``'s signature."""
+    return naive_error(cv, c_xfer, h)
+
+
+def _refined_estimate(st: RuleStencil, theta1: float):
+    """The error estimate of a refined half, in ``_split``'s signature."""
+    return lambda cv, c_xfer, sv, parent, side, h: refined_error(
+        cv, c_xfer, sv, parent, side, st, theta1, h).eps
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +274,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
             if not split:
                 state.push(rec)
                 return
-        for side in (0, 1):
-            state.push(_child(fn, rec, side, st0, ecfg,
-                              lambda cv, xf, sv, h: naive_error(cv, xf, h)))
+        _split(state, fn, rec, st0, ecfg, _naive_estimate)
 
     with np.errstate(all="ignore"):  # for the whole run: see sample
         sv = sample(fn, a, b, st_top)
@@ -251,13 +293,6 @@ def int_naive(integrand, a: float, b: float, tau: float,
 # refined integrator (fixed degree, derivative-extracting estimate)
 # ---------------------------------------------------------------------------
 
-def _refined_child(fn, rec: IntervalRecord, side: int, st: RuleStencil,
-                   theta1: float, ecfg: EngineConfig) -> IntervalRecord:
-    """Fit one half of rec and estimate its error against the parent."""
-    return _child(fn, rec, side, st, ecfg, lambda cv, xf, sv, h: refined_error(
-        cv, xf, sv, rec.coeffs, side, st, theta1, h).eps)
-
-
 def int_refined(integrand, a: float, b: float, tau: float,
                 config: RefinedConfig | None = None) -> QuadResult:
     """Fixed-degree adaptive quadrature over [a, b] to absolute tolerance
@@ -269,9 +304,10 @@ def int_refined(integrand, a: float, b: float, tau: float,
     fn = CountedFunction(integrand)
     st = get_stencil(rcfg.n)
 
+    estimate = _refined_estimate(st, rcfg.theta1)
+
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        for side in (0, 1):
-            state.push(_refined_child(fn, rec, side, st, rcfg.theta1, ecfg))
+        _split(state, fn, rec, st, ecfg, estimate)
 
     with np.errstate(all="ignore"):  # for the whole run: see sample
         sv = sample(fn, a, b, st)
@@ -361,9 +397,11 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         q_par = integral(cv_par, a0, b0)
         parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par, q=q_par, eps=0.0,
                                 q_base=q_par, samples=sv_par)
-        child = _refined_child(fn, parent, 0, st, rcfg.theta1,
-                               EngineConfig(tau=1.0, nr_divmax=10 ** 9))
-        return child.eps, child.q
+        state = AdaptiveState()
+        _split(state, fn, parent, st, EngineConfig(tau=1.0, nr_divmax=10 ** 9),
+               _refined_estimate(st, rcfg.theta1))
+        left = state.heap[0]
+        return left.eps, left.q
 
     eps_outer, q_outer = left_child_estimate(0.0, 2.0 * h)   # -> [0, h]
     eps_inner, q_inner = left_child_estimate(0.0, h)          # -> [0, h/2]

@@ -22,6 +22,7 @@ half-intervals the coefficient transform onto it and pi_n moved there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,14 @@ class RuleStencil:
                  against whenever the parent has no masked nodes (its Newton
                  vector is then exactly b).
     pi_xfer      p_newton @ b_xfer: that polynomial's values at the nodes.
+
+    The refined error estimate's inputs that depend on no data, for a child
+    and a parent that are both unmasked (Newton vectors b), in the
+    expressions it would evaluate:
+
+    abs_pi_xfer  np.abs(pi_xfer), per side.
+    newton_dist  math.sqrt(d.dot(d)) with d = b - b_xfer, per side.
+    b_norm       math.sqrt(b.dot(b)).
     """
 
     n: int
@@ -190,6 +199,9 @@ class RuleStencil:
     t_full: tuple[np.ndarray, np.ndarray]
     b_xfer: tuple[np.ndarray, np.ndarray]
     pi_xfer: tuple[np.ndarray, np.ndarray]
+    abs_pi_xfer: tuple[np.ndarray, np.ndarray]
+    newton_dist: tuple[float, float]
+    b_norm: float
 
 
 def build_stencil(n: int) -> RuleStencil:
@@ -211,12 +223,16 @@ def build_stencil(n: int) -> RuleStencil:
     b_xfer = tuple(2.0 ** (n + 1) * (tf @ b) for tf in t_full)
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
     pi_xfer = tuple(p_newton @ bx for bx in b_xfer)
+    abs_pi_xfer = tuple(np.abs(pi) for pi in pi_xfer)
+    newton_dist = tuple(math.sqrt(d.dot(d)) for d in (b - bx for bx in b_xfer))
     # stencils are shared by every run, and fits hand out b itself
-    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full, *b_xfer, *pi_xfer):
+    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full, *b_xfer, *pi_xfer,
+                *abs_pi_xfer):
         arr.setflags(write=False)
     return RuleStencil(n=n, nodes=nodes, P=P, P_inv=P_inv, cond=cond, b=b,
                        p_newton=p_newton, t=t, t_full=t_full, b_xfer=b_xfer,
-                       pi_xfer=pi_xfer)
+                       pi_xfer=pi_xfer, abs_pi_xfer=abs_pi_xfer,
+                       newton_dist=newton_dist, b_norm=math.sqrt(b.dot(b)))
 
 
 def downdate_newton(b_vec: np.ndarray, x_j: float) -> np.ndarray:

@@ -84,7 +84,7 @@ class EngineConfig:
             raise ValueError("nr_divmax must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class IntervalRecord:
     """One heap entry.
 

@@ -18,7 +18,7 @@ flagged as a fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +32,11 @@ __all__ = ["RefinedEstimate", "naive_error", "refined_error"]
 _DEGENERATE_DENOM = 1e-300
 
 
-@dataclass(frozen=True)
-class RefinedEstimate:
+class RefinedEstimate(NamedTuple):
     """eps: the error estimate; deriv_scale: extracted higher-derivative
     proxy; used_fallback: true when the smoothness test failed and the
-    difference norm was used instead of the derivative model."""
+    difference norm was used instead of the derivative model.  Built
+    positionally: it is made once per refined child."""
 
     eps: float
     deriv_scale: float
@@ -78,28 +78,36 @@ def refined_error(
     child.  The parent's Newton vector is moved likewise and scaled by
     2**(deg+1), monic in child coordinates like the child's own: the stencil
     holds it for an unmasked parent, and a masked parent's downdated vector
-    is moved here.
+    is moved here.  When neither is masked, the Newton terms, which depend
+    on no data, are read from the stencil.
     """
-    if parent.eff_degree < stencil.n:
-        b_xfer = 2.0 ** (parent.eff_degree + 1) * (
-            stencil.t_full[side] @ parent.newton)
-        pi_xfer = stencil.p_newton @ b_xfer
-    else:
-        b_xfer, pi_xfer = stencil.b_xfer[side], stencil.pi_xfer[side]
     b_child = c_child.newton
     # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D real
     # vector, without its dispatch overhead
     d = c_child.c - c_parent_xfer.c
     diff_norm = math.sqrt(d.dot(d))
-    d = b_child - b_xfer
-    denom = math.sqrt(d.dot(d))
+    if b_child is stencil.b and parent.eff_degree == stencil.n:
+        # both unmasked: the Newton terms are the stencil's own
+        abs_pi = stencil.abs_pi_xfer[side]
+        denom = stencil.newton_dist[side]
+        b_norm = stencil.b_norm
+    else:
+        if parent.eff_degree < stencil.n:
+            b_xfer = 2.0 ** (parent.eff_degree + 1) * (
+                stencil.t_full[side] @ parent.newton)
+            pi_xfer = stencil.p_newton @ b_xfer
+        else:
+            b_xfer, pi_xfer = stencil.b_xfer[side], stencil.pi_xfer[side]
+        abs_pi = np.abs(pi_xfer)
+        d = b_child - b_xfer
+        denom = math.sqrt(d.dot(d))
+        b_norm = math.sqrt(b_child.dot(b_child))
     if denom < _DEGENERATE_DENOM:
-        return RefinedEstimate(eps=halfwidth * diff_norm,
-                               deriv_scale=float("inf"), used_fallback=True)
+        return RefinedEstimate(halfwidth * diff_norm, float("inf"), True)
     deriv = diff_norm / denom
 
     resid = np.abs(stencil.P @ c_parent_xfer.c - samples.f)
-    slack = theta1 * deriv * np.abs(pi_xfer)
+    slack = theta1 * deriv * abs_pi
     margin = resid - slack
     # The child's first and last nodes coincide with parent nodes (endpoint
     # and midpoint of the parent interval), where the parent interpolant
@@ -114,8 +122,7 @@ def refined_error(
         margin = np.delete(margin, sorted(skip))
     else:
         margin = margin[1:-1]
-    if margin.size and margin.max() > 0.0:
-        return RefinedEstimate(eps=halfwidth * diff_norm,
-                               deriv_scale=deriv, used_fallback=True)
-    eps = halfwidth * deriv * math.sqrt(b_child.dot(b_child))
-    return RefinedEstimate(eps=eps, deriv_scale=deriv, used_fallback=False)
+    # maximum.reduce is what .max() calls, NaN propagation included
+    if margin.size and np.maximum.reduce(margin) > 0.0:
+        return RefinedEstimate(halfwidth * diff_norm, deriv, True)
+    return RefinedEstimate(halfwidth * deriv * b_norm, deriv, False)

@@ -13,7 +13,7 @@ healthy node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,11 @@ class CountedFunction:
         return float(self.fn(x))
 
 
-@dataclass(frozen=True)
-class SampleVector:
+# SampleVector and CoeffVector are made several times per interval step:
+# immutable named tuples cost half of a frozen dataclass, and the hot paths
+# below build them positionally, which costs half again.
+
+class SampleVector(NamedTuple):
     """Integrand values at stencil nodes; masked entries are stored as 0."""
 
     f: np.ndarray
@@ -69,8 +72,7 @@ class SampleVector:
         return float(self.f[i])
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(NamedTuple):
     """Legendre coefficients (full stencil length, zero-padded above
     eff_degree) plus the matching downdated Newton vector when known."""
 
@@ -108,7 +110,7 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     # a sum is finite only if every term is; a finite sum that overflows
     # takes the exact test below
     if math.isfinite(sum(values)):
-        return SampleVector(f=f, nan_mask=())
+        return SampleVector(f, ())
     bad = ~np.isfinite(f)
     if not bad.any():
         return SampleVector(f=f, nan_mask=())
@@ -129,7 +131,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
     mask = samples.nan_mask
     c = stencil.P_inv @ samples.f
     if not mask:
-        return CoeffVector(c=c, eff_degree=n, stencil_n=n, newton=stencil.b)
+        return CoeffVector(c, n, n, stencil.b)
     if len(mask) >= n:
         raise TooManyNonNumeric(f"{len(mask)} of {n + 1} nodes non-numeric")
     m = n
@@ -162,5 +164,4 @@ def transfer_to_child(c: CoeffVector, side: int, stencil: RuleStencil) -> CoeffV
     survives; the result predicts the parent's interpolant on the child and
     carries no Newton vector of its own.
     """
-    return CoeffVector(c=stencil.t[side] @ c.c, eff_degree=c.eff_degree,
-                       stencil_n=c.stencil_n, newton=None)
+    return CoeffVector(stencil.t[side] @ c.c, c.eff_degree, c.stencil_n)

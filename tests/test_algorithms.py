@@ -3,17 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from relquad import algorithms
 from relquad.algorithms import (
     NaiveConfig,
     RefinedConfig,
     _nested_reuse,
+    _refined_estimate,
+    _split,
     divergence_ratio_probe,
     int_naive,
     int_refined,
     int_simpson_baseline,
 )
-from relquad.engine import EngineConfig, Status
-from relquad.interp import CountedFunction, SampleVector
+from relquad.basis import get_stencil
+from relquad.engine import AdaptiveState, EngineConfig, IntervalRecord, Status
+from relquad.interp import (
+    CountedFunction,
+    SampleVector,
+    TooManyNonNumeric,
+    fit,
+    integral,
+    sample,
+)
 from relquad.testlib import battery_get, lk_family, waldvogel_family_draw
 
 
@@ -314,3 +325,79 @@ def test_neval_counts_only_this_call(alg, budget):
     capped = alg(fn, 0.0, 1.0, 1e-8, **budget(fresh.neval))
     assert (capped.q, capped.eps, capped.neval, capped.status) == (
         fresh.q, fresh.eps, fresh.neval, fresh.status)
+
+
+@pytest.mark.parametrize("nan_side, neval", [(0, 9), (1, 18)])
+def test_split_pushes_both_halves_or_neither(nan_side, neval):
+    # a half with 10 of its 11 nodes NaN cannot be fitted: _split raises
+    # before pushing either half, so the driver can retire the parent as it
+    # stands; a left half that fails stops the split before the right half
+    # is sampled
+    def g(x):
+        inside = x < 0.5 if nan_side == 0 else x > 0.5
+        return math.nan if inside else x
+
+    st = get_stencil(10)
+    sv = sample(g, 0.0, 1.0, st)
+    cv = fit(sv, st)
+    q = integral(cv, 0.0, 1.0)
+    rec = IntervalRecord(a=0.0, b=1.0, coeffs=cv, q=q, eps=1.0, q_base=q,
+                         samples=sv)
+    fn = CountedFunction(g)
+    state = AdaptiveState()
+    with pytest.raises(TooManyNonNumeric):
+        _split(state, fn, rec, st, EngineConfig(tau=1.0),
+               _refined_estimate(st, 1.1))
+    assert state.heap == [] and state.eps == []
+    assert fn.count == neval
+
+
+# The names benchmarks/tracing.py swaps timing wrappers in for: it relies on
+# relquad.algorithms looking each one up by name at every call.
+TRACED = ("sample", "fit", "integral", "transfer_to_child", "refined_error",
+          "select_worst", "should_drop", "enforce_heap_cap",
+          "divergence_update")
+
+
+def _count_traced_calls(monkeypatch, alg, *args):
+    calls = {name: [] for name in TRACED}
+    for name in TRACED:
+        def wrapper(*a, _real=getattr(algorithms, name), _log=calls[name],
+                    **kw):
+            _log.append(kw)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(algorithms, name, wrapper)
+    alg(*args)
+    return calls
+
+
+def test_one_bisection_calls_each_traced_layer_once_per_half(monkeypatch):
+    # e^x: the root fit and one forced split into two halves
+    calls = _count_traced_calls(monkeypatch, int_refined, np.exp, 0.0, 1.0,
+                                1e-10)
+    reuse = [len(kw.get("reuse") or ()) for kw in calls["sample"]]
+    assert reuse == [0, 2, 2]
+    for name in ("refined_error", "divergence_update", "transfer_to_child"):
+        assert len(calls[name]) == 2
+    assert len(calls["fit"]) == len(calls["integral"]) == 3
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_every_bisection_goes_through_the_traced_names(monkeypatch, alg):
+    # a sample call with two reused values is one half of a bisection; each
+    # half also passes divergence_update and transfer_to_child, and a
+    # refined half refined_error.  Other sample calls are the start-up fit
+    # (no reuse) and int_naive's degree raises (more than two reused).
+    calls = _count_traced_calls(monkeypatch, alg, _peak, 0.0, 1.0, 1e-8)
+    reuse = [len(kw.get("reuse") or ()) for kw in calls["sample"]]
+    halves = reuse.count(2)
+    assert halves > 0 and halves % 2 == 0
+    assert all(n == 0 or n == 2 or n > 4 for n in reuse)
+    assert len(calls["divergence_update"]) == halves
+    assert len(calls["transfer_to_child"]) == halves
+    refined = halves if alg is int_refined else 0
+    assert len(calls["refined_error"]) == refined
+    for name in ("fit", "integral", "select_worst", "should_drop",
+                 "enforce_heap_cap"):
+        assert calls[name], name

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -203,6 +205,24 @@ def test_transferred_newton_fields_are_the_runtime_products(n):
         assert pi_xfer.tobytes() == (st.p_newton @ want).tobytes()
 
 
+@pytest.mark.parametrize("n", RULE_DEGREES)
+def test_refined_error_norm_fields_are_the_runtime_expressions(n):
+    # bit for bit what refined_error computes for an unmasked child and
+    # parent, whose Newton vectors are both exactly b
+    st = build_stencil(n)
+    newton = fit(sample(np.exp, 0.0, 1.0, st), st).newton
+    assert newton is st.b
+    for side in (0, 1):
+        want = np.abs(st.pi_xfer[side])
+        assert st.abs_pi_xfer[side].tobytes() == want.tobytes()
+        assert not st.abs_pi_xfer[side].flags.writeable
+        d = newton - st.b_xfer[side]
+        assert type(st.newton_dist[side]) is float
+        assert st.newton_dist[side].hex() == math.sqrt(d.dot(d)).hex()
+    assert type(st.b_norm) is float
+    assert st.b_norm.hex() == math.sqrt(newton.dot(newton)).hex()
+
+
 def test_p_newton_extends_p():
     st = get_stencil(10)
     np.testing.assert_array_equal(st.p_newton[:, :11], st.P)
@@ -232,7 +252,7 @@ def test_stencil_arrays_are_read_only():
     # every run shares a stencil, and unmasked fits hand out its b itself
     st = build_stencil(10)
     arrays = [st.nodes, st.P, st.P_inv, st.b, st.p_newton]
-    for pair in (st.t, st.t_full, st.b_xfer, st.pi_xfer):
+    for pair in (st.t, st.t_full, st.b_xfer, st.pi_xfer, st.abs_pi_xfer):
         arrays.extend(pair)
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from relquad.basis import get_stencil, legendre_values
 from relquad.errest import naive_error, refined_error
-from relquad.interp import CoeffVector, fit, sample, transfer_to_child
+from relquad.interp import (CoeffVector, SampleVector, fit, sample,
+                            transfer_to_child)
 
 ST = get_stencil(10)
 THETA1 = 1.1
@@ -268,3 +271,92 @@ def test_refined_error_matches_deletion_path(n):
                                 st.P @ c_xfer.c, st.p_newton @ b_xfer, THETA1,
                                 0.5 * (b - a)))
     assert n_masked > 0 and verdicts == {True, False}
+
+
+def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
+                                         parent, side, stencil, theta1,
+                                         halfwidth):
+    """refined_error as it was written before the stencil held |pi_xfer|,
+    the Newton distance and ||b||, with .max() as the margin test: the
+    reference for its fast path.  Returns (eps, deriv_scale, fallback)."""
+    if parent.eff_degree < stencil.n:
+        b_xfer = 2.0 ** (parent.eff_degree + 1) * (
+            stencil.t_full[side] @ parent.newton)
+        pi_xfer = stencil.p_newton @ b_xfer
+    else:
+        b_xfer, pi_xfer = stencil.b_xfer[side], stencil.pi_xfer[side]
+    b_child = c_child.newton
+    d = c_child.c - c_parent_xfer.c
+    diff_norm = math.sqrt(d.dot(d))
+    d = b_child - b_xfer
+    denom = math.sqrt(d.dot(d))
+    if denom < 1e-300:
+        return (halfwidth * diff_norm, float("inf"), True)
+    deriv = diff_norm / denom
+    resid = np.abs(stencil.P @ c_parent_xfer.c - samples.f)
+    slack = theta1 * deriv * np.abs(pi_xfer)
+    margin = resid - slack
+    if samples.nan_mask:
+        skip = set(samples.nan_mask)
+        skip.update((0, margin.size - 1))
+        margin = np.delete(margin, sorted(skip))
+    else:
+        margin = margin[1:-1]
+    if margin.size and margin.max() > 0.0:
+        return (halfwidth * diff_norm, deriv, True)
+    eps = halfwidth * deriv * math.sqrt(b_child.dot(b_child))
+    return (eps, deriv, False)
+
+
+def _masked(sv, rng, n_max):
+    """sv with up to n_max random nodes masked, as sample would mask them."""
+    k = int(rng.integers(0, n_max + 1))
+    mask = tuple(sorted(rng.choice(len(sv.f), size=k, replace=False).tolist()))
+    f = sv.f.copy()
+    f[list(mask)] = 0.0
+    return SampleVector(f=f, nan_mask=mask)
+
+
+@pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
+def test_refined_error_matches_path_without_stencil_norms(n):
+    # random smooth and rough draws, masked parents and children (the
+    # stencil-free path), and margins holding NaN or inf (an injected
+    # value, or an overflowing scale): same floats and verdict bit for bit
+    st = get_stencil(n)
+    rng = np.random.default_rng(700 + n)
+    fns = (np.exp, lambda x: np.sin(9.0 * x), lambda x: abs(x - 0.3),
+           lambda x: float(rng.standard_normal()))
+    seen = set()
+    with np.errstate(all="ignore"):
+        for draw in range(300):
+            fn = fns[draw % len(fns)]
+            scale = 10.0 ** float(rng.choice((0, rng.integers(-300, 309))))
+            g = lambda x: scale * fn(x)
+            side = int(rng.integers(0, 2))
+            sv_par = sample(g, 0.0, 1.0, st)
+            sv = sample(g, 0.5 * side, 0.5 + 0.5 * side, st)
+            if draw % 3:
+                sv_par = _masked(sv_par, rng, min(3, n - 1))
+                sv = _masked(sv, rng, min(3, n - 1))
+            parent, cv = fit(sv_par, st), fit(sv, st)
+            free = [i for i in range(1, n) if i not in sv.nan_mask]
+            if draw % 5 == 0 and free:
+                f = sv.f.copy()
+                f[rng.choice(free)] = rng.choice((np.nan, np.inf, -np.inf))
+                sv = SampleVector(f=f, nan_mask=sv.nan_mask)
+            c_xfer = transfer_to_child(parent, side, st)
+            theta1 = float(rng.uniform(1.0, 3.0))
+            h = float(rng.uniform(1e-6, 4.0))
+            got = refined_error(cv, c_xfer, sv, parent, side, st, theta1, h)
+            want = _refined_error_without_stencil_norms(
+                cv, c_xfer, sv, parent, side, st, theta1, h)
+            assert (got.eps.hex(), got.deriv_scale.hex(), got.used_fallback) \
+                == (want[0].hex(), want[1].hex(), want[2])
+            margin = np.abs(st.P @ c_xfer.c - sv.f)
+            seen.add(("fast" if cv.newton is st.b
+                      and parent.eff_degree == n else "masked",
+                      got.used_fallback))
+            seen.add("nonfinite margin" if not np.isfinite(margin).all()
+                     else "finite margin")
+    assert {("fast", True), ("fast", False), ("masked", True),
+            ("masked", False), "nonfinite margin"} <= seen

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
+from relquad import algorithms
 from relquad.algorithms import NaiveConfig, RefinedConfig, int_naive, int_refined
 from relquad.engine import EngineConfig, Status
 from relquad.testlib import divergence_draw, lk_draw, lk_family
@@ -84,11 +85,80 @@ def _sparse_nan(fn, salt, rate=1 / 64):
 def test_sparse_nan_nodes_leave_q_and_eps_finite(alg, case, salt):
     # NaN values are masked and downdated away, never summed.  At one point
     # in 64, nearly every run meets some (1,171 of 1,200 in a scan of lk
-    # draws), and none loses n of a fit's n + 1 nodes: that is the separate
-    # case of an integrand that is NaN on a whole subinterval
+    # draws), and none loses n of a fit's n + 1 nodes: that is the case
+    # of the tests below
     fn, (a, b), tau = _lk(*case)
     r = alg(_sparse_nan(fn, salt), a, b, tau)
     assert math.isfinite(r.q) and math.isfinite(r.eps) and r.eps >= 0.0
+
+
+def _final_intervals(monkeypatch, alg, fn, a, b, tau):
+    """alg's result, with the intervals the run ends with: those left on
+    the heap and those retired into excess, sorted."""
+    states, retired = [], []
+
+    class State(algorithms.AdaptiveState):
+        def __init__(self):
+            super().__init__()
+            states.append(self)
+
+    def accumulate(state, rec, _real=algorithms.accumulate_excess):
+        retired.append((rec.a, rec.b))
+        _real(state, rec)
+
+    monkeypatch.setattr(algorithms, "AdaptiveState", State)
+    monkeypatch.setattr(algorithms, "accumulate_excess", accumulate)
+    r = alg(fn, a, b, tau)
+    (state,) = states
+    return r, sorted(retired + [(rec.a, rec.b) for rec in state.heap])
+
+
+def _assert_retired_exactly(r, intervals, a, b):
+    # a split that cannot fit a half pushes neither half, and its parent is
+    # retired whole: the final intervals tile [a, b], each counted once
+    ends = [a]
+    for lo, hi in intervals:
+        assert lo == ends[-1]
+        ends.append(hi)
+    assert ends[-1] == b
+    assert math.isfinite(r.q) and math.isfinite(r.eps) and r.eps >= 0.0
+    assert r.status is Status.TOLERANCE_NOT_MET
+
+
+@pytest.mark.parametrize("alg", INTEGRATORS)
+def test_nan_on_a_subinterval_is_retired_not_raised(monkeypatch, alg):
+    # every node right of 0.5 is NaN: a half there cannot be fitted, which
+    # used to raise TooManyNonNumeric out of both integrators
+    r, intervals = _final_intervals(
+        monkeypatch, alg, lambda x: math.nan if x > 0.5 else x, 0.0, 1.0,
+        1e-6)
+    _assert_retired_exactly(r, intervals, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", (1e-3, 1e-6))
+def test_dense_scattered_nan_is_retired_not_raised(monkeypatch, tol):
+    # NaN at one point in 16 on lk oscillatory draw 3 (salt 3): int_naive
+    # meets a degree-4 half with 4 of its 5 nodes NaN, which used to raise;
+    # the interval it retires is charged its own eps, which covers the error
+    fam = lk_family(6)
+    fn, exact = lk_draw(fam, 3)
+    (a, b), tau = fam.domain, tol * abs(exact)
+    r, intervals = _final_intervals(monkeypatch, int_naive,
+                                    _sparse_nan(fn, 3, rate=1 / 16), a, b, tau)
+    _assert_retired_exactly(r, intervals, a, b)
+    assert abs(r.q - exact) <= r.eps
+
+
+@pytest.mark.parametrize("alg", INTEGRATORS)
+@settings(max_examples=100, deadline=None)
+@given(case=lk_cases, s=hs.floats(-4.0, 4.0))
+def test_shift_moves_q_within_the_reported_errors(alg, case, s):
+    # f(. + s) on [a - s, b - s] has the same integral, but every node moves
+    # and rounds differently, so only the two error claims bound the change
+    fn, (a, b), tau = _lk(*case)
+    base = alg(fn, a, b, tau)
+    moved = alg(lambda x: fn(x + s), a - s, b - s, tau)
+    assert abs(moved.q - base.q) <= base.eps + moved.eps
 
 
 @pytest.mark.parametrize("alg, config", [
