@@ -26,8 +26,9 @@ All three return a ``QuadResult`` whose eps is the total (heap + excess)
 error estimate and whose status reports Converged / ToleranceNotMet /
 Divergent honestly; NaN/Inf integrand values are data (masked and downdated
 away), never propagated into q or eps by the two coefficient-based methods.
-An interval whose refinement has too few numeric values left to fit is
-retired as it stands, and the run then ends ToleranceNotMet at best.
+An interval whose bisection meets a half with too few numeric values to fit,
+or a divergence verdict, is retired as it stands, so q and eps cover [a, b];
+the run then ends ToleranceNotMet at best, or Divergent.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class NaiveConfig:
         if not 0.0 < self.hint < 1.0:
             raise ValueError("hint must be in (0, 1)")
 
-    def degree(self, d: int) -> int:
-        return self.n0 * 2 ** d
-
 
 @dataclass
 class RefinedConfig:
@@ -114,15 +112,16 @@ def _engine_cfg(tau: float, base: EngineConfig | None) -> EngineConfig:
 
 
 def _check_finite(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"bounds must be finite, got a={a!r}, b={b!r}")
+    # b - a is NaN or infinite if a bound is, and infinite if it overflows
+    if not math.isfinite(b - a):
+        raise ValueError(f"b - a must be finite, got a={a!r}, b={b!r}")
 
 
 def _unordered(integrator, integrand, a: float, b: float, tau: float,
                config) -> QuadResult:
-    """Bounds that are not finite with a < b, which the driver never sees.
+    """Bounds not a < b with a finite width, which the driver never sees.
 
-    Non-finite bounds raise before any evaluation; [a, a] integrates to 0
+    A non-finite width raises before any evaluation; [a, a] integrates to 0
     exactly, at no cost; a > b integrates over [b, a] and negates q.
     """
     _check_finite(a, b)
@@ -138,31 +137,33 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
     budget is spent or a chain diverges.  ``refine(state, rec)`` pushes the
     refinement of the popped record rec: all the two integrators differ in.
 
-    A refinement that meets a fit with too few numeric values pushes
-    nothing; rec is then retired into excess with its own q and eps, and
-    the run cannot return Converged."""
+    A refinement that meets a fit with too few numeric values, or a
+    divergence verdict, pushes nothing; rec is then retired into excess
+    with its own q and eps.  The run then cannot return Converged, and on
+    a verdict it stops at once with Divergent."""
     state = AdaptiveState()
     state.push(root)
     status = None
     nonnumeric = False
-    try:
-        while state.heap and state.heap_eps() > tau:
-            if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
-                status = Status.TOLERANCE_NOT_MET
-                break
-            rec = select_worst(state)
-            if should_drop(rec, get_stencil(rec.coeffs.stencil_n), ecfg):
-                accumulate_excess(state, rec)
-                continue
-            try:
-                refine(state, rec)
-            except TooManyNonNumeric:
-                accumulate_excess(state, rec)
-                nonnumeric = True
-                continue
-            enforce_heap_cap(state, ecfg)
-    except DivergentIntegral:
-        status = Status.DIVERGENT
+    while state.heap and state.heap_eps() > tau:
+        if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
+            status = Status.TOLERANCE_NOT_MET
+            break
+        rec = select_worst(state)
+        if should_drop(rec, get_stencil(rec.coeffs.stencil_n), ecfg):
+            accumulate_excess(state, rec)
+            continue
+        try:
+            refine(state, rec)
+        except TooManyNonNumeric:
+            accumulate_excess(state, rec)
+            nonnumeric = True
+            continue
+        except DivergentIntegral:
+            accumulate_excess(state, rec)
+            status = Status.DIVERGENT
+            break
+        enforce_heap_cap(state, ecfg)
     q, eps = state.totals()
     if status is None:
         status = (Status.CONVERGED if eps <= tau and not nonnumeric
@@ -188,11 +189,11 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
     rec's fit moved onto it, its samples, rec's fit, its side (0 left,
     1 right) and rec's half-width.
 
-    The left half's divergence_update runs before the right half is
-    sampled, so a verdict on the left costs no right-half evaluations.  A
-    verdict on the right ends the run with the left half pushed, so the
-    partial totals count it.  A fit with too few numeric values raises
-    TooManyNonNumeric before either half is pushed.
+    Both halves are pushed or neither: a fit with too few numeric values
+    raises TooManyNonNumeric, and a divergence verdict DivergentIntegral,
+    before either half is pushed.  The left half's divergence_update runs
+    before the right half is sampled, so a verdict on the left costs no
+    right-half evaluations.
     """
     a, b = rec.a, rec.b
     mid = 0.5 * (a + b)
@@ -210,17 +211,12 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
         sv = sample(fn, ca, cb, st, reuse=reuse)
         cv = fit(sv, st)
         q = integral(cv, ca, cb)
-        try:
-            nr_div = divergence_update(q, rec.q_base, rec, ecfg)
-        except DivergentIntegral:
-            for half in halves:
-                state.push(half)
-            raise
+        nr_div = divergence_update(q, rec.q_base, rec, ecfg)
         c_xfer = transfer_to_child(parent, side, st_par)
-        # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, d, samples
+        # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, samples
         halves.append(IntervalRecord(
             ca, cb, cv, q, estimate(cv, c_xfer, sv, parent, side, h), q,
-            nr_div, rec.nr_rec + 1, 0, sv))
+            nr_div, rec.nr_rec + 1, sv))
     for half in halves:
         state.push(half)
 
@@ -245,23 +241,23 @@ def int_naive(integrand, a: float, b: float, tau: float,
     """Doubly adaptive quadrature over [a, b] to absolute tolerance tau."""
     ncfg = config if config is not None else NaiveConfig()
     ecfg = _engine_cfg(tau, ncfg.engine)
-    if not -math.inf < a < b < math.inf:
+    if not (a < b and math.isfinite(b - a)):
         return _unordered(int_naive, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
 
-    st_top = get_stencil(ncfg.degree(ncfg.d_max))
-    st_lo = get_stencil(ncfg.degree(ncfg.d_max - 1))
+    n_top = ncfg.n0 * 2 ** ncfg.d_max
+    st_top = get_stencil(n_top)
+    st_lo = get_stencil(n_top // 2)
     st0 = get_stencil(ncfg.n0)
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        if rec.d < ncfg.d_max:
+        if rec.coeffs.stencil_n < n_top:
             # one step up the degree ladder, reusing nested node values
-            st_hi = get_stencil(ncfg.degree(rec.d + 1))
+            st_hi = get_stencil(2 * rec.coeffs.stencil_n)
             sv_hi = sample(fn, rec.a, rec.b, st_hi,
                            reuse=_nested_reuse(rec.samples))
             cv_hi = fit(sv_hi, st_hi)
             diff = naive_error(cv_hi, rec.coeffs, 1.0)
-            rec.d += 1
             rec.samples = sv_hi
             rec.coeffs = cv_hi
             rec.q = integral(cv_hi, rec.a, rec.b)
@@ -285,7 +281,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
         q0 = integral(c_top, a, b)
         root = IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
                               eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
-                              q_base=q0, d=ncfg.d_max, samples=sv)
+                              q_base=q0, samples=sv)
         return _drive(fn, root, tau, ecfg, refine)
 
 
@@ -299,7 +295,7 @@ def int_refined(integrand, a: float, b: float, tau: float,
     tau, with the derivative-extracting error estimate."""
     rcfg = config if config is not None else RefinedConfig()
     ecfg = _engine_cfg(tau, rcfg.engine)
-    if not -math.inf < a < b < math.inf:
+    if not (a < b and math.isfinite(b - a)):
         return _unordered(int_refined, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
     st = get_stencil(rcfg.n)
@@ -328,7 +324,7 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
                          max_depth: int = 50) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
     accept test; no floors, no non-numeric handling, no divergence guard.
-    Non-finite bounds raise ValueError before any evaluation."""
+    Non-finite bounds or widths raise ValueError before any evaluation."""
     _check_finite(a, b)
     fn = CountedFunction(integrand)
     with np.errstate(all="ignore"):

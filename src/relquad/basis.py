@@ -17,7 +17,8 @@ precomputed once per degree: Chebyshev nodes x_i = cos(pi*i/n) (descending,
 endpoints included, nested under degree doubling), the Vandermonde-like
 matrix P with P_ij = p_j(x_i) and its inverse, the Newton polynomial
 pi_n(x) = prod_i (x - x_i) expressed in the basis, and for each of the two
-half-intervals the coefficient transform onto it and pi_n moved there.
+half-intervals the coefficient transform onto it and the data-free terms of
+the refined error estimate there.
 """
 
 from __future__ import annotations
@@ -172,16 +173,12 @@ class RuleStencil:
                  onto that half-interval's reference coordinates.
     t_full       The same transforms at size (n+2), needed to transfer the
                  degree-(n+1) Newton vector during error estimation.
-    b_xfer       2^(n+1) * (t_full @ b): the Newton polynomial moved onto the
-                 half-interval and re-normalized to monic in its coordinates.
-                 This is what the refined error estimate compares a child
-                 against whenever the parent has no masked nodes (its Newton
-                 vector is then exactly b).
-    pi_xfer      p_newton @ b_xfer: that polynomial's values at the nodes.
 
     The refined error estimate's inputs that depend on no data, for a child
     and a parent that are both unmasked (Newton vectors b), in the
-    expressions it would evaluate:
+    expressions it would evaluate.  b_xfer = 2^(n+1) * (t_full @ b) is b
+    moved onto the half-interval, monic in its coordinates, and
+    pi_xfer = p_newton @ b_xfer its values at the nodes:
 
     abs_pi_xfer  np.abs(pi_xfer), per side.
     newton_dist  math.sqrt(d.dot(d)) with d = b - b_xfer, per side.
@@ -197,8 +194,6 @@ class RuleStencil:
     p_newton: np.ndarray
     t: tuple[np.ndarray, np.ndarray]
     t_full: tuple[np.ndarray, np.ndarray]
-    b_xfer: tuple[np.ndarray, np.ndarray]
-    pi_xfer: tuple[np.ndarray, np.ndarray]
     abs_pi_xfer: tuple[np.ndarray, np.ndarray]
     newton_dist: tuple[float, float]
     b_norm: float
@@ -222,17 +217,15 @@ def build_stencil(n: int) -> RuleStencil:
     t_full = tuple(_bisection_transform(n + 2, sign) for sign in (-1.0, 1.0))
     b_xfer = tuple(2.0 ** (n + 1) * (tf @ b) for tf in t_full)
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
-    pi_xfer = tuple(p_newton @ bx for bx in b_xfer)
-    abs_pi_xfer = tuple(np.abs(pi) for pi in pi_xfer)
+    abs_pi_xfer = tuple(np.abs(p_newton @ bx) for bx in b_xfer)
     newton_dist = tuple(math.sqrt(d.dot(d)) for d in (b - bx for bx in b_xfer))
     # stencils are shared by every run, and fits hand out b itself
-    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full, *b_xfer, *pi_xfer,
-                *abs_pi_xfer):
+    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full, *abs_pi_xfer):
         arr.setflags(write=False)
     return RuleStencil(n=n, nodes=nodes, P=P, P_inv=P_inv, cond=cond, b=b,
-                       p_newton=p_newton, t=t, t_full=t_full, b_xfer=b_xfer,
-                       pi_xfer=pi_xfer, abs_pi_xfer=abs_pi_xfer,
-                       newton_dist=newton_dist, b_norm=math.sqrt(b.dot(b)))
+                       p_newton=p_newton, t=t, t_full=t_full,
+                       abs_pi_xfer=abs_pi_xfer, newton_dist=newton_dist,
+                       b_norm=math.sqrt(b.dot(b)))
 
 
 def downdate_newton(b_vec: np.ndarray, x_j: float) -> np.ndarray:

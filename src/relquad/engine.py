@@ -20,7 +20,8 @@ Divergence is detected by counting, along each chain of bisections, how
 often a child's integral estimate fails to shrink relative to its parent's
 base estimate; a chain where that happens more than nr_divmax times and more
 often than every other level is hopeless (integrand not integrable, e.g.
-x^-1.5), and the run is aborted with partial results.
+x^-1.5), and the run stops Divergent with the interval being bisected
+retired whole, so that its totals still cover the domain.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class IntervalRecord:
 
     q_base is the reference for the divergence ratio: the doubly adaptive
     integrator keeps its lowest-degree estimate here, the fixed-degree one
-    simply its current q.  b_old (the fitted Newton vector) travels inside
-    coeffs; samples are kept so children can reuse endpoint values.
+    simply its current q.  The fitted Newton vector and rule degree travel
+    inside coeffs; samples are kept so children can reuse endpoint values.
     """
 
     a: float
@@ -102,13 +103,12 @@ class IntervalRecord:
     q_base: float
     nr_div: int = 0
     nr_rec: int = 0
-    d: int = 0
     samples: SampleVector | None = None
 
 
 class DivergentIntegral(RuntimeError):
     """Terminal signal: the bisection chain keeps growing instead of
-    converging.  The driver catches it and returns partial totals."""
+    converging; the driver retires the interval being bisected and stops."""
 
 
 @dataclass

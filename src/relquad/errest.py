@@ -75,11 +75,10 @@ def refined_error(
     c_child and samples are the child's fit and values at stencil's nodes;
     parent is the fit, at the same stencil, of the interval the child halves
     on side 0 (left) or 1 (right), and c_parent_xfer that fit moved onto the
-    child.  The parent's Newton vector is moved likewise and scaled by
-    2**(deg+1), monic in child coordinates like the child's own: the stencil
-    holds it for an unmasked parent, and a masked parent's downdated vector
-    is moved here.  When neither is masked, the Newton terms, which depend
-    on no data, are read from the stencil.
+    child.  When neither fit is masked, the Newton terms, which then depend
+    on no data, are read from the stencil.  Otherwise the parent's Newton
+    vector is moved likewise and scaled by 2**(deg+1), monic in child
+    coordinates like the child's own.
     """
     b_child = c_child.newton
     # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D real
@@ -92,13 +91,9 @@ def refined_error(
         denom = stencil.newton_dist[side]
         b_norm = stencil.b_norm
     else:
-        if parent.eff_degree < stencil.n:
-            b_xfer = 2.0 ** (parent.eff_degree + 1) * (
-                stencil.t_full[side] @ parent.newton)
-            pi_xfer = stencil.p_newton @ b_xfer
-        else:
-            b_xfer, pi_xfer = stencil.b_xfer[side], stencil.pi_xfer[side]
-        abs_pi = np.abs(pi_xfer)
+        b_xfer = 2.0 ** (parent.eff_degree + 1) * (
+            stencil.t_full[side] @ parent.newton)
+        abs_pi = np.abs(stencil.p_newton @ b_xfer)
         d = b_child - b_xfer
         denom = math.sqrt(d.dot(d))
         b_norm = math.sqrt(b_child.dot(b_child))

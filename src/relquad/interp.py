@@ -88,9 +88,9 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
 
     ``reuse`` maps node indices to previously computed raw values (NaN for
     previously non-numeric nodes); those nodes are not re-evaluated and do
-    not increment the evaluation counter.  A ``CountedFunction`` is counted
-    once per call and its wrapped function called directly; any other
-    callable is called as it is.
+    not increment the evaluation counter.  The integrand is a
+    ``CountedFunction``: its count grows once per call, and its wrapped
+    function is called directly.
 
     The integrand receives ``np.float64`` nodes, so that ``1/x`` or
     ``x ** -1.5`` at a node gives inf (masked) rather than raising.  The
@@ -99,13 +99,11 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    counted = type(integrand) is CountedFunction
-    fn = integrand.fn if counted else integrand
+    fn = integrand.fn
     get = reuse.get if reuse else {}.get
     values = [float(fn(x)) if (v := get(i)) is None else v
               for i, x in enumerate(mid + half * stencil.nodes)]
-    if counted:
-        integrand.count += len(values) - len(reuse or ())
+    integrand.count += len(values) - len(reuse or ())
     f = np.array(values)
     # a sum is finite only if every term is; a finite sum that overflows
     # takes the exact test below

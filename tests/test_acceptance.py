@@ -30,7 +30,7 @@ from relquad.algorithms import (
 )
 from relquad.basis import eval_series, get_stencil, legendre_values
 from relquad.cli import CSV_HEADER, main
-from relquad.interp import fit, sample
+from relquad.interp import CountedFunction, fit, sample
 from relquad.testlib import (
     battery_get,
     divergence_draw,
@@ -140,7 +140,7 @@ def test_criterion_3_node_removal_interpolation(verdict):
             def masked(x):
                 return float("nan") if x == st.nodes[j] else fn(x)
 
-            sv = sample(masked, -1.0, 1.0, st)
+            sv = sample(CountedFunction(masked), -1.0, 1.0, st)
             assert sorted(sv.nan_mask) == [j]
             cv = fit(sv, st)
             keep = [i for i in range(11) if i != j]

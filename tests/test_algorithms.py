@@ -16,7 +16,13 @@ from relquad.algorithms import (
     int_simpson_baseline,
 )
 from relquad.basis import get_stencil
-from relquad.engine import AdaptiveState, EngineConfig, IntervalRecord, Status
+from relquad.engine import (
+    AdaptiveState,
+    DivergentIntegral,
+    EngineConfig,
+    IntervalRecord,
+    Status,
+)
 from relquad.interp import (
     CountedFunction,
     SampleVector,
@@ -281,7 +287,8 @@ def test_empty_interval_is_exactly_zero(alg):
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
                                   (math.inf, 0.0), (math.nan, 1.0),
-                                  (0.0, math.nan), (math.inf, math.inf)])
+                                  (0.0, math.nan), (math.inf, math.inf),
+                                  (-1e308, 1e308), (1e308, -1e308)])
 def test_nonfinite_bounds_rejected_before_any_evaluation(alg, a, b):
     calls = []
     with pytest.raises(ValueError, match="finite"):
@@ -327,29 +334,36 @@ def test_neval_counts_only_this_call(alg, budget):
         fresh.q, fresh.eps, fresh.neval, fresh.status)
 
 
-@pytest.mark.parametrize("nan_side, neval", [(0, 9), (1, 18)])
-def test_split_pushes_both_halves_or_neither(nan_side, neval):
-    # a half with 10 of its 11 nodes NaN cannot be fitted: _split raises
-    # before pushing either half, so the driver can retire the parent as it
-    # stands; a left half that fails stops the split before the right half
-    # is sampled
-    def g(x):
-        inside = x < 0.5 if nan_side == 0 else x > 0.5
+@pytest.mark.parametrize("side, neval", [(0, 9), (1, 18)])
+def test_split_pushes_both_halves_or_neither(side, neval):
+    # a half with 10 of its 11 nodes NaN cannot be fitted, and a half whose
+    # integral does not shrink below q_base on a chain at its divergence
+    # limit gives a verdict: either way _split raises before pushing either
+    # half, so the driver can retire the parent as it stands; a left half
+    # that fails stops the split before the right half is sampled
+    def nan_on_side(x):
+        inside = x < 0.5 if side == 0 else x > 0.5
         return math.nan if inside else x
 
+    def ramp(x):
+        # the half on `side` integrates to 0.375, the other to 0.125
+        return x if side else 1.0 - x
+
     st = get_stencil(10)
-    sv = sample(g, 0.0, 1.0, st)
-    cv = fit(sv, st)
-    q = integral(cv, 0.0, 1.0)
-    rec = IntervalRecord(a=0.0, b=1.0, coeffs=cv, q=q, eps=1.0, q_base=q,
-                         samples=sv)
-    fn = CountedFunction(g)
-    state = AdaptiveState()
-    with pytest.raises(TooManyNonNumeric):
-        _split(state, fn, rec, st, EngineConfig(tau=1.0),
-               _refined_estimate(st, 1.1))
-    assert state.heap == [] and state.eps == []
-    assert fn.count == neval
+    cfg = EngineConfig(tau=1.0)
+    for g, nr_div, error in ((nan_on_side, 0, TooManyNonNumeric),
+                             (ramp, cfg.nr_divmax, DivergentIntegral)):
+        sv = sample(CountedFunction(g), 0.0, 1.0, st)
+        cv = fit(sv, st)
+        rec = IntervalRecord(a=0.0, b=1.0, coeffs=cv,
+                             q=integral(cv, 0.0, 1.0), eps=1.0, q_base=0.25,
+                             nr_div=nr_div, samples=sv)
+        fn = CountedFunction(g)
+        state = AdaptiveState()
+        with pytest.raises(error):
+            _split(state, fn, rec, st, cfg, _refined_estimate(st, 1.1))
+        assert state.heap == [] and state.eps == []
+        assert fn.count == neval
 
 
 # The names benchmarks/tracing.py swaps timing wrappers in for: it relies on

@@ -5,8 +5,8 @@ import pytest
 
 from relquad.basis import get_stencil, legendre_values
 from relquad.errest import naive_error, refined_error
-from relquad.interp import (CoeffVector, SampleVector, fit, sample,
-                            transfer_to_child)
+from relquad.interp import (CoeffVector, CountedFunction, SampleVector, fit,
+                            sample, transfer_to_child)
 
 ST = get_stencil(10)
 THETA1 = 1.1
@@ -18,10 +18,10 @@ def _pad(c, length):
 
 def _split_estimate(fn, a, b, side, st=ST, theta1=THETA1):
     # One parent fit + one child fit on side 0 (left) or 1 (right)
-    cv_par = fit(sample(fn, a, b, st), st)
+    cv_par = fit(sample(CountedFunction(fn), a, b, st), st)
     mid = 0.5 * (a + b)
     ca, cb = (a, mid) if side == 0 else (mid, b)
-    sv_ch = sample(fn, ca, cb, st)
+    sv_ch = sample(CountedFunction(fn), ca, cb, st)
     return refined_error(fit(sv_ch, st), transfer_to_child(cv_par, side, st),
                          sv_ch, cv_par, side, st, theta1, 0.5 * (b - a))
 
@@ -83,15 +83,15 @@ def test_naive_degree4_polynomial_exact_at_both_degrees():
     rng = np.random.default_rng(1)
     c_true = rng.standard_normal(5)
     fn = lambda x: float(legendre_values(4, np.array([x]))[0] @ c_true)
-    c4 = fit(sample(fn, -1.0, 1.0, st4), st4)
-    c8 = fit(sample(fn, -1.0, 1.0, st8), st8)
+    c4 = fit(sample(CountedFunction(fn), -1.0, 1.0, st4), st4)
+    c8 = fit(sample(CountedFunction(fn), -1.0, 1.0, st8), st8)
     assert naive_error(c8, c4, 1.0) < 1e-13
 
 
 def test_naive_nonsmooth_positive_and_matches_recomputation():
     st4, st8 = get_stencil(4), get_stencil(8)
-    c4 = fit(sample(abs, -1.0, 1.0, st4), st4)
-    c8 = fit(sample(abs, -1.0, 1.0, st8), st8)
+    c4 = fit(sample(CountedFunction(abs), -1.0, 1.0, st4), st4)
+    c8 = fit(sample(CountedFunction(abs), -1.0, 1.0, st8), st8)
     got = naive_error(c8, c4, 1.0)
     assert got > 0.0
     direct = np.linalg.norm(c8.c - _pad(c4.c, 9))
@@ -148,10 +148,11 @@ def test_scale_equivariance_exact_for_power_of_two():
     assert scaled.eps == 8.0 * base.eps
 
     st4, st8 = get_stencil(4), get_stencil(8)
-    n4 = naive_error(fit(sample(fn, 0.1, 1.7, st8), st8),
-                     fit(sample(fn, 0.1, 1.7, st4), st4), 0.8)
-    n4s = naive_error(fit(sample(fns, 0.1, 1.7, st8), st8),
-                      fit(sample(fns, 0.1, 1.7, st4), st4), 0.8)
+    n4 = naive_error(fit(sample(CountedFunction(fn), 0.1, 1.7, st8), st8),
+                     fit(sample(CountedFunction(fn), 0.1, 1.7, st4), st4), 0.8)
+    n4s = naive_error(
+        fit(sample(CountedFunction(fns), 0.1, 1.7, st8), st8),
+        fit(sample(CountedFunction(fns), 0.1, 1.7, st4), st4), 0.8)
     assert n4s == 8.0 * n4
 
 
@@ -185,9 +186,9 @@ def test_refined_no_negative_or_nan_eps():
 def test_degenerate_denominator_falls_back():
     # the child's Newton vector equals the parent's moved onto it
     c1 = CoeffVector(c=np.r_[1.0, np.zeros(10)], eff_degree=10, stencil_n=10,
-                     newton=ST.b_xfer[0])
+                     newton=2.0 ** 11 * (ST.t_full[0] @ ST.b))
     c2 = CoeffVector(c=np.r_[2.0, np.zeros(10)], eff_degree=10, stencil_n=10)
-    sv = sample(lambda x: 1.0, 0.0, 1.0, ST)
+    sv = sample(CountedFunction(lambda x: 1.0), 0.0, 1.0, ST)
     parent = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10,
                          newton=ST.b)
     est = refined_error(c1, c2, sv, parent, 0, ST, THETA1, 0.5)
@@ -253,10 +254,10 @@ def test_refined_error_matches_deletion_path(n):
     with np.errstate(all="ignore"):  # as the integrators run sample
         for fn in fns:
             for a, b in ((0.0, 1.0), (0.0, 0.74), (-1.0, 3.0), (0.3, 0.31)):
-                cv_par = fit(sample(fn, a, b, st), st)
+                cv_par = fit(sample(CountedFunction(fn), a, b, st), st)
                 mid = 0.5 * (a + b)
                 for side, ca, cb in ((0, a, mid), (1, mid, b)):
-                    sv = sample(fn, ca, cb, st)
+                    sv = sample(CountedFunction(fn), ca, cb, st)
                     n_masked += bool(sv.nan_mask)
                     cv = fit(sv, st)
                     c_xfer = transfer_to_child(cv_par, side, st)
@@ -284,7 +285,8 @@ def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
             stencil.t_full[side] @ parent.newton)
         pi_xfer = stencil.p_newton @ b_xfer
     else:
-        b_xfer, pi_xfer = stencil.b_xfer[side], stencil.pi_xfer[side]
+        b_xfer = 2.0 ** (stencil.n + 1) * (stencil.t_full[side] @ stencil.b)
+        pi_xfer = stencil.p_newton @ b_xfer
     b_child = c_child.newton
     d = c_child.c - c_parent_xfer.c
     diff_norm = math.sqrt(d.dot(d))
@@ -333,8 +335,8 @@ def test_refined_error_matches_path_without_stencil_norms(n):
             scale = 10.0 ** float(rng.choice((0, rng.integers(-300, 309))))
             g = lambda x: scale * fn(x)
             side = int(rng.integers(0, 2))
-            sv_par = sample(g, 0.0, 1.0, st)
-            sv = sample(g, 0.5 * side, 0.5 + 0.5 * side, st)
+            sv_par = sample(CountedFunction(g), 0.0, 1.0, st)
+            sv = sample(CountedFunction(g), 0.5 * side, 0.5 + 0.5 * side, st)
             if draw % 3:
                 sv_par = _masked(sv_par, rng, min(3, n - 1))
                 sv = _masked(sv, rng, min(3, n - 1))

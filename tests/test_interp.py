@@ -86,7 +86,7 @@ def test_fit_sample_roundtrip_on_random_polynomials(n):
     for _ in range(20):
         c_true = rng.standard_normal(n + 1)
         fn = lambda x: float(legendre_values(n, np.array([x]))[0] @ c_true)
-        cv = fit(sample(fn, -1.0, 1.0, st), st)
+        cv = fit(sample(CountedFunction(fn), -1.0, 1.0, st), st)
         np.testing.assert_allclose(cv.c, c_true, rtol=1e-12, atol=1e-12)
 
 
@@ -150,12 +150,12 @@ def test_fit_attaches_downdated_newton():
 
 def test_integral_examples():
     st = get_stencil(4)
-    cv = fit(sample(lambda x: 1.0, 0.0, 2.0, st), st)
+    cv = fit(sample(CountedFunction(lambda x: 1.0), 0.0, 2.0, st), st)
     assert integral(cv, 0.0, 2.0) == pytest.approx(2.0, abs=1e-14)
-    cv = fit(sample(lambda x: x, -1.0, 1.0, st), st)
+    cv = fit(sample(CountedFunction(lambda x: x), -1.0, 1.0, st), st)
     assert integral(cv, -1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
     st10 = get_stencil(10)
-    cv = fit(sample(np.exp, 0.0, 1.0, st10), st10)
+    cv = fit(sample(CountedFunction(np.exp), 0.0, 1.0, st10), st10)
     assert integral(cv, 0.0, 1.0) == pytest.approx(np.e - 1.0, abs=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_transfer_constant_invariant():
 def test_transfer_linear_function():
     # x on [-1,1] restricted to the left half is (t-1)/2 in child coordinates
     st = get_stencil(10)
-    cv = fit(sample(lambda x: x, -1.0, 1.0, st), st)
+    cv = fit(sample(CountedFunction(lambda x: x), -1.0, 1.0, st), st)
     left = transfer_to_child(cv, 0, st)
     t = np.linspace(-1.0, 1.0, 21)
     got = legendre_values(10, t) @ left.c
@@ -290,7 +290,8 @@ def test_sample_passes_numpy_scalars_so_poles_mask():
     # of raising ZeroDivisionError as Python floats would
     st = get_stencil(4)
     with np.errstate(all="ignore"):
-        sv = sample(lambda x: x ** -1.5 + 1.0 / x, 0.0, 1.0, st)
+        sv = sample(CountedFunction(lambda x: x ** -1.5 + 1.0 / x), 0.0, 1.0,
+                    st)
     assert sv.nan_mask == (4,)
 
 

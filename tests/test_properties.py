@@ -113,16 +113,18 @@ def _final_intervals(monkeypatch, alg, fn, a, b, tau):
     return r, sorted(retired + [(rec.a, rec.b) for rec in state.heap])
 
 
-def _assert_retired_exactly(r, intervals, a, b):
-    # a split that cannot fit a half pushes neither half, and its parent is
-    # retired whole: the final intervals tile [a, b], each counted once
+def _assert_retired_exactly(r, intervals, a, b,
+                            status=Status.TOLERANCE_NOT_MET):
+    # a split that cannot fit a half, or that gives a divergence verdict,
+    # pushes neither half, and its parent is retired whole: the final
+    # intervals tile [a, b], each counted once
     ends = [a]
     for lo, hi in intervals:
         assert lo == ends[-1]
         ends.append(hi)
     assert ends[-1] == b
     assert math.isfinite(r.q) and math.isfinite(r.eps) and r.eps >= 0.0
-    assert r.status is Status.TOLERANCE_NOT_MET
+    assert r.status is status
 
 
 @pytest.mark.parametrize("alg", INTEGRATORS)
@@ -147,6 +149,19 @@ def test_dense_scattered_nan_is_retired_not_raised(monkeypatch, tol):
                                     _sparse_nan(fn, 3, rate=1 / 16), a, b, tau)
     _assert_retired_exactly(r, intervals, a, b)
     assert abs(r.q - exact) <= r.eps
+
+
+@pytest.mark.parametrize("alg", INTEGRATORS)
+@pytest.mark.parametrize("alpha", (None, -1.2, -1.5, -2.0))
+def test_divergent_totals_cover_the_domain(monkeypatch, alg, alpha):
+    # the interval whose bisection gives the verdict is retired whole: a
+    # verdict on its left half used to drop it from q and eps, and one on
+    # its right half to keep only its left half.  x ** -1.5 is inf at the
+    # np.float64 node 0, where a Python float would raise
+    fn = (lambda x: x ** -1.5) if alpha is None else \
+        divergence_draw(alpha, 0, 0)[0]
+    r, intervals = _final_intervals(monkeypatch, alg, fn, 0.0, 1.0, 1e-6)
+    _assert_retired_exactly(r, intervals, 0.0, 1.0, Status.DIVERGENT)
 
 
 @pytest.mark.parametrize("alg", INTEGRATORS)

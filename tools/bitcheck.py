@@ -1,0 +1,65 @@
+"""Bit-identity check of the two integrators between two checkouts.
+
+    python tools/bitcheck.py dump CHECKOUT SEED [SEED ...] > rows.tsv
+    python tools/bitcheck.py diff OLD.tsv NEW.tsv
+
+``dump`` runs int_naive and int_refined, configured as
+``benchmarks/run.py`` configures them, on every case of CHECKOUT's
+``benchmarks/workloads.py`` for each seed, and prints one row per call:
+seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.
+``diff`` prints the rows that differ and counts them by workload,
+integrator and the two statuses; it exits 1 if any row differs.
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+
+def dump(checkout, seeds):
+    root = Path(checkout).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
+    from relquad.algorithms import (NaiveConfig, RefinedConfig, int_naive,
+                                    int_refined)
+    from relquad.engine import EngineConfig
+    from workloads import WORKLOADS
+    for seed in seeds:
+        for workload, cases in WORKLOADS.items():
+            for i, case in enumerate(cases(seed)):
+                engine = (None if case.budget is None
+                          else EngineConfig(tau=1.0, max_neval=case.budget))
+                for alg, integrator, config in (
+                        ("naive", int_naive, NaiveConfig(engine=engine)),
+                        ("refined", int_refined,
+                         RefinedConfig(engine=engine))):
+                    r = integrator(case.integrand, case.a, case.b, case.tau,
+                                   config)
+                    print(seed, workload, f"{i}:{case.label}", alg, r.q.hex(),
+                          r.eps.hex(), r.neval, r.status.value, sep="\t")
+
+
+def diff(old_path, new_path):
+    old, new = (Path(p).read_text().splitlines() for p in (old_path, new_path))
+    if len(old) != len(new):
+        sys.exit(f"row counts differ: {len(old)} vs {len(new)}")
+    groups = Counter()
+    for o, n in zip(old, new):
+        if o != n:
+            print(f"- {o}\n+ {n}")
+            ro, rn = o.split("\t"), n.split("\t")
+            fields = [name for name, x, y in zip(
+                ("q", "eps", "neval", "status"), ro[4:], rn[4:]) if x != y]
+            groups[(ro[1], ro[3], ro[7], rn[7], ",".join(fields))] += 1
+    for (workload, alg, s_old, s_new, fields), k in sorted(groups.items()):
+        print(f"{k:6d}  {workload} {alg} {s_old} -> {s_new}: {fields} differ")
+    print(f"{sum(groups.values())} of {len(old)} rows differ")
+    return 1 if groups else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["dump"] and len(sys.argv) > 3:
+        dump(sys.argv[2], [int(s) for s in sys.argv[3:]])
+    elif sys.argv[1:2] == ["diff"] and len(sys.argv) == 4:
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)
