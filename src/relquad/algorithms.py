@@ -52,7 +52,7 @@ from relquad.engine import (
     select_worst,
     should_drop,
 )
-from relquad.errest import naive_error, refined_error
+from relquad.errest import naive_error, norm, refined_error
 from relquad.interp import (
     CountedFunction,
     SampleVector,
@@ -262,8 +262,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
             rec.coeffs = cv_hi
             rec.q = integral(cv_hi, rec.a, rec.b)
             rec.eps = 0.5 * (rec.b - rec.a) * diff
-            c = cv_hi.c
-            norm_hi = math.sqrt(c.dot(c))
+            norm_hi = norm(cv_hi.c)
             # relative coefficient change: a large jump even at the new
             # degree means the ladder is not converging here — bisect
             split = diff > ncfg.hint * norm_hi if norm_hi > 0.0 else diff > 0.0
@@ -396,7 +395,7 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         state = AdaptiveState()
         _split(state, fn, parent, st, EngineConfig(tau=1.0, nr_divmax=10 ** 9),
                _refined_estimate(st, rcfg.theta1))
-        left = state.heap[0]
+        left = next(iter(state.heap))
         return left.eps, left.q
 
     eps_outer, q_outer = left_child_estimate(0.0, 2.0 * h)   # -> [0, h]

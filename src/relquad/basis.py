@@ -162,6 +162,8 @@ class RuleStencil:
     nodes        Chebyshev points, descending (nodes[0]=1, nodes[n]=-1).
     P, P_inv     P_ij = p_j(nodes[i]) and its inverse (values <-> coefficients).
     cond         kappa_inf(P), used in the numerical-floor drop rule.
+    edge_nodes   (nodes[0], nodes[1], nodes[-2], nodes[-1]) as floats, for
+                 the node-collision drop rule.
     b            Newton polynomial coefficients, length n+2 (degree n+1).
     p_newton     (n+1)x(n+2) evaluation matrix p_j(nodes) including j = n+1,
                  for evaluating transferred Newton polynomials at the nodes.
@@ -180,7 +182,7 @@ class RuleStencil:
     moved onto the half-interval, monic in its coordinates, and
     pi_xfer = p_newton @ b_xfer its values at the nodes:
 
-    abs_pi_xfer  np.abs(pi_xfer), per side.
+    abs_pi_xfer  np.abs(pi_xfer).tolist(), per side, as a tuple of floats.
     newton_dist  math.sqrt(d.dot(d)) with d = b - b_xfer, per side.
     b_norm       math.sqrt(b.dot(b)).
     """
@@ -190,11 +192,12 @@ class RuleStencil:
     P: np.ndarray
     P_inv: np.ndarray
     cond: float
+    edge_nodes: tuple[float, float, float, float]
     b: np.ndarray
     p_newton: np.ndarray
     t: tuple[np.ndarray, np.ndarray]
     t_full: tuple[np.ndarray, np.ndarray]
-    abs_pi_xfer: tuple[np.ndarray, np.ndarray]
+    abs_pi_xfer: tuple[tuple[float, ...], tuple[float, ...]]
     newton_dist: tuple[float, float]
     b_norm: float
 
@@ -217,12 +220,13 @@ def build_stencil(n: int) -> RuleStencil:
     t_full = tuple(_bisection_transform(n + 2, sign) for sign in (-1.0, 1.0))
     b_xfer = tuple(2.0 ** (n + 1) * (tf @ b) for tf in t_full)
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
-    abs_pi_xfer = tuple(np.abs(p_newton @ bx) for bx in b_xfer)
+    abs_pi_xfer = tuple(tuple(np.abs(p_newton @ bx).tolist()) for bx in b_xfer)
     newton_dist = tuple(math.sqrt(d.dot(d)) for d in (b - bx for bx in b_xfer))
     # stencils are shared by every run, and fits hand out b itself
-    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full, *abs_pi_xfer):
+    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full):
         arr.setflags(write=False)
-    return RuleStencil(n=n, nodes=nodes, P=P, P_inv=P_inv, cond=cond, b=b,
+    return RuleStencil(n=n, nodes=nodes, P=P, P_inv=P_inv, cond=cond,
+                       edge_nodes=tuple(nodes[[0, 1, -2, -1]].tolist()), b=b,
                        p_newton=p_newton, t=t, t_full=t_full,
                        abs_pi_xfer=abs_pi_xfer, newton_dist=newton_dist,
                        b_norm=math.sqrt(b.dot(b)))

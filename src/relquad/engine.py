@@ -1,14 +1,15 @@
 """State and steps of the one adaptive driver that serves both integrators
 (``relquad.algorithms._drive``).
 
-The "heap" is a plain list of records in insertion order, with a parallel
-float list ``eps`` holding their error estimates.  Selection and eviction
-scan that column with the builtin ``max``/``min`` and ``list.index``, which
-return the first extremum, so ties go to the earliest-inserted record; the
-total error is ``sum(eps)`` in heap order.  The scans are O(size) and not
-free next to a cheap integrand: the staircase benchmark holds the heap at
-its cap of 200 for thousands of steps, and reading ``eps`` off every record
-there costs two to three times as much as scanning the column.
+The "heap" holds the refinable records in insertion order, each under the
+number of its push, with a parallel column ``eps`` of their error
+estimates; the total error is ``sum(eps)`` in that order.  Selection and
+eviction pop lazy binary heaps of (-eps, number) and (eps, number), which
+skip entries whose record has already left, so each costs O(log size): the
+staircase benchmark holds the heap at its cap of 200 for thousands of
+steps.  Ties go to the earliest push, 0.0 and -0.0 tie, and a NaN eps,
+which neither binary heap holds, is chosen only while its record is the
+oldest on the heap: the choices of a first-extremum scan of the column.
 
 Intervals whose error estimate is below the numerical noise floor
 eps_mach * |q| * cond(P), or which have become so narrow that adjacent
@@ -27,7 +28,9 @@ retired whole, so that its totals still cover the domain.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -111,23 +114,79 @@ class DivergentIntegral(RuntimeError):
     converging; the driver retires the interval being bisected and stops."""
 
 
-@dataclass
-class AdaptiveState:
-    """heap holds the refinable records in insertion order; eps[i] is
-    heap[i].eps.  A record's eps must not change while it is on the heap."""
+# A binary heap is rebuilt from the live records once a pop leaves it
+# holding more than twice their number plus this many entries, so that the
+# entries of popped records cost O(live) memory on a run of any length.
+HEAP_SLACK = 64
 
-    heap: list[IntervalRecord] = field(default_factory=list)
-    eps: list[float] = field(default_factory=list)
-    excess_q: float = 0.0
-    excess_eps: float = 0.0
+
+class AdaptiveState:
+    """heap holds the refinable records in insertion order, and eps their
+    error estimates in the same order (live views).  A record's eps must
+    not change while it is on the heap."""
+
+    __slots__ = ("_recs", "_eps", "_hi", "_lo", "_pushes", "_nans", "heap",
+                 "eps", "excess_q", "excess_eps")
+
+    def __init__(self) -> None:
+        # push number -> record, and -> its eps
+        self._recs: dict[int, IntervalRecord] = {}
+        self._eps: dict[int, float] = {}
+        # (-eps, number) and (eps, number) of non-NaN records, with stale
+        # entries of records already popped
+        self._hi: list[tuple[float, int]] = []
+        self._lo: list[tuple[float, int]] = []
+        self._pushes = 0
+        self._nans = 0
+        self.heap = self._recs.values()
+        self.eps = self._eps.values()
+        self.excess_q = 0.0
+        self.excess_eps = 0.0
 
     def push(self, rec: IntervalRecord) -> None:
-        self.heap.append(rec)
-        self.eps.append(rec.eps)
+        k = self._pushes
+        self._pushes = k + 1
+        e = rec.eps
+        self._recs[k] = rec
+        self._eps[k] = e
+        if math.isnan(e):
+            self._nans += 1
+        else:
+            heappush(self._hi, (-e, k))
+            heappush(self._lo, (e, k))
 
-    def pop(self, i: int) -> IntervalRecord:
-        del self.eps[i]
-        return self.heap.pop(i)
+    def _take(self, heap: list[tuple[float, int]]) -> IntervalRecord:
+        """Pop the oldest record if its eps is NaN, else the record at the
+        top of heap, past entries of records already popped."""
+        eps = self._eps
+        if self._nans and math.isnan(eps[k := next(iter(eps))]):
+            # a first-extremum scan stops at a NaN only where it starts
+            self._nans -= 1
+        else:
+            k = heappop(heap)[1]
+            while k not in eps:
+                k = heappop(heap)[1]
+        del eps[k]
+        limit = 2 * len(eps) + HEAP_SLACK
+        if len(self._hi) > limit:
+            self._hi = self._entries(-1.0)
+        if len(self._lo) > limit:
+            self._lo = self._entries(1.0)
+        return self._recs.pop(k)
+
+    def _entries(self, sign: float) -> list[tuple[float, int]]:
+        """A fresh binary heap of (sign * eps, number) of the live non-NaN
+        records."""
+        heap = [(sign * e, k) for k, e in self._eps.items()
+                if not math.isnan(e)]
+        heapify(heap)
+        return heap
+
+    def pop_largest(self) -> IntervalRecord:
+        return self._take(self._hi)
+
+    def pop_smallest(self) -> IntervalRecord:
+        return self._take(self._lo)
 
     def heap_eps(self) -> float:
         return sum(self.eps)
@@ -140,8 +199,7 @@ class AdaptiveState:
 
 def select_worst(state: AdaptiveState) -> IntervalRecord:
     """Pop the record with maximal eps; ties go to the earliest inserted."""
-    eps = state.eps
-    return state.pop(eps.index(max(eps)))
+    return state.pop_largest()
 
 
 def should_drop(rec: IntervalRecord, stencil: RuleStencil,
@@ -152,9 +210,9 @@ def should_drop(rec: IntervalRecord, stencil: RuleStencil,
         return True
     mid = 0.5 * (rec.a + rec.b)
     half = 0.5 * (rec.b - rec.a)
-    x = stencil.nodes
-    first_gap = (mid + half * x[0]) - (mid + half * x[1])
-    last_gap = (mid + half * x[-2]) - (mid + half * x[-1])
+    x0, x1, x_2, x_1 = stencil.edge_nodes
+    first_gap = (mid + half * x0) - (mid + half * x1)
+    last_gap = (mid + half * x_2) - (mid + half * x_1)
     return first_gap == 0.0 or last_gap == 0.0
 
 
@@ -183,6 +241,5 @@ def divergence_update(q_child: float, q_parent_base: float,
 
 def enforce_heap_cap(state: AdaptiveState, cfg: EngineConfig) -> None:
     """Evict smallest-eps records into excess until the cap is respected."""
-    eps = state.eps
-    while len(eps) > cfg.heap_cap:
-        accumulate_excess(state, state.pop(eps.index(min(eps))))
+    while len(state.eps) > cfg.heap_cap:
+        accumulate_excess(state, state.pop_smallest())

@@ -25,11 +25,39 @@ import numpy as np
 from relquad.basis import RuleStencil
 from relquad.interp import CoeffVector, SampleVector
 
-__all__ = ["RefinedEstimate", "naive_error", "refined_error"]
+__all__ = ["RefinedEstimate", "norm", "naive_error", "refined_error"]
 
 # Below this, the Newton-vector difference in the denominator of the
 # derivative extraction is treated as degenerate rather than divided by.
 _DEGENERATE_DENOM = 1e-300
+
+# A finite sum of squares at least this large has no term that underflowed
+# enough to move its rounding, and its square root is the norm as it stands.
+_SQUARES_IN_RANGE = 2.0 ** -900
+
+
+def norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D float vector, exact under scaling by 2**k.
+
+    It is math.sqrt(v.dot(v)), what np.linalg.norm computes for such a
+    vector without its dispatch overhead, wherever that dot neither
+    overflows nor comes near underflow.  Otherwise the same is computed on
+    v scaled by the power of two that brings its largest entry into
+    [0.5, 1), which rounds nothing, and scaled back.  A zero vector, or one
+    with an inf or NaN entry, gives 0, inf or NaN as the plain dot does.
+    """
+    s = v.dot(v)
+    if _SQUARES_IN_RANGE <= s < math.inf:
+        return math.sqrt(s)
+    m = float(np.abs(v).max())
+    if not 0.0 < m < math.inf:
+        return math.sqrt(s)
+    e = math.frexp(m)[1]
+    w = np.ldexp(v, -e)
+    # two factors, so that neither power of two overflows: only the last
+    # product can round, and only when the norm itself is out of range
+    half = e // 2
+    return math.sqrt(w.dot(w)) * 2.0 ** half * 2.0 ** (e - half)
 
 
 class RefinedEstimate(NamedTuple):
@@ -55,9 +83,7 @@ def naive_error(c_hi: CoeffVector, c_lo: CoeffVector, halfwidth: float) -> float
         d[: len(lo)] -= lo
     else:
         d = hi - lo[: len(hi)]
-    # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D real
-    # vector, without its dispatch overhead
-    return float(halfwidth * math.sqrt(d.dot(d)))
+    return float(halfwidth * norm(d))
 
 
 def refined_error(
@@ -81,10 +107,7 @@ def refined_error(
     coordinates like the child's own.
     """
     b_child = c_child.newton
-    # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D real
-    # vector, without its dispatch overhead
-    d = c_child.c - c_parent_xfer.c
-    diff_norm = math.sqrt(d.dot(d))
+    diff_norm = norm(c_child.c - c_parent_xfer.c)
     if b_child is stencil.b and parent.eff_degree == stencil.n:
         # both unmasked: the Newton terms are the stencil's own
         abs_pi = stencil.abs_pi_xfer[side]
@@ -93,7 +116,7 @@ def refined_error(
     else:
         b_xfer = 2.0 ** (parent.eff_degree + 1) * (
             stencil.t_full[side] @ parent.newton)
-        abs_pi = np.abs(stencil.p_newton @ b_xfer)
+        abs_pi = np.abs(stencil.p_newton @ b_xfer).tolist()
         d = b_child - b_xfer
         denom = math.sqrt(d.dot(d))
         b_norm = math.sqrt(b_child.dot(b_child))
@@ -101,9 +124,13 @@ def refined_error(
         return RefinedEstimate(halfwidth * diff_norm, float("inf"), True)
     deriv = diff_norm / denom
 
-    resid = np.abs(stencil.P @ c_parent_xfer.c - samples.f)
-    slack = theta1 * deriv * abs_pi
-    margin = resid - slack
+    # The margin |P c_xfer - f| - theta1 * deriv * |pi| node by node, in
+    # the float operations numpy would apply elementwise; the matrix
+    # product stays in numpy, whose BLAS fixes its bits.
+    pred = (stencil.P @ c_parent_xfer.c).tolist()
+    f = samples.f.tolist()
+    slack = theta1 * deriv
+    mask = samples.nan_mask
     # The child's first and last nodes coincide with parent nodes (endpoint
     # and midpoint of the parent interval), where the parent interpolant
     # reproduces the reused sample values identically and its Newton
@@ -111,13 +138,17 @@ def refined_error(
     # exact arithmetic, so including them would make the > 0 comparison a
     # coin flip between rounding residues.  Skip them along with any masked
     # (non-numeric) nodes, which carry no value to disagree with.
-    if samples.nan_mask:
-        skip = set(samples.nan_mask)
-        skip.update((0, margin.size - 1))
-        margin = np.delete(margin, sorted(skip))
-    else:
-        margin = margin[1:-1]
-    # maximum.reduce is what .max() calls, NaN propagation included
-    if margin.size and np.maximum.reduce(margin) > 0.0:
+    fallback = False
+    for i in range(1, len(f) - 1):
+        if i in mask:
+            continue
+        margin = abs(pred[i] - f[i]) - slack * abs_pi[i]
+        if margin > 0.0:
+            fallback = True
+        elif margin != margin:
+            # the verdict of the largest margin, which a NaN makes NaN
+            fallback = False
+            break
+    if fallback:
         return RefinedEstimate(halfwidth * diff_norm, deriv, True)
     return RefinedEstimate(halfwidth * deriv * b_norm, deriv, False)

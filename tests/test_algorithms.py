@@ -362,7 +362,7 @@ def test_split_pushes_both_halves_or_neither(side, neval):
         state = AdaptiveState()
         with pytest.raises(error):
             _split(state, fn, rec, st, cfg, _refined_estimate(st, 1.1))
-        assert state.heap == [] and state.eps == []
+        assert len(state.heap) == 0 and len(state.eps) == 0
         assert fn.count == neval
 
 

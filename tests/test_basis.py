@@ -203,9 +203,10 @@ def test_refined_error_norm_fields_are_the_runtime_expressions(n):
         # the parent's Newton vector moved onto the half, as refined_error
         # moves it when a fit is masked
         b_xfer = 2.0 ** (n + 1) * (st.t_full[side] @ newton)
-        want = np.abs(st.p_newton @ b_xfer)
-        assert st.abs_pi_xfer[side].tobytes() == want.tobytes()
-        assert not st.abs_pi_xfer[side].flags.writeable
+        want = np.abs(st.p_newton @ b_xfer).tolist()
+        assert type(st.abs_pi_xfer[side]) is tuple
+        assert [x.hex() for x in st.abs_pi_xfer[side]] == \
+            [x.hex() for x in want]
         d = newton - b_xfer
         assert type(st.newton_dist[side]) is float
         assert st.newton_dist[side].hex() == math.sqrt(d.dot(d)).hex()
@@ -242,7 +243,7 @@ def test_stencil_arrays_are_read_only():
     # every run shares a stencil, and unmasked fits hand out its b itself
     st = build_stencil(10)
     arrays = [st.nodes, st.P, st.P_inv, st.b, st.p_newton]
-    for pair in (st.t, st.t_full, st.abs_pi_xfer):
+    for pair in (st.t, st.t_full):
         arrays.extend(pair)
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError):

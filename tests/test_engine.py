@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from relquad.basis import get_stencil
 from relquad.engine import (
+    HEAP_SLACK,
     AdaptiveState,
     DivergentIntegral,
     EngineConfig,
@@ -215,3 +218,90 @@ def test_heap_eps_sums_in_heap_order():
         st.push(_rec(eps=eps))
     select_worst(st)
     assert st.heap_eps() == sum(r.eps for r in st.heap)
+
+
+def test_heap_matches_list_scans_at_full_scale():
+    # caps up to the default 200 and long runs of mixed operations; eps
+    # mixes continuous draws with a pool of ties, signed zeros, inf and NaN
+    rng = np.random.default_rng(11)
+    pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"), float("nan"))
+    for cap in (2, 7, 50, 200):
+        st = AdaptiveState()
+        ref, order = [], {}
+        cfg = _cfg(heap_cap=cap)
+        for k in range(2000):
+            op = rng.random()
+            if op < 0.55 or not ref:
+                eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
+                       else float(rng.exponential()))
+                r = _rec(q=float(k), eps=eps)
+                order[id(r)] = k
+                st.push(r)
+                ref.append(r)
+            elif op < 0.9:
+                assert select_worst(st) is _select_scan(ref, order)
+            else:
+                want_q, want_eps = st.excess_q, st.excess_eps
+                for r in _cap_scan(ref, cfg.heap_cap):
+                    want_q += r.q
+                    want_eps += r.eps
+                enforce_heap_cap(st, cfg)
+                # evicted in the same order: the same float sums
+                assert st.excess_q == want_q
+                assert st.excess_eps == want_eps or (
+                    math.isnan(want_eps) and math.isnan(st.excess_eps))
+            assert [id(r) for r in st.heap] == [id(r) for r in ref]
+            assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
+
+
+def test_heap_memory_stays_linear_in_live_records():
+    # each cycle pops the worst record and evicts the best: stale entries
+    # pile up in both binary heaps until they are rebuilt
+    rng = np.random.default_rng(5)
+    cv = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10)
+    cfg = _cfg(heap_cap=200)
+    st = AdaptiveState()
+    for eps in rng.random(100_000 * 2).tolist():
+        st.push(IntervalRecord(0.0, 1.0, cv, 0.0, eps, 0.0))
+        if len(st.heap) > 200:
+            select_worst(st)
+            enforce_heap_cap(st, cfg)
+        for heap in (st._hi, st._lo):
+            assert len(heap) <= 2 * len(st.eps) + HEAP_SLACK
+    assert len(st.heap) == 200
+
+
+def _drop_by_float64(rec, stencil):
+    """should_drop's node-collision test on the stencil's np.float64 nodes,
+    as it was written before the stencil held them as floats."""
+    mid = 0.5 * (rec.a + rec.b)
+    half = 0.5 * (rec.b - rec.a)
+    x = stencil.nodes
+    first_gap = (mid + half * x[0]) - (mid + half * x[1])
+    last_gap = (mid + half * x[-2]) - (mid + half * x[-1])
+    return bool(first_gap == 0.0 or last_gap == 0.0)
+
+
+@pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
+def test_should_drop_matches_float64_nodes(n):
+    # random intervals from 1 to 4000 ulps wide, where the mapped end nodes
+    # collide or not, and every width within 3 ulps of where that flips
+    st = get_stencil(n)
+    assert st.edge_nodes == tuple(float(st.nodes[i]) for i in (0, 1, -2, -1))
+    rng = np.random.default_rng(900 + n)
+    cfg = _cfg()
+    seen = set()
+    for draw in range(2000):
+        a = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0))
+        ulp = float(np.spacing(a))
+        ks = [int(np.exp(rng.uniform(0.0, np.log(4000.0))))]
+        if draw % 10 == 0:
+            flip = next(k for k in range(1, 5000) if not _drop_by_float64(
+                _rec(eps=1.0, a=a, b=a + k * ulp), st))
+            ks += range(max(1, flip - 3), flip + 4)
+        for k in ks:
+            rec = _rec(eps=1.0, a=a, b=a + k * ulp)
+            want = _drop_by_float64(rec, st)
+            assert should_drop(rec, st, cfg) is want
+            seen.add(want)
+    assert seen == {True, False}

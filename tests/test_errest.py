@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relquad.basis import get_stencil, legendre_values
-from relquad.errest import naive_error, refined_error
+from relquad.errest import naive_error, norm, refined_error
 from relquad.interp import (CoeffVector, CountedFunction, SampleVector, fit,
                             sample, transfer_to_child)
 
@@ -138,22 +138,66 @@ def test_refined_fallback_over_random_jumps():
 
 
 def test_scale_equivariance_exact_for_power_of_two():
-    # s = 8 scales every intermediate by an exact power of two, so both
-    # estimators scale bitwise
+    # s = 2^k scales every intermediate by an exact power of two, so both
+    # estimators scale bitwise; at |k| >= 560 the squares of the scaled
+    # coefficients leave the float range, and only the norm's own scaling
+    # keeps this
     fn = np.sin
-    fns = lambda x: 8.0 * np.sin(x)
-    base = _split_estimate(fn, 0.1, 1.7, 1)
-    scaled = _split_estimate(fns, 0.1, 1.7, 1)
-    assert scaled.used_fallback == base.used_fallback
-    assert scaled.eps == 8.0 * base.eps
-
     st4, st8 = get_stencil(4), get_stencil(8)
+    base = _split_estimate(fn, 0.1, 1.7, 1)
     n4 = naive_error(fit(sample(CountedFunction(fn), 0.1, 1.7, st8), st8),
                      fit(sample(CountedFunction(fn), 0.1, 1.7, st4), st4), 0.8)
-    n4s = naive_error(
-        fit(sample(CountedFunction(fns), 0.1, 1.7, st8), st8),
-        fit(sample(CountedFunction(fns), 0.1, 1.7, st4), st4), 0.8)
-    assert n4s == 8.0 * n4
+    for k in (3, -560, 560, -600, 600, -700, 700):
+        s = 2.0 ** k
+        fns = lambda x: s * np.sin(x)
+        with np.errstate(all="ignore"):  # as the integrators run
+            scaled = _split_estimate(fns, 0.1, 1.7, 1)
+            n4s = naive_error(
+                fit(sample(CountedFunction(fns), 0.1, 1.7, st8), st8),
+                fit(sample(CountedFunction(fns), 0.1, 1.7, st4), st4), 0.8)
+        assert scaled.used_fallback == base.used_fallback
+        assert scaled.eps == s * base.eps
+        assert n4s == s * n4
+
+
+def test_norm_is_the_plain_expression_in_range():
+    # wherever the dot of squares is a normal float, bit for bit
+    rng = np.random.default_rng(31)
+    for size in (5, 9, 11, 17, 33):
+        for _ in range(200):
+            v = rng.standard_normal(size) * 10.0 ** rng.uniform(-140, 140)
+            v[rng.random(size) < 0.2] = 0.0
+            got = norm(v)
+            assert type(got) is float
+            assert got.hex() == math.sqrt(v.dot(v)).hex()
+
+
+def test_norm_scales_exactly_by_powers_of_two():
+    # entries in [0.5, 2] or zero stay normal when scaled by 2^k for
+    # |k| <= 1000, so 2^k v is exact and so must its norm be
+    rng = np.random.default_rng(32)
+    for size in (5, 11, 33):
+        v = rng.uniform(0.5, 2.0, size) * rng.choice((-1.0, 1.0), size)
+        v[rng.integers(size)] = 0.0
+        base = norm(v)
+        with np.errstate(over="ignore"):
+            for k in range(-1000, 1001):
+                assert norm(np.ldexp(v, k)) == base * 2.0 ** k
+
+
+def test_norm_keeps_plain_results_at_the_edges():
+    assert norm(np.zeros(11)) == 0.0
+    assert norm(np.array([0.0, -0.0])) == 0.0
+    assert norm(np.array([1.0, np.inf, 2.0])) == math.inf
+    assert math.isnan(norm(np.array([1.0, np.nan])))
+    assert math.isnan(norm(np.array([np.inf, np.nan])))
+    # a norm that is itself out of range overflows to inf, and the smallest
+    # subnormal keeps its value
+    with np.errstate(over="ignore"):
+        assert norm(np.full(11, 1.5e308)) == math.inf
+    assert norm(np.array([0.0, 5e-324])) == 5e-324
+    assert norm(np.array([3e-300, 4e-300])) == pytest.approx(5e-300,
+                                                            rel=1e-15)
 
 
 def test_monotone_decay_on_smooth_function():
@@ -288,8 +332,7 @@ def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
         b_xfer = 2.0 ** (stencil.n + 1) * (stencil.t_full[side] @ stencil.b)
         pi_xfer = stencil.p_newton @ b_xfer
     b_child = c_child.newton
-    d = c_child.c - c_parent_xfer.c
-    diff_norm = math.sqrt(d.dot(d))
+    diff_norm = norm(c_child.c - c_parent_xfer.c)
     d = b_child - b_xfer
     denom = math.sqrt(d.dot(d))
     if denom < 1e-300:

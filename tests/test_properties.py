@@ -38,6 +38,28 @@ def test_power_of_two_scaling_is_exact(alg, case, k):
     assert (scaled.neval, scaled.status) == (base.neval, base.status)
 
 
+@pytest.mark.parametrize("alg, config", [(int_naive, NaiveConfig),
+                                          (int_refined, RefinedConfig)])
+def test_power_of_two_scaling_is_exact_far_from_one(alg, config):
+    # at |k| >= 560 the squares of the scaled coefficients overflow or
+    # underflow, and a plain norm turns eps into inf or 0; the budget makes
+    # a run that never converges fail quickly
+    cfg = config(engine=EngineConfig(tau=1.0, max_neval=100_000))
+    for fid in range(1, 7):
+        fam = lk_family(fid)
+        a, b = fam.domain
+        for seed in range(3):
+            fn, exact = lk_draw(fam, seed)
+            for tol in (1e-3, 1e-6):
+                tau = tol * abs(exact)
+                base = alg(fn, a, b, tau, cfg)
+                for k in (-700, -600, -560, 560, 600, 700):
+                    s = 2.0 ** k
+                    r = alg(lambda x: s * fn(x), a, b, s * tau, cfg)
+                    assert (r.q, r.eps, r.neval, r.status) == (
+                        s * base.q, s * base.eps, base.neval, base.status)
+
+
 @pytest.mark.parametrize("alg", INTEGRATORS)
 @settings(max_examples=100, deadline=None)
 @given(case=lk_cases)
