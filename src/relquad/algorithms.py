@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
-from relquad.basis import RuleStencil, get_stencil
+from relquad.basis import MAX_RULE_DEGREE, RuleStencil, get_stencil
 from relquad.engine import (
     AdaptiveState,
     DivergentIntegral,
@@ -81,10 +82,15 @@ class NaiveConfig:
     engine: EngineConfig | None = None
 
     def __post_init__(self):
+        _check_integer(n0=self.n0, d_max=self.d_max)
         if self.n0 < 2:
             raise ValueError("n0 must be at least 2")
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
+        # n0 * 2 ** d_max <= MAX_RULE_DEGREE, without the power of a huge d_max
+        if self.n0 > MAX_RULE_DEGREE >> self.d_max:
+            raise ValueError(f"n0 * 2 ** d_max must be at most "
+                             f"{MAX_RULE_DEGREE}")
         if not 0.0 < self.hint < 1.0:
             raise ValueError("hint must be in (0, 1)")
 
@@ -96,14 +102,22 @@ class RefinedConfig:
     engine: EngineConfig | None = None
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError("n must be at least 4")
+        _check_integer(n=self.n)
+        if not 4 <= self.n <= MAX_RULE_DEGREE:
+            raise ValueError(f"n must be in 4..{MAX_RULE_DEGREE}")
         if self.n % 2:
             # a child reuses its parent's node n // 2 as the parent's
             # midpoint, which that node is only for even n
             raise ValueError("n must be even")
-        if self.theta1 < 1.0:
+        # written so that NaN fails too
+        if not self.theta1 >= 1.0:
             raise ValueError("theta1 must be at least 1")
+
+
+def _check_integer(**fields) -> None:
+    for name, value in fields.items():
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _engine_cfg(tau: float, base: EngineConfig | None) -> EngineConfig:
@@ -171,14 +185,15 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
     return QuadResult(q=q, eps=eps, neval=fn.count, status=status)
 
 
-def _nested_reuse(sv: SampleVector) -> dict[int, float]:
-    """Reuse map of the rule of twice sv's degree on the same interval: its
-    even-indexed nodes are sv's nodes (Chebyshev nesting).  Masked values
-    are NaN, so that the raised rule inherits the mask."""
+def _nested_reuse(sv: SampleVector) -> list[float]:
+    """sv's raw values, the reused values of the rule of twice sv's degree
+    on the same interval: its even-indexed nodes are sv's nodes (Chebyshev
+    nesting).  Masked values are NaN, so that the raised rule inherits the
+    mask."""
     f = sv.f.tolist()
     for i in sv.nan_mask:
         f[i] = math.nan
-    return dict(zip(range(0, 2 * len(f), 2), f))
+    return f
 
 
 def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
@@ -203,11 +218,10 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
     st_par = get_stencil(n_par)
     sv_par = rec.samples
     f_b, f_mid, f_a = sv_par.raw(0), sv_par.raw(n_par // 2), sv_par.raw(n_par)
-    n = st.n
     halves = []
     # nodes descend: a half's node 0 is its right end, node n its left
-    for side, ca, cb, reuse in ((0, a, mid, {0: f_mid, n: f_a}),
-                                (1, mid, b, {0: f_b, n: f_mid})):
+    for side, ca, cb, reuse in ((0, a, mid, (f_mid, f_a)),
+                                (1, mid, b, (f_b, f_mid))):
         sv = sample(fn, ca, cb, st, reuse=reuse)
         cv = fit(sv, st)
         q = integral(cv, ca, cb)

@@ -31,6 +31,7 @@ import numpy as np
 __all__ = [
     "ALPHA",
     "GAMMA",
+    "MAX_RULE_DEGREE",
     "RuleStencil",
     "StencilBuildError",
     "build_stencil",
@@ -45,6 +46,9 @@ SQRT2 = float(np.sqrt(2.0))
 #: Largest basis degree the recurrence supports (rules beyond degree 33 are
 #: out of scope; the Newton vector of degree n needs coefficients to n+1).
 _MAX_DEGREE = 40
+
+#: Largest degree n a ``RuleStencil`` can be built for.
+MAX_RULE_DEGREE = _MAX_DEGREE - 1
 
 # alpha_k and gamma_k of the recurrence above, k = 0.._MAX_DEGREE.
 _K = np.arange(_MAX_DEGREE + 1, dtype=float)
@@ -160,6 +164,8 @@ class RuleStencil:
     """Precomputed apparatus of one fixed-degree interpolation rule.
 
     nodes        Chebyshev points, descending (nodes[0]=1, nodes[n]=-1).
+    inner_nodes  nodes[1:-1], the nodes a bisection half evaluates.
+    odd_nodes    nodes[1::2], the nodes a degree doubling evaluates.
     P, P_inv     P_ij = p_j(nodes[i]) and its inverse (values <-> coefficients).
     cond         kappa_inf(P), used in the numerical-floor drop rule.
     edge_nodes   (nodes[0], nodes[1], nodes[-2], nodes[-1]) as floats, for
@@ -178,9 +184,9 @@ class RuleStencil:
 
     The refined error estimate's inputs that depend on no data, for a child
     and a parent that are both unmasked (Newton vectors b), in the
-    expressions it would evaluate.  b_xfer = 2^(n+1) * (t_full @ b) is b
+    expressions it would evaluate.  b_xfer = 2^(n+1) * t_full.dot(b) is b
     moved onto the half-interval, monic in its coordinates, and
-    pi_xfer = p_newton @ b_xfer its values at the nodes:
+    pi_xfer = p_newton.dot(b_xfer) its values at the nodes:
 
     abs_pi_xfer  np.abs(pi_xfer).tolist(), per side, as a tuple of floats.
     newton_dist  math.sqrt(d.dot(d)) with d = b - b_xfer, per side.
@@ -189,6 +195,8 @@ class RuleStencil:
 
     n: int
     nodes: np.ndarray
+    inner_nodes: np.ndarray
+    odd_nodes: np.ndarray
     P: np.ndarray
     P_inv: np.ndarray
     cond: float
@@ -204,8 +212,8 @@ class RuleStencil:
 
 def build_stencil(n: int) -> RuleStencil:
     """Build the full stencil for degree n (needs coefficients to n+1)."""
-    if not 1 <= n <= _MAX_DEGREE - 1:
-        raise ValueError(f"degree {n} outside 1..{_MAX_DEGREE - 1}")
+    if not 1 <= n <= MAX_RULE_DEGREE:
+        raise ValueError(f"degree {n} outside 1..{MAX_RULE_DEGREE}")
     nodes = _chebyshev_nodes(n)
     p_newton = legendre_values(n + 1, nodes)
     P = np.ascontiguousarray(p_newton[:, : n + 1])
@@ -218,14 +226,19 @@ def build_stencil(n: int) -> RuleStencil:
         raise StencilBuildError(f"cond(P) = {cond:.1f} >= 1000 for n={n}")
     b = _newton_vector(nodes)
     t_full = tuple(_bisection_transform(n + 2, sign) for sign in (-1.0, 1.0))
-    b_xfer = tuple(2.0 ** (n + 1) * (tf @ b) for tf in t_full)
+    b_xfer = tuple(2.0 ** (n + 1) * tf.dot(b) for tf in t_full)
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
-    abs_pi_xfer = tuple(tuple(np.abs(p_newton @ bx).tolist()) for bx in b_xfer)
+    abs_pi_xfer = tuple(tuple(np.abs(p_newton.dot(bx)).tolist())
+                        for bx in b_xfer)
+    inner_nodes = np.ascontiguousarray(nodes[1:-1])
+    odd_nodes = np.ascontiguousarray(nodes[1::2])
     newton_dist = tuple(math.sqrt(d.dot(d)) for d in (b - bx for bx in b_xfer))
     # stencils are shared by every run, and fits hand out b itself
-    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full):
+    for arr in (nodes, inner_nodes, odd_nodes, P, P_inv, b, p_newton, *t,
+                *t_full):
         arr.setflags(write=False)
-    return RuleStencil(n=n, nodes=nodes, P=P, P_inv=P_inv, cond=cond,
+    return RuleStencil(n=n, nodes=nodes, inner_nodes=inner_nodes,
+                       odd_nodes=odd_nodes, P=P, P_inv=P_inv, cond=cond,
                        edge_nodes=tuple(nodes[[0, 1, -2, -1]].tolist()), b=b,
                        p_newton=p_newton, t=t, t_full=t_full,
                        abs_pi_xfer=abs_pi_xfer, newton_dist=newton_dist,

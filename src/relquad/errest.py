@@ -114,9 +114,9 @@ def refined_error(
         denom = stencil.newton_dist[side]
         b_norm = stencil.b_norm
     else:
-        b_xfer = 2.0 ** (parent.eff_degree + 1) * (
-            stencil.t_full[side] @ parent.newton)
-        abs_pi = np.abs(stencil.p_newton @ b_xfer).tolist()
+        b_xfer = 2.0 ** (parent.eff_degree + 1) * stencil.t_full[side].dot(
+            parent.newton)
+        abs_pi = np.abs(stencil.p_newton.dot(b_xfer)).tolist()
         d = b_child - b_xfer
         denom = math.sqrt(d.dot(d))
         b_norm = math.sqrt(b_child.dot(b_child))
@@ -127,7 +127,7 @@ def refined_error(
     # The margin |P c_xfer - f| - theta1 * deriv * |pi| node by node, in
     # the float operations numpy would apply elementwise; the matrix
     # product stays in numpy, whose BLAS fixes its bits.
-    pred = (stencil.P @ c_parent_xfer.c).tolist()
+    pred = stencil.P.dot(c_parent_xfer.c).tolist()
     f = samples.f.tolist()
     slack = theta1 * deriv
     mask = samples.nan_mask

@@ -8,6 +8,11 @@ is downdated — the interpolation conditions at the bad nodes are removed one
 at a time by dividing the Newton polynomial and projecting the coefficient
 vector, leaving a lower-degree polynomial that still interpolates every
 healthy node.
+
+Nested nodes are never evaluated twice.  A bisection half reuses the values
+at its two ends, and a degree doubling those at its even-indexed nodes:
+``sample`` takes them as a list in node order and maps and evaluates only
+the remaining nodes.
 """
 
 from __future__ import annotations
@@ -83,14 +88,24 @@ class CoeffVector(NamedTuple):
 
 
 def sample(integrand, a: float, b: float, stencil: RuleStencil,
-           reuse: dict[int, float] | None = None) -> SampleVector:
-    """Evaluate the integrand at the mapped stencil nodes.
+           reuse: list[float] | tuple[float, ...] | None = None
+           ) -> SampleVector:
+    """Evaluate the integrand at the mapped stencil nodes it has no value
+    for.
 
-    ``reuse`` maps node indices to previously computed raw values (NaN for
-    previously non-numeric nodes); those nodes are not re-evaluated and do
-    not increment the evaluation counter.  The integrand is a
-    ``CountedFunction``: its count grows once per call, and its wrapped
-    function is called directly.
+    ``reuse`` holds raw values computed before (NaN where the source node
+    was masked), in one of the two nestings of the integrators:
+
+    - 2 values, at nodes 0 and n: the ends of a bisection half, which are
+      nodes of the interval being bisected;
+    - n/2 + 1 values, at the even-indexed nodes: a degree doubling, whose
+      even nodes are the lower rule's nodes (Chebyshev nesting).
+
+    For n = 2 the two are the same nodes.  Only the other nodes, the
+    stencil's ``inner_nodes`` or ``odd_nodes``, are mapped onto [a, b] and
+    evaluated, in ascending index order; reused nodes do not increment the
+    evaluation counter.  The integrand is a ``CountedFunction``: its count
+    grows once per call, and its wrapped function is called directly.
 
     The integrand receives ``np.float64`` nodes, so that ``1/x`` or
     ``x ** -1.5`` at a node gives inf (masked) rather than raising.  The
@@ -100,10 +115,17 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fn = integrand.fn
-    get = reuse.get if reuse else {}.get
-    values = [float(fn(x)) if (v := get(i)) is None else v
-              for i, x in enumerate(mid + half * stencil.nodes)]
-    integrand.count += len(values) - len(reuse or ())
+    if not reuse:
+        fresh = values = [float(fn(x)) for x in mid + half * stencil.nodes]
+    elif len(reuse) == 2:
+        fresh = [float(fn(x)) for x in mid + half * stencil.inner_nodes]
+        values = [reuse[0], *fresh, reuse[1]]
+    else:
+        fresh = [float(fn(x)) for x in mid + half * stencil.odd_nodes]
+        values = [0.0] * (stencil.n + 1)
+        values[::2] = reuse
+        values[1::2] = fresh
+    integrand.count += len(fresh)
     f = np.array(values)
     # a sum is finite only if every term is; a finite sum that overflows
     # takes the exact test below
@@ -127,7 +149,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
     """
     n = stencil.n
     mask = samples.nan_mask
-    c = stencil.P_inv @ samples.f
+    c = stencil.P_inv.dot(samples.f)
     if not mask:
         return CoeffVector(c, n, n, stencil.b)
     if len(mask) >= n:
@@ -162,4 +184,4 @@ def transfer_to_child(c: CoeffVector, side: int, stencil: RuleStencil) -> CoeffV
     survives; the result predicts the parent's interpolant on the child and
     carries no Newton vector of its own.
     """
-    return CoeffVector(stencil.t[side] @ c.c, c.eff_degree, c.stencil_n)
+    return CoeffVector(stencil.t[side].dot(c.c), c.eff_degree, c.stencil_n)

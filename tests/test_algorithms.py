@@ -228,9 +228,8 @@ def test_refined_even_degrees_converge(n):
 
 
 def test_nested_reuse_matches_per_node_raw():
-    # the ladder's reuse map, built from one tolist(), against one raw(i)
-    # per node: same keys in the same order, same value bytes, masked
-    # nodes NaN
+    # the ladder's reused values, one tolist(), against one raw(i) per
+    # node: a list in node order, same value bytes, masked nodes NaN
     rng = np.random.default_rng(7)
     for n in (4, 8, 16):
         for mask in ((), (0,), (1, n), tuple(range(0, n + 1, 3))):
@@ -238,11 +237,56 @@ def test_nested_reuse_matches_per_node_raw():
             f[list(mask)] = 0.0
             sv = SampleVector(f=f, nan_mask=mask)
             got = _nested_reuse(sv)
-            want = {2 * i: sv.raw(i) for i in range(n + 1)}
-            assert list(got) == list(want)
-            assert (np.array(list(got.values())).tobytes()
-                    == np.array(list(want.values())).tobytes())
-            assert all(type(v) is float for v in got.values())
+            want = [sv.raw(i) for i in range(n + 1)]
+            assert type(got) is list and len(got) == n + 1
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert all(type(v) is float for v in got)
+
+
+def test_refined_rejects_nan_theta1():
+    # theta1 < 1.0 is False for NaN; a NaN slack then never falls back, and
+    # abs(x - 0.3) on [0, 1] at 1e-8 returned Converged 9.5e-8 off
+    with pytest.raises(ValueError, match="theta1"):
+        RefinedConfig(theta1=math.nan)
+
+
+@pytest.mark.parametrize("config, field", [
+    (lambda: NaiveConfig(n0=4.5), "n0"),
+    (lambda: NaiveConfig(n0=4.0), "n0"),
+    (lambda: NaiveConfig(d_max=2.0), "d_max"),
+    (lambda: RefinedConfig(n=10.0), "n"),
+])
+def test_configs_reject_non_integer_degrees(config, field):
+    # these used to be accepted and raise TypeError inside the first call
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        config()
+
+
+@pytest.mark.parametrize("config", [
+    lambda: NaiveConfig(d_max=4),            # degree 64
+    lambda: NaiveConfig(n0=5, d_max=3),      # degree 40
+    lambda: NaiveConfig(n0=20, d_max=1),     # degree 40
+    lambda: NaiveConfig(d_max=10 ** 9),
+    lambda: RefinedConfig(n=40),
+    lambda: RefinedConfig(n=10 ** 9),
+])
+def test_configs_reject_degrees_beyond_the_basis(config):
+    # these used to be accepted and raise "degree ... outside 1..39" only
+    # when an integrator was called
+    with pytest.raises(ValueError, match="39"):
+        config()
+
+
+@pytest.mark.parametrize("alg, config", [
+    (int_naive, NaiveConfig(n0=19, d_max=1)),
+    (int_naive, NaiveConfig(n0=9, d_max=2)),
+    (int_naive, NaiveConfig(np.int64(4), np.int64(3))),
+    (int_refined, RefinedConfig(n=38)),
+])
+def test_configs_at_the_largest_degrees_run(alg, config):
+    r = alg(math.exp, 0.0, 1.0, 1e-10, config)
+    assert r.status is Status.CONVERGED
+    assert abs(r.q - (math.e - 1.0)) <= 1e-10
 
 
 def test_result_fields_and_status_values():
@@ -415,3 +459,31 @@ def test_every_bisection_goes_through_the_traced_names(monkeypatch, alg):
     for name in ("fit", "integral", "select_worst", "should_drop",
                  "enforce_heap_cap"):
         assert calls[name], name
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_sample_reuse_shapes_are_what_the_tracer_counts(monkeypatch, alg):
+    # benchmarks/tracing.py counts a sample call with 2 reused values as a
+    # bisection half and one with more as a ladder raise, by len(reuse) and
+    # the truth of reuse (which an ndarray would not give)
+    seen = []
+
+    def wrapper(fn, a, b, stencil, reuse=None, _real=algorithms.sample):
+        seen.append((stencil.n, reuse))
+        return _real(fn, a, b, stencil, reuse=reuse)
+
+    monkeypatch.setattr(algorithms, "sample", wrapper)
+    alg(_peak, 0.0, 1.0, 1e-8)
+    halves = raises = 0
+    for n, reuse in seen:
+        if reuse is None:
+            continue
+        assert type(reuse) in (list, tuple)
+        assert all(type(v) is float for v in reuse)
+        if len(reuse) == 2:
+            halves += 1
+        else:
+            assert len(reuse) == n // 2 + 1 > 2
+            raises += 1
+    assert halves > 0 and halves % 2 == 0
+    assert (raises > 0) == (alg is int_naive)

@@ -202,8 +202,8 @@ def test_refined_error_norm_fields_are_the_runtime_expressions(n):
     for side in (0, 1):
         # the parent's Newton vector moved onto the half, as refined_error
         # moves it when a fit is masked
-        b_xfer = 2.0 ** (n + 1) * (st.t_full[side] @ newton)
-        want = np.abs(st.p_newton @ b_xfer).tolist()
+        b_xfer = 2.0 ** (n + 1) * st.t_full[side].dot(newton)
+        want = np.abs(st.p_newton.dot(b_xfer)).tolist()
         assert type(st.abs_pi_xfer[side]) is tuple
         assert [x.hex() for x in st.abs_pi_xfer[side]] == \
             [x.hex() for x in want]
@@ -212,6 +212,17 @@ def test_refined_error_norm_fields_are_the_runtime_expressions(n):
         assert st.newton_dist[side].hex() == math.sqrt(d.dot(d)).hex()
     assert type(st.b_norm) is float
     assert st.b_norm.hex() == math.sqrt(newton.dot(newton)).hex()
+
+
+@pytest.mark.parametrize("n", (2, 3, *RULE_DEGREES))
+def test_fresh_node_arrays_are_contiguous_slices(n):
+    # sample maps these instead of all nodes when it reuses the ends of a
+    # bisection half or the even nodes of a degree doubling
+    st = build_stencil(n)
+    for got, want in ((st.inner_nodes, st.nodes[1:-1]),
+                      (st.odd_nodes, st.nodes[1::2])):
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
 
 
 def test_p_newton_extends_p():
@@ -242,7 +253,8 @@ def test_build_stencil_degree_bounds():
 def test_stencil_arrays_are_read_only():
     # every run shares a stencil, and unmasked fits hand out its b itself
     st = build_stencil(10)
-    arrays = [st.nodes, st.P, st.P_inv, st.b, st.p_newton]
+    arrays = [st.nodes, st.inner_nodes, st.odd_nodes, st.P, st.P_inv, st.b,
+              st.p_newton]
     for pair in (st.t, st.t_full):
         arrays.extend(pair)
     assert not any(arr.flags.writeable for arr in arrays)

@@ -48,11 +48,15 @@ def test_sample_reuse_skips_counter():
     fn = CountedFunction(np.exp)
     sv4 = sample(fn, 0.25, 0.75, st4)
     assert fn.count == 5
-    reuse = {2 * i: sv4.raw(i) for i in range(5)}
+    reuse = [sv4.raw(i) for i in range(5)]
     sv8 = sample(fn, 0.25, 0.75, st8, reuse=reuse)
     assert fn.count == 9
     # reused entries are bitwise identical to the originals
     np.testing.assert_array_equal(sv8.f[::2], sv4.f)
+    # a bisection half reuses its two ends: 3 fresh evaluations at n = 4
+    sv_half = sample(fn, 0.25, 0.5, st4, reuse=(sv4.raw(2), sv4.raw(4)))
+    assert fn.count == 12
+    assert (sv_half.f[0], sv_half.f[4]) == (sv4.f[2], sv4.f[4])
 
 
 def test_sample_reuse_propagates_nan_without_eval():
@@ -63,9 +67,14 @@ def test_sample_reuse_propagates_nan_without_eval():
     assert sv.nan_mask == (4,)
     # a child reusing the masked endpoint inherits the mask for free
     fn2 = CountedFunction(lambda x: 1.0 / x)
-    sv2 = sample(fn2, 0.0, 0.5, st, reuse={4: sv.raw(4)})
-    assert fn2.count == 4
+    sv2 = sample(fn2, 0.0, 0.5, st, reuse=(sv.raw(2), sv.raw(4)))
+    assert fn2.count == 3
     assert 4 in sv2.nan_mask
+    # so does the raised rule on the same interval, at its node 8
+    st8 = get_stencil(8)
+    sv8 = sample(fn2, 0.0, 1.0, st8, reuse=[sv.raw(i) for i in range(5)])
+    assert fn2.count == 7
+    assert 8 in sv8.nan_mask
 
 
 def test_fit_reproduces_basis_function():
@@ -233,7 +242,8 @@ def test_bisection_integral_additivity():
 
 
 def _sample_per_node(integrand, a, b, stencil, reuse=None):
-    """The per-node loop that sample() vectorizes: the reference for it."""
+    """The per-node loop that sample() vectorizes: the reference for it.
+    reuse maps node indices to values."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     f = np.zeros(stencil.n + 1)
@@ -251,14 +261,25 @@ def _sample_per_node(integrand, a, b, stencil, reuse=None):
     return SampleVector(f=f, nan_mask=tuple(mask))
 
 
+def _reuse_by_index(reuse, n):
+    """sample()'s reuse values as the index map of _sample_per_node: an end
+    pair at nodes 0 and n, otherwise the even-indexed nodes."""
+    if reuse is None:
+        return None
+    if len(reuse) == 2:
+        return {0: reuse[0], n: reuse[1]}
+    return {2 * i: v for i, v in enumerate(reuse)}
+
+
 @pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
 def test_sample_matches_per_node_loop(n):
-    # random intervals, reuse maps and NaN/Inf values, at nodes and in the
-    # reused values: same bytes, mask, count and evaluation points
+    # random intervals, reuse shapes (none, an end pair, the even nodes; as
+    # a list or a tuple) and NaN/Inf values, at nodes and in the reused
+    # values: same bytes, mask, count and evaluation points, in order
     st = get_stencil(n)
     rng = np.random.default_rng(n)
     specials = (np.nan, np.inf, -np.inf)
-    for _ in range(60):
+    for trial in range(90):
         a = float(rng.uniform(-2.0, 2.0))
         b = a + float(rng.choice((1e-9, 1e-3, 0.5, 3.0)))
         xs = [0.5 * (a + b) + 0.5 * (b - a) * x for x in st.nodes]
@@ -269,20 +290,35 @@ def test_sample_matches_per_node_loop(n):
             return table.get(x, np.exp(x) - 1.0)
 
         reuse = None
-        if rng.random() < 0.7:
-            keys = rng.choice(n + 1, size=rng.integers(1, n + 1), replace=False)
-            reuse = {int(k): float(rng.choice((*specials, rng.standard_normal())))
-                     for k in keys}
+        if trial % 3:
+            size = 2 if trial % 3 == 1 else n // 2 + 1
+            reuse = [float(rng.choice((*specials, rng.standard_normal())))
+                     for _ in range(size)]
+            if trial % 2:
+                reuse = tuple(reuse)
         seen, seen_ref = [], []
         fn = CountedFunction(lambda x: seen.append(x) or g(x))
         fn_ref = CountedFunction(lambda x: seen_ref.append(x) or g(x))
         got = sample(fn, a, b, st, reuse=reuse)
-        want = _sample_per_node(fn_ref, a, b, st, reuse=reuse)
+        want = _sample_per_node(fn_ref, a, b, st,
+                                reuse=_reuse_by_index(reuse, n))
         assert got.f.tobytes() == want.f.tobytes()
         assert got.nan_mask == want.nan_mask
-        assert fn.count == fn_ref.count
+        assert fn.count == fn_ref.count == n + 1 - len(reuse or ())
         assert np.array(seen).tobytes() == np.array(seen_ref).tobytes()
         assert all(type(x) is np.float64 for x in seen)
+
+
+def test_sample_end_pair_is_the_even_nodes_at_degree_two():
+    # at n = 2 the two reuse shapes name the same nodes, 0 and 2
+    st = get_stencil(2)
+    np.testing.assert_array_equal(st.inner_nodes, st.odd_nodes)
+    seen = []
+    fn = CountedFunction(lambda x: seen.append(x) or 3.0)
+    sv = sample(fn, 0.0, 1.0, st, reuse=[1.0, math.nan])
+    assert sv.f.tolist() == [1.0, 3.0, 0.0]
+    assert sv.nan_mask == (2,)
+    assert fn.count == 1 and seen == [0.5]
 
 
 def test_sample_passes_numpy_scalars_so_poles_mask():
@@ -360,3 +396,30 @@ def test_fit_matches_downdate_path(n):
         assert got.newton.tobytes() == want.newton.tobytes()
         if not mask:
             assert got.newton is st.b
+
+
+@pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
+def test_dot_products_equal_matmul_expressions(n):
+    # the interval step multiplies by the stencil matrices with ndarray.dot,
+    # which dispatches faster than @ to the same BLAS kernel; the bytes must
+    # stay those of @ (a numpy or BLAS upgrade could split the two)
+    st = get_stencil(n)
+    rng = np.random.default_rng(700 + n)
+    for trial in range(300):
+        f = rng.standard_normal(n + 1) * 10.0 ** float(rng.integers(-8, 9))
+        k = 0 if trial % 2 else int(rng.integers(1, 3))
+        mask = tuple(sorted(rng.choice(n + 1, size=k, replace=False).tolist()))
+        f[list(mask)] = 0.0
+        sv = SampleVector(f=f, nan_mask=mask)
+        cv = fit(sv, st)
+        # fit: P_inv.dot(f) is the first step of the reference's P_inv @ f
+        assert cv.c.tobytes() == _fit_by_downdate(sv, st).c.tobytes()
+        for side in (0, 1):
+            c_xfer = transfer_to_child(cv, side, st).c
+            assert c_xfer.tobytes() == (st.t[side] @ cv.c).tobytes()
+            # the refined prediction and the masked path's Newton terms
+            assert st.P.dot(c_xfer).tobytes() == (st.P @ c_xfer).tobytes()
+            b_xfer = st.t_full[side].dot(cv.newton)
+            assert b_xfer.tobytes() == (st.t_full[side] @ cv.newton).tobytes()
+            assert (st.p_newton.dot(b_xfer).tobytes()
+                    == (st.p_newton @ b_xfer).tobytes())

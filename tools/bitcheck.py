@@ -1,6 +1,7 @@
-"""Bit-identity check of the two integrators between two checkouts.
+"""Bit-identity checks of the integrators and the CLI between two checkouts.
 
     python tools/bitcheck.py dump CHECKOUT SEED [SEED ...] > rows.tsv
+    python tools/bitcheck.py cli CHECKOUT > cli.tsv
     python tools/bitcheck.py diff OLD.tsv NEW.tsv
 
 ``dump`` runs int_naive and int_refined, configured as
@@ -9,11 +10,22 @@
 seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
+
+``cli`` runs ``relquad-bench --mode M`` for each of the four modes, at
+default flags and with ``--alg all``, as ``python -m relquad.cli`` with
+``PYTHONPATH=CHECKOUT/src``, and prints one line per run: the command and
+the sha256 of its standard output.  A plain ``diff`` of two such dumps
+then checks that the CLI's bytes are unchanged.
 """
 
+import hashlib
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+CLI_MODES = ("lk", "battery", "divergence", "probe")
 
 
 def dump(checkout, seeds):
@@ -38,6 +50,19 @@ def dump(checkout, seeds):
                           r.eps.hex(), r.neval, r.status.value, sep="\t")
 
 
+def cli(checkout):
+    root = Path(checkout).resolve()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for mode in CLI_MODES:
+        for extra in ((), ("--alg", "all")):
+            args = ("--mode", mode, *extra)
+            out = subprocess.run(
+                [sys.executable, "-m", "relquad.cli", *args], cwd=root,
+                env=env, capture_output=True, check=True).stdout
+            print("relquad-bench", *args, hashlib.sha256(out).hexdigest(),
+                  sep="\t", flush=True)
+
+
 def diff(old_path, new_path):
     old, new = (Path(p).read_text().splitlines() for p in (old_path, new_path))
     if len(old) != len(new):
@@ -59,6 +84,8 @@ def diff(old_path, new_path):
 if __name__ == "__main__":
     if sys.argv[1:2] == ["dump"] and len(sys.argv) > 3:
         dump(sys.argv[2], [int(s) for s in sys.argv[3:]])
+    elif sys.argv[1:2] == ["cli"] and len(sys.argv) == 3:
+        cli(sys.argv[2])
     elif sys.argv[1:2] == ["diff"] and len(sys.argv) == 4:
         sys.exit(diff(sys.argv[2], sys.argv[3]))
     else:
