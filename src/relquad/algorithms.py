@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from relquad.engine import (
     IntervalRecord,
     QuadResult,
     Status,
+    _check_integer,
     accumulate_excess,
     divergence_update,
     enforce_heap_cap,
@@ -114,12 +114,6 @@ class RefinedConfig:
             raise ValueError("theta1 must be at least 1")
 
 
-def _check_integer(**fields) -> None:
-    for name, value in fields.items():
-        if not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _engine_cfg(tau: float, base: EngineConfig | None) -> EngineConfig:
     """The explicit tolerance argument wins over any tau in the config."""
     return EngineConfig(tau=tau) if base is None else replace(base, tau=tau)
@@ -159,7 +153,7 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
     state.push(root)
     status = None
     nonnumeric = False
-    while state.heap and state.heap_eps() > tau:
+    while state.heap_eps_exceeds(tau):
         if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
             status = Status.TOLERANCE_NOT_MET
             break
@@ -185,17 +179,6 @@ def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
     return QuadResult(q=q, eps=eps, neval=fn.count, status=status)
 
 
-def _nested_reuse(sv: SampleVector) -> list[float]:
-    """sv's raw values, the reused values of the rule of twice sv's degree
-    on the same interval: its even-indexed nodes are sv's nodes (Chebyshev
-    nesting).  Masked values are NaN, so that the raised rule inherits the
-    mask."""
-    f = sv.f.tolist()
-    for i in sv.nan_mask:
-        f[i] = math.nan
-    return f
-
-
 def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
            ecfg: EngineConfig, estimate) -> None:
     """Bisect rec: fit its left and right halves at stencil st, then push
@@ -216,8 +199,8 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
     parent = rec.coeffs
     n_par = parent.stencil_n
     st_par = get_stencil(n_par)
-    sv_par = rec.samples
-    f_b, f_mid, f_a = sv_par.raw(0), sv_par.raw(n_par // 2), sv_par.raw(n_par)
+    vals = rec.samples.values
+    f_b, f_mid, f_a = vals[0], vals[n_par // 2], vals[n_par]
     halves = []
     # nodes descend: a half's node 0 is its right end, node n its left
     for side, ca, cb, reuse in ((0, a, mid, (f_mid, f_a)),
@@ -268,8 +251,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
         if rec.coeffs.stencil_n < n_top:
             # one step up the degree ladder, reusing nested node values
             st_hi = get_stencil(2 * rec.coeffs.stencil_n)
-            sv_hi = sample(fn, rec.a, rec.b, st_hi,
-                           reuse=_nested_reuse(rec.samples))
+            sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
             cv_hi = fit(sv_hi, st_hi)
             diff = naive_error(cv_hi, rec.coeffs, 1.0)
             rec.samples = sv_hi
@@ -289,8 +271,8 @@ def int_naive(integrand, a: float, b: float, tau: float,
         sv = sample(fn, a, b, st_top)
         c_top = fit(sv, st_top)
         # the lower rule's nodes are the even-indexed ones (Chebyshev nesting)
-        c_lo = fit(SampleVector(f=sv.f[::2].copy(), nan_mask=tuple(
-            i // 2 for i in sv.nan_mask if i % 2 == 0)), st_lo)
+        c_lo = fit(SampleVector(sv.f[::2].copy(), tuple(
+            i // 2 for i in sv.nan_mask if i % 2 == 0), sv.values[::2]), st_lo)
         q0 = integral(c_top, a, b)
         root = IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
                               eps=naive_error(c_top, c_lo, 0.5 * (b - a)),

@@ -164,8 +164,9 @@ class RuleStencil:
     """Precomputed apparatus of one fixed-degree interpolation rule.
 
     nodes        Chebyshev points, descending (nodes[0]=1, nodes[n]=-1).
-    inner_nodes  nodes[1:-1], the nodes a bisection half evaluates.
-    odd_nodes    nodes[1::2], the nodes a degree doubling evaluates.
+    all_nodes    nodes as a tuple of floats, the nodes a start-up evaluates.
+    inner_nodes  nodes[1:-1] likewise, the nodes a bisection half evaluates.
+    odd_nodes    nodes[1::2] likewise, the nodes a degree doubling evaluates.
     P, P_inv     P_ij = p_j(nodes[i]) and its inverse (values <-> coefficients).
     cond         kappa_inf(P), used in the numerical-floor drop rule.
     edge_nodes   (nodes[0], nodes[1], nodes[-2], nodes[-1]) as floats, for
@@ -195,8 +196,9 @@ class RuleStencil:
 
     n: int
     nodes: np.ndarray
-    inner_nodes: np.ndarray
-    odd_nodes: np.ndarray
+    all_nodes: tuple[float, ...]
+    inner_nodes: tuple[float, ...]
+    odd_nodes: tuple[float, ...]
     P: np.ndarray
     P_inv: np.ndarray
     cond: float
@@ -230,19 +232,17 @@ def build_stencil(n: int) -> RuleStencil:
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
     abs_pi_xfer = tuple(tuple(np.abs(p_newton.dot(bx)).tolist())
                         for bx in b_xfer)
-    inner_nodes = np.ascontiguousarray(nodes[1:-1])
-    odd_nodes = np.ascontiguousarray(nodes[1::2])
+    all_nodes = tuple(nodes.tolist())
     newton_dist = tuple(math.sqrt(d.dot(d)) for d in (b - bx for bx in b_xfer))
     # stencils are shared by every run, and fits hand out b itself
-    for arr in (nodes, inner_nodes, odd_nodes, P, P_inv, b, p_newton, *t,
-                *t_full):
+    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full):
         arr.setflags(write=False)
-    return RuleStencil(n=n, nodes=nodes, inner_nodes=inner_nodes,
-                       odd_nodes=odd_nodes, P=P, P_inv=P_inv, cond=cond,
-                       edge_nodes=tuple(nodes[[0, 1, -2, -1]].tolist()), b=b,
-                       p_newton=p_newton, t=t, t_full=t_full,
-                       abs_pi_xfer=abs_pi_xfer, newton_dist=newton_dist,
-                       b_norm=math.sqrt(b.dot(b)))
+    return RuleStencil(
+        n=n, nodes=nodes, all_nodes=all_nodes, inner_nodes=all_nodes[1:-1],
+        odd_nodes=all_nodes[1::2], P=P, P_inv=P_inv, cond=cond,
+        edge_nodes=(*all_nodes[:2], *all_nodes[-2:]), b=b, p_newton=p_newton,
+        t=t, t_full=t_full, abs_pi_xfer=abs_pi_xfer, newton_dist=newton_dist,
+        b_norm=math.sqrt(b.dot(b)))
 
 
 def downdate_newton(b_vec: np.ndarray, x_j: float) -> np.ndarray:

@@ -9,7 +9,7 @@ skip entries whose record has already left, so each costs O(log size): the
 staircase benchmark holds the heap at its cap of 200 for thousands of
 steps.  Ties go to the earliest push, 0.0 and -0.0 tie, and a NaN eps,
 which neither binary heap holds, is chosen only while its record is the
-oldest on the heap: the choices of a first-extremum scan of the column.
+oldest on the heap.
 
 Intervals whose error estimate is below the numerical noise floor
 eps_mach * |q| * cond(P), or which have become so narrow that adjacent
@@ -31,6 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from numbers import Integral
 
 import numpy as np
 
@@ -82,10 +83,21 @@ class EngineConfig:
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
+        _check_integer(heap_cap=self.heap_cap, nr_divmax=self.nr_divmax)
         if self.heap_cap < 2:
             raise ValueError("heap_cap must be at least 2")
         if self.nr_divmax < 1:
             raise ValueError("nr_divmax must be at least 1")
+        if self.max_neval is not None:
+            _check_integer(max_neval=self.max_neval)
+            if self.max_neval < 0:
+                raise ValueError("max_neval must be at least 0")
+
+
+def _check_integer(**fields) -> None:
+    for name, value in fields.items():
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -160,7 +172,6 @@ class AdaptiveState:
         top of heap, past entries of records already popped."""
         eps = self._eps
         if self._nans and math.isnan(eps[k := next(iter(eps))]):
-            # a first-extremum scan stops at a NaN only where it starts
             self._nans -= 1
         else:
             k = heappop(heap)[1]
@@ -190,6 +201,18 @@ class AdaptiveState:
 
     def heap_eps(self) -> float:
         return sum(self.eps)
+
+    def heap_eps_exceeds(self, tau: float) -> bool:
+        """heap_eps() > tau, without the sum where the largest eps decides
+        it: a float sum of terms >= 0, as every eps is or NaN, is at least
+        its largest term.  A NaN eps takes the sum, which it makes NaN."""
+        if not self._nans:
+            hi, eps = self._hi, self._eps
+            while hi and hi[0][1] not in eps:
+                heappop(hi)
+            if hi and -hi[0][0] > tau:
+                return True
+        return sum(self.eps) > tau
 
     def totals(self) -> tuple[float, float]:
         """(q, eps) over heap plus excess — the return-line sums."""

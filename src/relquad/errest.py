@@ -125,10 +125,9 @@ def refined_error(
     deriv = diff_norm / denom
 
     # The margin |P c_xfer - f| - theta1 * deriv * |pi| node by node, in
-    # the float operations numpy would apply elementwise; the matrix
-    # product stays in numpy, whose BLAS fixes its bits.
+    # floats; the matrix product stays in numpy, whose BLAS fixes its bits.
     pred = stencil.P.dot(c_parent_xfer.c).tolist()
-    f = samples.f.tolist()
+    f = samples.values
     slack = theta1 * deriv
     mask = samples.nan_mask
     # The child's first and last nodes coincide with parent nodes (endpoint

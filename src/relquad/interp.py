@@ -64,17 +64,12 @@ class CountedFunction:
 # below build them positionally, which costs half again.
 
 class SampleVector(NamedTuple):
-    """Integrand values at stencil nodes; masked entries are stored as 0."""
+    """Integrand values at stencil nodes: f with masked entries stored as 0,
+    and values, the list f was made from, with inf and NaN as evaluated."""
 
     f: np.ndarray
     nan_mask: tuple[int, ...]
-
-    def raw(self, i: int) -> float:
-        """Value for reuse at node i: NaN when masked, so that children
-        inherit the non-numeric verdict without re-evaluating."""
-        if i in self.nan_mask:
-            return float("nan")
-        return float(self.f[i])
+    values: list[float]
 
 
 class CoeffVector(NamedTuple):
@@ -93,8 +88,8 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     """Evaluate the integrand at the mapped stencil nodes it has no value
     for.
 
-    ``reuse`` holds raw values computed before (NaN where the source node
-    was masked), in one of the two nestings of the integrators:
+    ``reuse`` holds values computed before, as ``SampleVector.values`` has
+    them (inf or NaN at a masked node), in one of the two nestings:
 
     - 2 values, at nodes 0 and n: the ends of a bisection half, which are
       nodes of the interval being bisected;
@@ -112,16 +107,19 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     caller owns the floating-point error state: the integrators ignore
     numpy's warnings for the whole run, so sample does not set it.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    # floats: mid + half * x rounds as (mid + half * stencil.nodes)[i] does
+    mid = float(0.5 * (a + b))
+    half = float(0.5 * (b - a))
     fn = integrand.fn
+    f64 = np.float64
     if not reuse:
-        fresh = values = [float(fn(x)) for x in mid + half * stencil.nodes]
+        fresh = values = [float(fn(f64(mid + half * x)))
+                          for x in stencil.all_nodes]
     elif len(reuse) == 2:
-        fresh = [float(fn(x)) for x in mid + half * stencil.inner_nodes]
+        fresh = [float(fn(f64(mid + half * x))) for x in stencil.inner_nodes]
         values = [reuse[0], *fresh, reuse[1]]
     else:
-        fresh = [float(fn(x)) for x in mid + half * stencil.odd_nodes]
+        fresh = [float(fn(f64(mid + half * x))) for x in stencil.odd_nodes]
         values = [0.0] * (stencil.n + 1)
         values[::2] = reuse
         values[1::2] = fresh
@@ -130,12 +128,10 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     # a sum is finite only if every term is; a finite sum that overflows
     # takes the exact test below
     if math.isfinite(sum(values)):
-        return SampleVector(f, ())
-    bad = ~np.isfinite(f)
-    if not bad.any():
-        return SampleVector(f=f, nan_mask=())
-    f[bad] = 0.0
-    return SampleVector(f=f, nan_mask=tuple(np.flatnonzero(bad).tolist()))
+        return SampleVector(f, (), values)
+    mask = tuple(np.flatnonzero(~np.isfinite(f)).tolist())
+    f[list(mask)] = 0.0
+    return SampleVector(f, mask, values)
 
 
 def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:

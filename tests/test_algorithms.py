@@ -7,7 +7,6 @@ from relquad import algorithms
 from relquad.algorithms import (
     NaiveConfig,
     RefinedConfig,
-    _nested_reuse,
     _refined_estimate,
     _split,
     divergence_ratio_probe,
@@ -25,7 +24,6 @@ from relquad.engine import (
 )
 from relquad.interp import (
     CountedFunction,
-    SampleVector,
     TooManyNonNumeric,
     fit,
     integral,
@@ -227,20 +225,51 @@ def test_refined_even_degrees_converge(n):
     assert abs(r.q - (math.e - 1.0)) <= 1e-10
 
 
-def test_nested_reuse_matches_per_node_raw():
-    # the ladder's reused values, one tolist(), against one raw(i) per
-    # node: a list in node order, same value bytes, masked nodes NaN
+def test_ladder_reuse_of_inf_or_nan_gives_the_same_fit():
+    # a raise reuses its record's values as evaluated, so a masked node
+    # comes back as the integrand's inf or NaN: f, mask, count and fit are
+    # the same bit for bit whichever it was
     rng = np.random.default_rng(7)
     for n in (4, 8, 16):
+        st_hi = get_stencil(2 * n)
         for mask in ((), (0,), (1, n), tuple(range(0, n + 1, 3))):
-            f = rng.standard_normal(n + 1)
-            f[list(mask)] = 0.0
-            sv = SampleVector(f=f, nan_mask=mask)
-            got = _nested_reuse(sv)
-            want = [sv.raw(i) for i in range(n + 1)]
-            assert type(got) is list and len(got) == n + 1
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert all(type(v) is float for v in got)
+            base = rng.standard_normal(n + 1).tolist()
+            fresh = rng.standard_normal(n).tolist()
+            got = []
+            for bad in (math.nan, math.inf, -math.inf):
+                reuse = [bad if i in mask else v for i, v in enumerate(base)]
+                values = iter(fresh)
+                fn = CountedFunction(lambda x: next(values))
+                sv = sample(fn, 0.0, 1.0, st_hi, reuse=reuse)
+                cv = fit(sv, st_hi)
+                assert fn.count == n
+                got.append((sv.f.tobytes(), sv.nan_mask, cv.c.tobytes(),
+                            cv.eff_degree, cv.newton.tobytes()))
+            assert got[0] == got[1] == got[2]
+            assert got[0][1] == tuple(2 * i for i in mask)
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_reusing_values_as_evaluated_matches_nan_reuse(monkeypatch, alg):
+    # reused values keep the integrand's inf where a node was masked; a run
+    # fed NaN there instead gives the same result bit for bit
+    def integrand(x):
+        return x ** -0.5 + (math.inf if abs(x - 0.625) < 1e-3 else 0.0)
+
+    want = alg(integrand, 0.0, 1.0, 1e-8)
+    infs = []
+
+    def nan_reuse(fn, a, b, stencil, reuse=None, _real=algorithms.sample):
+        if reuse:
+            infs.extend(v for v in reuse if math.isinf(v))
+            reuse = [v if math.isfinite(v) else math.nan for v in reuse]
+        return _real(fn, a, b, stencil, reuse=reuse)
+
+    monkeypatch.setattr(algorithms, "sample", nan_reuse)
+    got = alg(integrand, 0.0, 1.0, 1e-8)
+    assert infs
+    assert (got.q.hex(), got.eps.hex(), got.neval, got.status) == (
+        want.q.hex(), want.eps.hex(), want.neval, want.status)
 
 
 def test_refined_rejects_nan_theta1():

@@ -154,6 +154,27 @@ def test_engine_config_validation():
         EngineConfig(tau=1e-6, nr_divmax=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", math.nan),
+    ("heap_cap", math.nan), ("heap_cap", 2.5), ("heap_cap", 200.0),
+    ("nr_divmax", math.nan), ("nr_divmax", 2.5), ("nr_divmax", math.inf),
+    ("max_neval", math.nan), ("max_neval", -5), ("max_neval", 100.0),
+    ("max_neval", math.inf),
+])
+def test_engine_config_rejects_nan_and_non_integer_limits(field, value):
+    # a NaN nr_divmax used to turn divergence detection off (x ** -1.5 on
+    # [0, 1] ran 6,801 evaluations to q = inf, eps = nan), a NaN max_neval
+    # the budget, and a heap_cap of 2.5 or NaN was taken as given
+    with pytest.raises(ValueError, match=field):
+        EngineConfig(**{"tau": 1.0, field: value})
+
+
+def test_engine_config_accepts_integer_limits():
+    cfg = EngineConfig(1.0, heap_cap=np.int64(2), nr_divmax=1, max_neval=0)
+    assert (cfg.heap_cap, cfg.nr_divmax, cfg.max_neval) == (2, 1, 0)
+    assert EngineConfig(1.0, max_neval=None).max_neval is None
+
+
 def test_status_values():
     assert Status.CONVERGED.value == "Converged"
     assert Status.TOLERANCE_NOT_MET.value == "ToleranceNotMet"
@@ -218,6 +239,44 @@ def test_heap_eps_sums_in_heap_order():
         st.push(_rec(eps=eps))
     select_worst(st)
     assert st.heap_eps() == sum(r.eps for r in st.heap)
+
+
+def test_heap_eps_exceeds_matches_the_sum():
+    # random states with stale entries of popped and evicted records, and
+    # NaN, inf, 0.0 and -0.0 among the eps; tau at, just below and just
+    # above the sum and the largest eps: the verdict of heap_eps() > tau,
+    # and a twin state that never asks makes the same choices
+    rng = np.random.default_rng(17)
+    pool = (0.0, -0.0, 1.0, 2.0, 5e-324, float("inf"), float("nan"))
+    seen = set()
+    for cap in (2, 7, 50, 200):
+        st, twin = AdaptiveState(), AdaptiveState()
+        cfg = _cfg(heap_cap=cap)
+        for k in range(1500):
+            op = rng.random()
+            if op < 0.55 or not st.heap:
+                scale = 10.0 ** int(rng.integers(-3, 4))
+                eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
+                       else float(rng.exponential()) * scale)
+                st.push(_rec(q=float(k), eps=eps))
+                twin.push(_rec(q=float(k), eps=eps))
+            elif op < 0.85:
+                assert select_worst(st).q == select_worst(twin).q
+            else:
+                enforce_heap_cap(st, cfg)
+                enforce_heap_cap(twin, cfg)
+            assert [r.q for r in st.heap] == [r.q for r in twin.heap]
+            total = st.heap_eps()
+            nan = any(math.isnan(e) for e in st.eps)
+            top = max((e for e in st.eps if not math.isnan(e)), default=0.0)
+            taus = [float(t) for v in (total, top) if 0.0 < v < math.inf
+                    for t in (v, np.nextafter(v, 0.0), np.nextafter(v, 9.0))]
+            for tau in (*taus, 1e-300, float(rng.exponential()), 1e300):
+                want = total > tau
+                assert st.heap_eps_exceeds(tau) is want
+                seen.add("nan" if nan else "largest" if top > tau
+                         else "sum" if want else "within")
+    assert seen == {"nan", "largest", "sum", "within"}
 
 
 def test_heap_matches_list_scans_at_full_scale():

@@ -253,11 +253,11 @@ def test_masked_nodes_excluded_from_pointwise_test():
                          newton=ST.b)
     f = np.zeros(11)
     f[3] = 5.0  # disagrees wildly with the parent, but only at the masked node
-    sv = SampleVector(f=f, nan_mask=(3,))
+    sv = SampleVector(f=f, nan_mask=(3,), values=f.tolist())
     est = refined_error(c_child, c_xfer, sv, parent, 0, ST, THETA1, 0.5)
     assert not est.used_fallback
     # unmasked version of the same inputs does trip it
-    sv2 = SampleVector(f=f, nan_mask=())
+    sv2 = SampleVector(f=f, nan_mask=(), values=f.tolist())
     est2 = refined_error(c_child, c_xfer, sv2, parent, 0, ST, THETA1, 0.5)
     assert est2.used_fallback
 
@@ -359,7 +359,10 @@ def _masked(sv, rng, n_max):
     mask = tuple(sorted(rng.choice(len(sv.f), size=k, replace=False).tolist()))
     f = sv.f.copy()
     f[list(mask)] = 0.0
-    return SampleVector(f=f, nan_mask=mask)
+    values = list(sv.values)
+    for i in mask:
+        values[i] = math.nan
+    return SampleVector(f=f, nan_mask=mask, values=values)
 
 
 @pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
@@ -388,7 +391,8 @@ def test_refined_error_matches_path_without_stencil_norms(n):
             if draw % 5 == 0 and free:
                 f = sv.f.copy()
                 f[rng.choice(free)] = rng.choice((np.nan, np.inf, -np.inf))
-                sv = SampleVector(f=f, nan_mask=sv.nan_mask)
+                sv = SampleVector(f=f, nan_mask=sv.nan_mask,
+                                  values=f.tolist())
             c_xfer = transfer_to_child(parent, side, st)
             theta1 = float(rng.uniform(1.0, 3.0))
             h = float(rng.uniform(1e-6, 4.0))

@@ -36,8 +36,10 @@ def test_sample_masks_nonnumeric_at_left_endpoint():
         sv = sample(fn, 0.0, 1.0, st)
     assert sv.nan_mask == (4,)
     assert sv.f[4] == 0.0
-    assert np.isnan(sv.raw(4))
-    assert sv.raw(0) == pytest.approx(np.sin(1.0))
+    # values keeps the NaN as evaluated, and f's bytes elsewhere
+    assert type(sv.values) is list and np.isnan(sv.values[4])
+    assert np.array(sv.values[:4]).tobytes() == sv.f[:4].tobytes()
+    assert sv.values[0] == pytest.approx(np.sin(1.0))
     assert fn.count == 5  # the bad node still costs one evaluation
 
 
@@ -48,13 +50,13 @@ def test_sample_reuse_skips_counter():
     fn = CountedFunction(np.exp)
     sv4 = sample(fn, 0.25, 0.75, st4)
     assert fn.count == 5
-    reuse = [sv4.raw(i) for i in range(5)]
-    sv8 = sample(fn, 0.25, 0.75, st8, reuse=reuse)
+    sv8 = sample(fn, 0.25, 0.75, st8, reuse=sv4.values)
     assert fn.count == 9
     # reused entries are bitwise identical to the originals
-    np.testing.assert_array_equal(sv8.f[::2], sv4.f)
+    assert sv8.f[::2].tobytes() == sv4.f.tobytes()
+    assert sv8.values[::2] == sv4.values
     # a bisection half reuses its two ends: 3 fresh evaluations at n = 4
-    sv_half = sample(fn, 0.25, 0.5, st4, reuse=(sv4.raw(2), sv4.raw(4)))
+    sv_half = sample(fn, 0.25, 0.5, st4, reuse=(sv4.values[2], sv4.values[4]))
     assert fn.count == 12
     assert (sv_half.f[0], sv_half.f[4]) == (sv4.f[2], sv4.f[4])
 
@@ -65,16 +67,39 @@ def test_sample_reuse_propagates_nan_without_eval():
     with np.errstate(all="ignore"):
         sv = sample(fn, 0.0, 1.0, st)
     assert sv.nan_mask == (4,)
+    assert sv.values[4] == math.inf  # 1/0 as evaluated, not a NaN
     # a child reusing the masked endpoint inherits the mask for free
     fn2 = CountedFunction(lambda x: 1.0 / x)
-    sv2 = sample(fn2, 0.0, 0.5, st, reuse=(sv.raw(2), sv.raw(4)))
+    sv2 = sample(fn2, 0.0, 0.5, st, reuse=(sv.values[2], sv.values[4]))
     assert fn2.count == 3
     assert 4 in sv2.nan_mask
     # so does the raised rule on the same interval, at its node 8
     st8 = get_stencil(8)
-    sv8 = sample(fn2, 0.0, 1.0, st8, reuse=[sv.raw(i) for i in range(5)])
+    sv8 = sample(fn2, 0.0, 1.0, st8, reuse=sv.values)
     assert fn2.count == 7
     assert 8 in sv8.nan_mask
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_sample_remasks_reused_nonnumeric_values_without_eval(bad):
+    # a reused NaN and a reused inf of either sign are masked again like a
+    # fresh one, are not evaluated and do not move the count; f holds 0.0
+    # there and values the value as reused
+    st4, st8 = get_stencil(4), get_stencil(8)
+    for st, reuse, masked in (
+            (st4, (bad, 1.0), (0,)),
+            (st4, [2.0, bad], (4,)),
+            (st8, [bad, 1.0, bad, 3.0, 4.0], (0, 4)),
+            (st8, (0.0, 1.0, 2.0, 3.0, bad), (8,))):
+        seen = []
+        fn = CountedFunction(lambda x: seen.append(x) or 7.0)
+        sv = sample(fn, 0.0, 1.0, st, reuse=reuse)
+        assert sv.nan_mask == masked
+        assert fn.count == len(seen) == st.n + 1 - len(reuse)
+        assert all(sv.f[i] == 0.0 for i in masked)
+        want = np.array(reuse, dtype=float).tobytes()
+        got = (sv.values[::st.n] if len(reuse) == 2 else sv.values[::2])
+        assert np.array(got).tobytes() == want
 
 
 def test_fit_reproduces_basis_function():
@@ -248,17 +273,19 @@ def _sample_per_node(integrand, a, b, stencil, reuse=None):
     half = 0.5 * (b - a)
     f = np.zeros(stencil.n + 1)
     mask = []
+    values = []
     with np.errstate(all="ignore"):
         for i, x in enumerate(stencil.nodes):
             if reuse is not None and i in reuse:
                 v = reuse[i]
             else:
                 v = integrand(mid + half * x)
+            values.append(v)
             if np.isfinite(v):
                 f[i] = v
             else:
                 mask.append(i)
-    return SampleVector(f=f, nan_mask=tuple(mask))
+    return SampleVector(f=f, nan_mask=tuple(mask), values=values)
 
 
 def _reuse_by_index(reuse, n):
@@ -304,9 +331,61 @@ def test_sample_matches_per_node_loop(n):
                                 reuse=_reuse_by_index(reuse, n))
         assert got.f.tobytes() == want.f.tobytes()
         assert got.nan_mask == want.nan_mask
+        assert type(got.values) is list
+        assert all(type(v) is float for v in got.values)
+        assert (np.array(got.values).tobytes()
+                == np.array(want.values).tobytes())
         assert fn.count == fn_ref.count == n + 1 - len(reuse or ())
         assert np.array(seen).tobytes() == np.array(seen_ref).tobytes()
         assert all(type(x) is np.float64 for x in seen)
+
+
+# (a, b) pairs for the node contract: 1e-9 wide, |a| near 1e300, subnormal
+# widths, and bounds given as numpy scalars
+_CONTRACT_INTERVALS = (
+    (0.0, 1.0), (-1.0, 1.0), (0.3, 0.3 + 1e-9), (-1.7, -1.7 + 1e-9),
+    (1e300, 1.5e300), (-1.2e300, -1e300), (-1e300, 1e300),
+    (1e300, 1e300 + 2.0 ** 960), (0.0, 7 * 5e-324), (1e-310, 1e-310 + 2e-322),
+    (-3e-320, 2e-320), (np.float64(0.1), np.float64(0.7)),
+    (np.float32(0.1), np.float32(0.7)),
+)
+
+
+@pytest.mark.parametrize("n", (2, 4, 8, 10, 16, 32))
+def test_sample_node_contract(n):
+    # for each reuse shape (none, an end pair, the even nodes) the integrand
+    # gets a new np.float64 per fresh node, in ascending index order, equal
+    # bit for bit to that element of the array (mid + half * stencil.nodes)
+    st = get_stencil(n)
+    shapes = ((None, range(n + 1)), ((1.0, 2.0), range(1, n)),
+              ([1.0] * (n // 2 + 1), range(1, n, 2)))
+    for a, b in _CONTRACT_INTERVALS:
+        xs = (0.5 * (a + b) + 0.5 * (b - a) * st.nodes)
+        assert xs.dtype == np.float64
+        for reuse, fresh in shapes:
+            seen = []
+            sample(CountedFunction(lambda x: seen.append(x) or 1.0), a, b, st,
+                   reuse=reuse)
+            assert [type(x) for x in seen] == [np.float64] * len(fresh)
+            assert len({id(x) for x in seen}) == len(seen)
+            assert np.array(seen).tobytes() == xs[list(fresh)].tobytes()
+
+
+@pytest.mark.parametrize("n", (2, 4, 10, 16))
+def test_sample_pole_at_a_fresh_node_is_masked(n):
+    # 1.0 / x at the node x = 0 gives inf on an np.float64 and is masked,
+    # for every reuse shape that evaluates that node
+    st = get_stencil(n)
+    mid = n // 2
+    shapes = [None, (1.0, 1.0)]
+    if mid % 2:
+        shapes.append([1.0] * (n // 2 + 1))
+    for reuse in shapes:
+        with np.errstate(all="ignore"):
+            sv = sample(CountedFunction(lambda x: 1.0 / x), -1.0, 1.0, st,
+                        reuse=reuse)
+        assert sv.nan_mask == (mid,)
+        assert sv.values[mid] == math.inf and sv.f[mid] == 0.0
 
 
 def test_sample_end_pair_is_the_even_nodes_at_degree_two():
@@ -388,7 +467,7 @@ def test_fit_matches_downdate_path(n):
         k = 0 if trial % 2 else int(rng.integers(0, 3))
         mask = tuple(sorted(rng.choice(n + 1, size=k, replace=False).tolist()))
         f[list(mask)] = 0.0
-        sv = SampleVector(f=f, nan_mask=mask)
+        sv = SampleVector(f=f, nan_mask=mask, values=f.tolist())
         got, want = fit(sv, st), _fit_by_downdate(sv, st)
         assert got.c.tobytes() == want.c.tobytes()
         assert (got.eff_degree, got.stencil_n) == (want.eff_degree,
@@ -410,7 +489,7 @@ def test_dot_products_equal_matmul_expressions(n):
         k = 0 if trial % 2 else int(rng.integers(1, 3))
         mask = tuple(sorted(rng.choice(n + 1, size=k, replace=False).tolist()))
         f[list(mask)] = 0.0
-        sv = SampleVector(f=f, nan_mask=mask)
+        sv = SampleVector(f=f, nan_mask=mask, values=f.tolist())
         cv = fit(sv, st)
         # fit: P_inv.dot(f) is the first step of the reference's P_inv @ f
         assert cv.c.tobytes() == _fit_by_downdate(sv, st).c.tobytes()
