@@ -139,40 +139,49 @@ def _unordered(integrator, integrand, a: float, b: float, tau: float,
     return replace(res, q=-res.q)
 
 
-def _drive(fn: CountedFunction, root: IntervalRecord, tau: float,
-           ecfg: EngineConfig, refine) -> QuadResult:
-    """Refine the worst interval until the heap's error is within tau, the
+def _drive(fn: CountedFunction, start, tau: float, ecfg: EngineConfig,
+           refine) -> QuadResult:
+    """Fit the start-up interval, ``start()`` returning its record, then
+    refine the worst interval until the heap's error is within tau, the
     budget is spent or a chain diverges.  ``refine(state, rec)`` pushes the
-    refinement of the popped record rec: all the two integrators differ in.
+    refinement of the popped record rec.  These two are all the two
+    integrators differ in.
 
-    A refinement that meets a fit with too few numeric values, or a
-    divergence verdict, pushes nothing; rec is then retired into excess
-    with its own q and eps.  The run then cannot return Converged, and on
-    a verdict it stops at once with Divergent."""
-    state = AdaptiveState()
-    state.push(root)
-    status = None
-    nonnumeric = False
-    while state.heap_eps_exceeds(tau):
-        if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
-            status = Status.TOLERANCE_NOT_MET
-            break
-        rec = select_worst(state)
-        if should_drop(rec, get_stencil(rec.coeffs.stencil_n), ecfg):
-            accumulate_excess(state, rec)
-            continue
+    A start-up fit with too few numeric values ends the run at once with
+    q = 0, eps = inf and ToleranceNotMet.  A refinement that meets such a
+    fit, or a divergence verdict, pushes nothing; rec is then retired into
+    excess with its own q and eps.  The run then cannot return Converged,
+    and on a verdict it stops at once with Divergent."""
+    with np.errstate(all="ignore"):  # for the whole run: see sample
         try:
-            refine(state, rec)
+            root = start()
         except TooManyNonNumeric:
-            accumulate_excess(state, rec)
-            nonnumeric = True
-            continue
-        except DivergentIntegral:
-            accumulate_excess(state, rec)
-            status = Status.DIVERGENT
-            break
-        enforce_heap_cap(state, ecfg)
-    q, eps = state.totals()
+            return QuadResult(q=0.0, eps=math.inf, neval=fn.count,
+                              status=Status.TOLERANCE_NOT_MET)
+        state = AdaptiveState()
+        state.push(root)
+        status = None
+        nonnumeric = False
+        while state.heap_eps_exceeds(tau):
+            if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
+                status = Status.TOLERANCE_NOT_MET
+                break
+            rec = select_worst(state)
+            if should_drop(rec, get_stencil(rec.coeffs.stencil_n), ecfg):
+                accumulate_excess(state, rec)
+                continue
+            try:
+                refine(state, rec)
+            except TooManyNonNumeric:
+                accumulate_excess(state, rec)
+                nonnumeric = True
+                continue
+            except DivergentIntegral:
+                accumulate_excess(state, rec)
+                status = Status.DIVERGENT
+                break
+            enforce_heap_cap(state, ecfg)
+        q, eps = state.totals()
     if status is None:
         status = (Status.CONVERGED if eps <= tau and not nonnumeric
                   else Status.TOLERANCE_NOT_MET)
@@ -267,17 +276,18 @@ def int_naive(integrand, a: float, b: float, tau: float,
                 return
         _split(state, fn, rec, st0, ecfg, _naive_estimate)
 
-    with np.errstate(all="ignore"):  # for the whole run: see sample
+    def start() -> IntervalRecord:
         sv = sample(fn, a, b, st_top)
         c_top = fit(sv, st_top)
         # the lower rule's nodes are the even-indexed ones (Chebyshev nesting)
         c_lo = fit(SampleVector(sv.f[::2].copy(), tuple(
             i // 2 for i in sv.nan_mask if i % 2 == 0), sv.values[::2]), st_lo)
         q0 = integral(c_top, a, b)
-        root = IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
+        return IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
                               eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
                               q_base=q0, samples=sv)
-        return _drive(fn, root, tau, ecfg, refine)
+
+    return _drive(fn, start, tau, ecfg, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +310,15 @@ def int_refined(integrand, a: float, b: float, tau: float,
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
         _split(state, fn, rec, st, ecfg, estimate)
 
-    with np.errstate(all="ignore"):  # for the whole run: see sample
+    def start() -> IntervalRecord:
         sv = sample(fn, a, b, st)
         cv = fit(sv, st)
         q0 = integral(cv, a, b)
-        root = IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0,
+        return IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0,
                               samples=sv,
                               eps=float(np.finfo(float).max))  # force a split
-        return _drive(fn, root, tau, ecfg, refine)
+
+    return _drive(fn, start, tau, ecfg, refine)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "get_stencil",
     "legendre_values",
     "eval_series",
+    "newton_terms",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
@@ -183,15 +184,12 @@ class RuleStencil:
     t_full       The same transforms at size (n+2), needed to transfer the
                  degree-(n+1) Newton vector during error estimation.
 
-    The refined error estimate's inputs that depend on no data, for a child
-    and a parent that are both unmasked (Newton vectors b), in the
-    expressions it would evaluate.  b_xfer = 2^(n+1) * t_full.dot(b) is b
-    moved onto the half-interval, monic in its coordinates, and
-    pi_xfer = p_newton.dot(b_xfer) its values at the nodes:
+    The refined error estimate's ``newton_terms`` of a child and a parent
+    that are both unmasked, whose Newton vectors are both b:
 
-    abs_pi_xfer  np.abs(pi_xfer).tolist(), per side, as a tuple of floats.
-    newton_dist  math.sqrt(d.dot(d)) with d = b - b_xfer, per side.
-    b_norm       math.sqrt(b.dot(b)).
+    abs_pi_xfer  abs_pi per side, as a tuple of floats.
+    newton_dist  denom per side.
+    b_norm       b_norm.
     """
 
     n: int
@@ -228,12 +226,9 @@ def build_stencil(n: int) -> RuleStencil:
         raise StencilBuildError(f"cond(P) = {cond:.1f} >= 1000 for n={n}")
     b = _newton_vector(nodes)
     t_full = tuple(_bisection_transform(n + 2, sign) for sign in (-1.0, 1.0))
-    b_xfer = tuple(2.0 ** (n + 1) * tf.dot(b) for tf in t_full)
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
-    abs_pi_xfer = tuple(tuple(np.abs(p_newton.dot(bx)).tolist())
-                        for bx in b_xfer)
+    terms = [newton_terms(tf, p_newton, b, b, n) for tf in t_full]
     all_nodes = tuple(nodes.tolist())
-    newton_dist = tuple(math.sqrt(d.dot(d)) for d in (b - bx for bx in b_xfer))
     # stencils are shared by every run, and fits hand out b itself
     for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full):
         arr.setflags(write=False)
@@ -241,8 +236,29 @@ def build_stencil(n: int) -> RuleStencil:
         n=n, nodes=nodes, all_nodes=all_nodes, inner_nodes=all_nodes[1:-1],
         odd_nodes=all_nodes[1::2], P=P, P_inv=P_inv, cond=cond,
         edge_nodes=(*all_nodes[:2], *all_nodes[-2:]), b=b, p_newton=p_newton,
-        t=t, t_full=t_full, abs_pi_xfer=abs_pi_xfer, newton_dist=newton_dist,
-        b_norm=math.sqrt(b.dot(b)))
+        t=t, t_full=t_full,
+        abs_pi_xfer=tuple(tuple(abs_pi) for abs_pi, _, _ in terms),
+        newton_dist=tuple(denom for _, denom, _ in terms), b_norm=terms[0][2])
+
+
+def newton_terms(t_full: np.ndarray, p_newton: np.ndarray,
+                 b_child: np.ndarray, b_parent: np.ndarray,
+                 deg_parent: int) -> tuple[list[float], float, float]:
+    """The Newton terms of the refined error estimate: (abs_pi, denom,
+    b_norm) of a child with Newton vector b_child, of a parent of degree
+    deg_parent with Newton vector b_parent, on the side whose size-(n+2)
+    transform is t_full.
+
+    b_xfer = 2^(deg_parent+1) * t_full.dot(b_parent) is the parent's Newton
+    polynomial moved onto the child, monic in child coordinates like the
+    child's own.  abs_pi lists that polynomial's absolute values at the
+    nodes (p_newton's rows), denom is the 2-norm of b_child - b_xfer and
+    b_norm that of b_child.
+    """
+    b_xfer = 2.0 ** (deg_parent + 1) * t_full.dot(b_parent)
+    d = b_child - b_xfer
+    return (np.abs(p_newton.dot(b_xfer)).tolist(), math.sqrt(d.dot(d)),
+            math.sqrt(b_child.dot(b_child)))
 
 
 def downdate_newton(b_vec: np.ndarray, x_j: float) -> np.ndarray:

@@ -4,12 +4,12 @@
 The "heap" holds the refinable records in insertion order, each under the
 number of its push, with a parallel column ``eps`` of their error
 estimates; the total error is ``sum(eps)`` in that order.  Selection and
-eviction pop lazy binary heaps of (-eps, number) and (eps, number), which
-skip entries whose record has already left, so each costs O(log size): the
-staircase benchmark holds the heap at its cap of 200 for thousands of
-steps.  Ties go to the earliest push, 0.0 and -0.0 tie, and a NaN eps,
-which neither binary heap holds, is chosen only while its record is the
-oldest on the heap.
+eviction take from the two ends of one ascending list of (eps, -number)
+of the records whose eps is not NaN: its last entry is the largest eps,
+pushed earliest among ties, and the earliest push among the smallest is
+found by bisection.  A push is an insertion into that sorted list.  0.0
+and -0.0 tie, and a NaN eps, which the list does not hold, is chosen only
+while its record is the oldest on the heap.
 
 Intervals whose error estimate is below the numerical noise floor
 eps_mach * |q| * cond(P), or which have become so narrow that adjacent
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from numbers import Integral
 
 import numpy as np
@@ -126,30 +126,21 @@ class DivergentIntegral(RuntimeError):
     converging; the driver retires the interval being bisected and stops."""
 
 
-# A binary heap is rebuilt from the live records once a pop leaves it
-# holding more than twice their number plus this many entries, so that the
-# entries of popped records cost O(live) memory on a run of any length.
-HEAP_SLACK = 64
-
-
 class AdaptiveState:
     """heap holds the refinable records in insertion order, and eps their
     error estimates in the same order (live views).  A record's eps must
     not change while it is on the heap."""
 
-    __slots__ = ("_recs", "_eps", "_hi", "_lo", "_pushes", "_nans", "heap",
-                 "eps", "excess_q", "excess_eps")
+    __slots__ = ("_recs", "_eps", "_order", "_pushes", "heap", "eps",
+                 "excess_q", "excess_eps")
 
     def __init__(self) -> None:
         # push number -> record, and -> its eps
         self._recs: dict[int, IntervalRecord] = {}
         self._eps: dict[int, float] = {}
-        # (-eps, number) and (eps, number) of non-NaN records, with stale
-        # entries of records already popped
-        self._hi: list[tuple[float, int]] = []
-        self._lo: list[tuple[float, int]] = []
+        # (eps, -number) of the records whose eps is not NaN, ascending
+        self._order: list[tuple[float, int]] = []
         self._pushes = 0
-        self._nans = 0
         self.heap = self._recs.values()
         self.eps = self._eps.values()
         self.excess_q = 0.0
@@ -161,43 +152,25 @@ class AdaptiveState:
         e = rec.eps
         self._recs[k] = rec
         self._eps[k] = e
-        if math.isnan(e):
-            self._nans += 1
-        else:
-            heappush(self._hi, (-e, k))
-            heappush(self._lo, (e, k))
+        if not math.isnan(e):
+            insort(self._order, (e, -k))
 
-    def _take(self, heap: list[tuple[float, int]]) -> IntervalRecord:
-        """Pop the oldest record if its eps is NaN, else the record at the
-        top of heap, past entries of records already popped."""
-        eps = self._eps
-        if self._nans and math.isnan(eps[k := next(iter(eps))]):
-            self._nans -= 1
-        else:
-            k = heappop(heap)[1]
-            while k not in eps:
-                k = heappop(heap)[1]
+    def _take(self, smallest: bool) -> IntervalRecord:
+        """Pop the oldest record if its eps is NaN, else the earliest push
+        among the smallest or the largest eps."""
+        eps, order = self._eps, self._order
+        if len(eps) == len(order) or not math.isnan(eps[k := next(iter(eps))]):
+            # -number < 1: the entries before (smallest eps, 1) are its ties
+            i = bisect_left(order, (order[0][0], 1)) - 1 if smallest else -1
+            k = -order.pop(i)[1]
         del eps[k]
-        limit = 2 * len(eps) + HEAP_SLACK
-        if len(self._hi) > limit:
-            self._hi = self._entries(-1.0)
-        if len(self._lo) > limit:
-            self._lo = self._entries(1.0)
         return self._recs.pop(k)
 
-    def _entries(self, sign: float) -> list[tuple[float, int]]:
-        """A fresh binary heap of (sign * eps, number) of the live non-NaN
-        records."""
-        heap = [(sign * e, k) for k, e in self._eps.items()
-                if not math.isnan(e)]
-        heapify(heap)
-        return heap
-
     def pop_largest(self) -> IntervalRecord:
-        return self._take(self._hi)
+        return self._take(False)
 
     def pop_smallest(self) -> IntervalRecord:
-        return self._take(self._lo)
+        return self._take(True)
 
     def heap_eps(self) -> float:
         return sum(self.eps)
@@ -206,12 +179,9 @@ class AdaptiveState:
         """heap_eps() > tau, without the sum where the largest eps decides
         it: a float sum of terms >= 0, as every eps is or NaN, is at least
         its largest term.  A NaN eps takes the sum, which it makes NaN."""
-        if not self._nans:
-            hi, eps = self._hi, self._eps
-            while hi and hi[0][1] not in eps:
-                heappop(hi)
-            if hi and -hi[0][0] > tau:
-                return True
+        order = self._order
+        if order and len(order) == len(self._eps) and order[-1][0] > tau:
+            return True
         return sum(self.eps) > tau
 
     def totals(self) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from relquad.basis import RuleStencil
+from relquad.basis import RuleStencil, newton_terms
 from relquad.interp import CoeffVector, SampleVector
 
 __all__ = ["RefinedEstimate", "norm", "naive_error", "refined_error"]
@@ -61,13 +61,11 @@ def norm(v: np.ndarray) -> float:
 
 
 class RefinedEstimate(NamedTuple):
-    """eps: the error estimate; deriv_scale: extracted higher-derivative
-    proxy; used_fallback: true when the smoothness test failed and the
-    difference norm was used instead of the derivative model.  Built
-    positionally: it is made once per refined child."""
+    """eps: the error estimate; used_fallback: true when the smoothness
+    test failed and the difference norm was used instead of the derivative
+    model.  Built positionally: it is made once per refined child."""
 
     eps: float
-    deriv_scale: float
     used_fallback: bool
 
 
@@ -101,10 +99,9 @@ def refined_error(
     c_child and samples are the child's fit and values at stencil's nodes;
     parent is the fit, at the same stencil, of the interval the child halves
     on side 0 (left) or 1 (right), and c_parent_xfer that fit moved onto the
-    child.  When neither fit is masked, the Newton terms, which then depend
-    on no data, are read from the stencil.  Otherwise the parent's Newton
-    vector is moved likewise and scaled by 2**(deg+1), monic in child
-    coordinates like the child's own.
+    child.  The Newton terms are ``basis.newton_terms`` of the two fits'
+    Newton vectors; when neither fit is masked they depend on no data, and
+    are read from the stencil, which holds them for that case.
     """
     b_child = c_child.newton
     diff_norm = norm(c_child.c - c_parent_xfer.c)
@@ -114,14 +111,11 @@ def refined_error(
         denom = stencil.newton_dist[side]
         b_norm = stencil.b_norm
     else:
-        b_xfer = 2.0 ** (parent.eff_degree + 1) * stencil.t_full[side].dot(
-            parent.newton)
-        abs_pi = np.abs(stencil.p_newton.dot(b_xfer)).tolist()
-        d = b_child - b_xfer
-        denom = math.sqrt(d.dot(d))
-        b_norm = math.sqrt(b_child.dot(b_child))
+        abs_pi, denom, b_norm = newton_terms(
+            stencil.t_full[side], stencil.p_newton, b_child, parent.newton,
+            parent.eff_degree)
     if denom < _DEGENERATE_DENOM:
-        return RefinedEstimate(halfwidth * diff_norm, float("inf"), True)
+        return RefinedEstimate(halfwidth * diff_norm, True)
     deriv = diff_norm / denom
 
     # The margin |P c_xfer - f| - theta1 * deriv * |pi| node by node, in
@@ -149,5 +143,5 @@ def refined_error(
             fallback = False
             break
     if fallback:
-        return RefinedEstimate(halfwidth * diff_norm, deriv, True)
-    return RefinedEstimate(halfwidth * deriv * b_norm, deriv, False)
+        return RefinedEstimate(halfwidth * diff_norm, True)
+    return RefinedEstimate(halfwidth * deriv * b_norm, False)

@@ -5,7 +5,6 @@ import pytest
 
 from relquad.basis import get_stencil
 from relquad.engine import (
-    HEAP_SLACK,
     AdaptiveState,
     DivergentIntegral,
     EngineConfig,
@@ -242,10 +241,10 @@ def test_heap_eps_sums_in_heap_order():
 
 
 def test_heap_eps_exceeds_matches_the_sum():
-    # random states with stale entries of popped and evicted records, and
-    # NaN, inf, 0.0 and -0.0 among the eps; tau at, just below and just
-    # above the sum and the largest eps: the verdict of heap_eps() > tau,
-    # and a twin state that never asks makes the same choices
+    # random states after pops and evictions, with NaN, inf, 0.0 and -0.0
+    # among the eps; tau at, just below and just above the sum and the
+    # largest eps: the verdict of heap_eps() > tau, and a twin state that
+    # never asks makes the same choices
     rng = np.random.default_rng(17)
     pool = (0.0, -0.0, 1.0, 2.0, 5e-324, float("inf"), float("nan"))
     seen = set()
@@ -313,21 +312,32 @@ def test_heap_matches_list_scans_at_full_scale():
             assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
 
 
-def test_heap_memory_stays_linear_in_live_records():
-    # each cycle pops the worst record and evicts the best: stale entries
-    # pile up in both binary heaps until they are rebuilt
+def test_order_holds_exactly_the_live_numeric_records_sorted():
+    # after every push, selection and eviction the sorted column is
+    # (eps, -push number) of the records on the heap whose eps is not NaN,
+    # ascending, with the bits of each eps: nothing stale, nothing missing
     rng = np.random.default_rng(5)
-    cv = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10)
-    cfg = _cfg(heap_cap=200)
-    st = AdaptiveState()
-    for eps in rng.random(100_000 * 2).tolist():
-        st.push(IntervalRecord(0.0, 1.0, cv, 0.0, eps, 0.0))
-        if len(st.heap) > 200:
-            select_worst(st)
-            enforce_heap_cap(st, cfg)
-        for heap in (st._hi, st._lo):
-            assert len(heap) <= 2 * len(st.eps) + HEAP_SLACK
-    assert len(st.heap) == 200
+    pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"), float("nan"))
+    for cap in (2, 3, 7, 50, 200):
+        st = AdaptiveState()
+        pushes = 0
+        cfg = _cfg(heap_cap=cap)
+        for _ in range(2000):
+            op = rng.random()
+            if op < 0.6 or not st.heap:
+                eps = (pool[rng.integers(len(pool))] if rng.random() < 0.4
+                       else float(rng.exponential()))
+                # each record carries its push number as its q
+                st.push(_rec(q=float(pushes), eps=eps))
+                pushes += 1
+            elif op < 0.85:
+                select_worst(st)
+            else:
+                enforce_heap_cap(st, cfg)
+            want = sorted((r.eps, -int(r.q)) for r in st.heap
+                          if not math.isnan(r.eps))
+            assert ([(e.hex(), k) for e, k in st._order]
+                    == [(e.hex(), k) for e, k in want])
 
 
 def _drop_by_float64(rec, stencil):

@@ -104,20 +104,23 @@ def test_refined_zero_for_low_degree_polynomial():
     c_true = rng.standard_normal(8)
     fn = lambda x: float(legendre_values(7, np.array([x]))[0] @ c_true)
     est = _split_estimate(fn, -1.0, 1.0, 0)
-    assert est.deriv_scale < 1e-11
+    # on the model path eps = h * deriv * ||b||: the extracted derivative
+    assert est.eps / (1.0 * ST.b_norm) < 1e-11
     assert est.eps < 1e-12
 
 
 def test_refined_constant_high_derivative_both_children():
-    # f = x^11 has constant 11th derivative: the extracted proxy must agree
-    # between children to high relative accuracy and the test must pass
+    # f = x^11 has constant 11th derivative: the extracted proxy, which on
+    # the model path is eps / (h * ||b||), must agree between children to
+    # high relative accuracy and the test must pass
     left = _split_estimate(lambda x: x ** 11, -1.0, 1.0, 0)
     right = _split_estimate(lambda x: x ** 11, -1.0, 1.0, 1)
     assert not left.used_fallback and not right.used_fallback
-    np.testing.assert_allclose(left.deriv_scale, right.deriv_scale, rtol=1e-10)
+    np.testing.assert_allclose(left.eps, right.eps, rtol=1e-10)
     # the proxy measures the derivative in child reference coordinates:
     # d^11/dt^11 of ((t-1)/2)^11 / 11! = 2^-11
-    np.testing.assert_allclose(left.deriv_scale, 2.0 ** -11, rtol=1e-9)
+    np.testing.assert_allclose(left.eps / (1.0 * ST.b_norm), 2.0 ** -11,
+                               rtol=1e-9)
 
 
 def test_refined_step_triggers_fallback():
@@ -224,7 +227,6 @@ def test_refined_no_negative_or_nan_eps():
         for side in (0, 1):
             est = _split_estimate(fn, a, b, side)
             assert np.isfinite(est.eps) and est.eps >= 0.0
-            assert est.deriv_scale >= 0.0
 
 
 def test_degenerate_denominator_falls_back():
@@ -237,8 +239,8 @@ def test_degenerate_denominator_falls_back():
                          newton=ST.b)
     est = refined_error(c1, c2, sv, parent, 0, ST, THETA1, 0.5)
     assert est.used_fallback
-    np.testing.assert_allclose(est.eps, 0.5 * 1.0, rtol=1e-15)
-    assert est.deriv_scale == float("inf")
+    # the difference norm, without the extracted derivative
+    assert est.eps == 0.5 * norm(c1.c - c2.c) == 0.5
 
 
 def test_masked_nodes_excluded_from_pointwise_test():
@@ -272,7 +274,7 @@ def _refined_error_by_deletion(c_child, c_parent_xfer, b_stencil,
     diff_norm = float(np.linalg.norm(c_child.c - c_parent_xfer.c))
     denom = float(np.linalg.norm(b_stencil - b_parent_xfer_scaled))
     if denom < 1e-300:
-        return (halfwidth * diff_norm, float("inf"), True)
+        return (halfwidth * diff_norm, True)
     deriv = diff_norm / denom
     resid = np.abs(parent_pred_at_child_nodes - f_at_child_nodes.f)
     slack = theta1 * deriv * np.abs(parent_newton_pred_at_child_nodes)
@@ -281,8 +283,8 @@ def _refined_error_by_deletion(c_child, c_parent_xfer, b_stencil,
     skip.update((0, margin.size - 1))
     margin = np.delete(margin, sorted(skip))
     if margin.size and margin.max() > 0.0:
-        return (halfwidth * diff_norm, deriv, True)
-    return (halfwidth * deriv * float(np.linalg.norm(b_stencil)), deriv, False)
+        return (halfwidth * diff_norm, True)
+    return (halfwidth * deriv * float(np.linalg.norm(b_stencil)), False)
 
 
 @pytest.mark.parametrize("n", (4, 10, 16))
@@ -310,7 +312,7 @@ def test_refined_error_matches_deletion_path(n):
                     est = refined_error(cv, c_xfer, sv, cv_par, side, st,
                                         THETA1, 0.5 * (b - a))
                     verdicts.add(est.used_fallback)
-                    assert ((est.eps, est.deriv_scale, est.used_fallback)
+                    assert ((est.eps, est.used_fallback)
                             == _refined_error_by_deletion(
                                 cv, c_xfer, cv.newton, b_xfer, sv,
                                 st.P @ c_xfer.c, st.p_newton @ b_xfer, THETA1,
@@ -323,7 +325,7 @@ def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
                                          halfwidth):
     """refined_error as it was written before the stencil held |pi_xfer|,
     the Newton distance and ||b||, with .max() as the margin test: the
-    reference for its fast path.  Returns (eps, deriv_scale, fallback)."""
+    reference for its fast path.  Returns (eps, fallback)."""
     if parent.eff_degree < stencil.n:
         b_xfer = 2.0 ** (parent.eff_degree + 1) * (
             stencil.t_full[side] @ parent.newton)
@@ -336,7 +338,7 @@ def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
     d = b_child - b_xfer
     denom = math.sqrt(d.dot(d))
     if denom < 1e-300:
-        return (halfwidth * diff_norm, float("inf"), True)
+        return (halfwidth * diff_norm, True)
     deriv = diff_norm / denom
     resid = np.abs(stencil.P @ c_parent_xfer.c - samples.f)
     slack = theta1 * deriv * np.abs(pi_xfer)
@@ -348,9 +350,9 @@ def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
     else:
         margin = margin[1:-1]
     if margin.size and margin.max() > 0.0:
-        return (halfwidth * diff_norm, deriv, True)
+        return (halfwidth * diff_norm, True)
     eps = halfwidth * deriv * math.sqrt(b_child.dot(b_child))
-    return (eps, deriv, False)
+    return (eps, False)
 
 
 def _masked(sv, rng, n_max):
@@ -399,8 +401,8 @@ def test_refined_error_matches_path_without_stencil_norms(n):
             got = refined_error(cv, c_xfer, sv, parent, side, st, theta1, h)
             want = _refined_error_without_stencil_norms(
                 cv, c_xfer, sv, parent, side, st, theta1, h)
-            assert (got.eps.hex(), got.deriv_scale.hex(), got.used_fallback) \
-                == (want[0].hex(), want[1].hex(), want[2])
+            assert (got.eps.hex(), got.used_fallback) \
+                == (want[0].hex(), want[1])
             margin = np.abs(st.P @ c_xfer.c - sv.f)
             seen.add(("fast" if cv.newton is st.b
                       and parent.eff_degree == n else "masked",
