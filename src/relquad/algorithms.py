@@ -5,12 +5,12 @@
 fit and a refinement step, and both bisect an interval with ``_split``.
 
 ``int_naive`` is doubly adaptive: every interval carries a rule degree from
-the ladder n0, 2*n0, ..., n0*2^d_max (default 4/8/16/32) and the worst
-interval first exhausts the ladder — reusing nested node values — before it
-is bisected back to the lowest degree.  Its error estimate is the
-coefficient distance between consecutive fits.
+the ladder 4/8/16/32 and the worst interval first exhausts the ladder —
+reusing nested node values — before it is bisected back to the lowest
+degree.  Its error estimate is the coefficient distance between consecutive
+fits.
 
-``int_refined`` works at a single degree (default 10) and bisects
+``int_refined`` works at the single degree 10 and bisects
 immediately, but models the actual interpolation error: it extracts a proxy
 for the (n+1)st derivative from the change in coefficients relative to the
 change in Newton polynomials, validates the smoothness assumption pointwise,
@@ -26,6 +26,8 @@ All three return a ``QuadResult`` whose eps is the total (heap + excess)
 error estimate and whose status reports Converged / ToleranceNotMet /
 Divergent honestly; NaN/Inf integrand values are data (masked and downdated
 away), never propagated into q or eps by the two coefficient-based methods.
+Finite values near the largest float are the exception: they overflow the
+fit, and q or eps can then be NaN.
 An interval whose bisection meets a half with too few numeric values to fit,
 or a divergence verdict, is retired as it stands, so q and eps cover [a, b];
 the run then ends ToleranceNotMet at best, or Divergent.
@@ -38,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from relquad.basis import MAX_RULE_DEGREE, RuleStencil, get_stencil
+from relquad.basis import RuleStencil, get_stencil
 from relquad.engine import (
     AdaptiveState,
     DivergentIntegral,
@@ -46,7 +48,6 @@ from relquad.engine import (
     IntervalRecord,
     QuadResult,
     Status,
-    _check_integer,
     accumulate_excess,
     divergence_update,
     enforce_heap_cap,
@@ -74,48 +75,32 @@ __all__ = [
 ]
 
 
-@dataclass
+#: The naive ladder: degrees N0, 2*N0, ... up to N_TOP, and the relative
+#: coefficient change above which an interval is bisected, not raised.
+N0 = 4
+N_TOP = 32
+HINT = 0.1
+
+#: The refined rule's degree and the margin of its smoothness test.  N_REFINED
+#: is even: a child reuses its parent's node n // 2 as the parent's midpoint.
+N_REFINED = 10
+THETA1 = 1.1
+
+
+@dataclass(kw_only=True)
 class NaiveConfig:
-    n0: int = 4
-    d_max: int = 3
-    hint: float = 0.1
     engine: EngineConfig | None = None
 
-    def __post_init__(self):
-        _check_integer(n0=self.n0, d_max=self.d_max)
-        if self.n0 < 2:
-            raise ValueError("n0 must be at least 2")
-        if self.d_max < 1:
-            raise ValueError("d_max must be at least 1")
-        # n0 * 2 ** d_max <= MAX_RULE_DEGREE, without the power of a huge d_max
-        if self.n0 > MAX_RULE_DEGREE >> self.d_max:
-            raise ValueError(f"n0 * 2 ** d_max must be at most "
-                             f"{MAX_RULE_DEGREE}")
-        if not 0.0 < self.hint < 1.0:
-            raise ValueError("hint must be in (0, 1)")
 
-
-@dataclass
+@dataclass(kw_only=True)
 class RefinedConfig:
-    n: int = 10
-    theta1: float = 1.1
     engine: EngineConfig | None = None
 
-    def __post_init__(self):
-        _check_integer(n=self.n)
-        if not 4 <= self.n <= MAX_RULE_DEGREE:
-            raise ValueError(f"n must be in 4..{MAX_RULE_DEGREE}")
-        if self.n % 2:
-            # a child reuses its parent's node n // 2 as the parent's
-            # midpoint, which that node is only for even n
-            raise ValueError("n must be even")
-        # written so that NaN fails too
-        if not self.theta1 >= 1.0:
-            raise ValueError("theta1 must be at least 1")
 
-
-def _engine_cfg(tau: float, base: EngineConfig | None) -> EngineConfig:
+def _engine_cfg(tau: float,
+                config: NaiveConfig | RefinedConfig | None) -> EngineConfig:
     """The explicit tolerance argument wins over any tau in the config."""
+    base = None if config is None else config.engine
     return EngineConfig(tau=tau) if base is None else replace(base, tau=tau)
 
 
@@ -167,7 +152,7 @@ def _drive(fn: CountedFunction, start, tau: float, ecfg: EngineConfig,
                 status = Status.TOLERANCE_NOT_MET
                 break
             rec = select_worst(state)
-            if should_drop(rec, get_stencil(rec.coeffs.stencil_n), ecfg):
+            if should_drop(rec, get_stencil(rec.coeffs.stencil_n)):
                 accumulate_excess(state, rec)
                 continue
             try:
@@ -232,10 +217,10 @@ def _naive_estimate(cv, c_xfer, sv, parent, side, h) -> float:
     return naive_error(cv, c_xfer, h)
 
 
-def _refined_estimate(st: RuleStencil, theta1: float):
+def _refined_estimate(st: RuleStencil):
     """The error estimate of a refined half, in ``_split``'s signature."""
     return lambda cv, c_xfer, sv, parent, side, h: refined_error(
-        cv, c_xfer, sv, parent, side, st, theta1, h).eps
+        cv, c_xfer, sv, parent, side, st, THETA1, h).eps
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +230,17 @@ def _refined_estimate(st: RuleStencil, theta1: float):
 def int_naive(integrand, a: float, b: float, tau: float,
               config: NaiveConfig | None = None) -> QuadResult:
     """Doubly adaptive quadrature over [a, b] to absolute tolerance tau."""
-    ncfg = config if config is not None else NaiveConfig()
-    ecfg = _engine_cfg(tau, ncfg.engine)
+    ecfg = _engine_cfg(tau, config)
     if not (a < b and math.isfinite(b - a)):
         return _unordered(int_naive, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
 
-    n_top = ncfg.n0 * 2 ** ncfg.d_max
-    st_top = get_stencil(n_top)
-    st_lo = get_stencil(n_top // 2)
-    st0 = get_stencil(ncfg.n0)
+    st_top = get_stencil(N_TOP)
+    st_lo = get_stencil(N_TOP // 2)
+    st0 = get_stencil(N0)
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        if rec.coeffs.stencil_n < n_top:
+        if rec.coeffs.stencil_n < N_TOP:
             # one step up the degree ladder, reusing nested node values
             st_hi = get_stencil(2 * rec.coeffs.stencil_n)
             sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
@@ -270,7 +253,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
             norm_hi = norm(cv_hi.c)
             # relative coefficient change: a large jump even at the new
             # degree means the ladder is not converging here — bisect
-            split = diff > ncfg.hint * norm_hi if norm_hi > 0.0 else diff > 0.0
+            split = diff > HINT * norm_hi if norm_hi > 0.0 else diff > 0.0
             if not split:
                 state.push(rec)
                 return
@@ -298,14 +281,12 @@ def int_refined(integrand, a: float, b: float, tau: float,
                 config: RefinedConfig | None = None) -> QuadResult:
     """Fixed-degree adaptive quadrature over [a, b] to absolute tolerance
     tau, with the derivative-extracting error estimate."""
-    rcfg = config if config is not None else RefinedConfig()
-    ecfg = _engine_cfg(tau, rcfg.engine)
+    ecfg = _engine_cfg(tau, config)
     if not (a < b and math.isfinite(b - a)):
         return _unordered(int_refined, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
-    st = get_stencil(rcfg.n)
-
-    estimate = _refined_estimate(st, rcfg.theta1)
+    st = get_stencil(N_REFINED)
+    estimate = _refined_estimate(st)
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
         _split(state, fn, rec, st, ecfg, estimate)
@@ -330,7 +311,10 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
                          max_depth: int = 50) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
     accept test; no floors, no non-numeric handling, no divergence guard.
-    Non-finite bounds or widths raise ValueError before any evaluation."""
+    A tau that is not positive, or non-finite bounds or widths, raise
+    ValueError before any evaluation."""
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
     _check_finite(a, b)
     fn = CountedFunction(integrand)
     with np.errstate(all="ignore"):
@@ -385,8 +369,7 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         raise ValueError("alpha must be in [-2, 0)")
     if not h > 0.0:
         raise ValueError("h must be positive")
-    rcfg = RefinedConfig()
-    st = get_stencil(rcfg.n)
+    st = get_stencil(N_REFINED)
 
     def integrand(x: float) -> float:
         with np.errstate(all="ignore"):
@@ -400,8 +383,8 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par, q=q_par, eps=0.0,
                                 q_base=q_par, samples=sv_par)
         state = AdaptiveState()
-        _split(state, fn, parent, st, EngineConfig(tau=1.0, nr_divmax=10 ** 9),
-               _refined_estimate(st, rcfg.theta1))
+        _split(state, fn, parent, st, EngineConfig(tau=1.0),
+               _refined_estimate(st))
         left = next(iter(state.heap))
         return left.eps, left.q
 

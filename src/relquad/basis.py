@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "ALPHA",
     "GAMMA",
-    "MAX_RULE_DEGREE",
     "RuleStencil",
     "StencilBuildError",
     "build_stencil",
@@ -44,8 +43,8 @@ __all__ = [
 
 SQRT2 = float(np.sqrt(2.0))
 
-#: Largest basis degree the recurrence supports (rules beyond degree 33 are
-#: out of scope; the Newton vector of degree n needs coefficients to n+1).
+#: Largest basis degree the recurrence supports; the Newton vector of a
+#: degree-n rule needs coefficients to n+1, so rules go up to degree 39.
 _MAX_DEGREE = 40
 
 #: Largest degree n a ``RuleStencil`` can be built for.

@@ -104,9 +104,9 @@ def _check_integer(**fields) -> None:
 class IntervalRecord:
     """One heap entry.
 
-    q_base is the reference for the divergence ratio: the doubly adaptive
-    integrator keeps its lowest-degree estimate here, the fixed-degree one
-    simply its current q.  The fitted Newton vector and rule degree travel
+    q_base is the reference for the divergence ratio: the q of the record's
+    first fit, which the doubly adaptive integrator's degree raises leave as
+    it was.  The fitted Newton vector and rule degree travel
     inside coeffs; samples are kept so children can reuse endpoint values.
     """
 
@@ -195,8 +195,7 @@ def select_worst(state: AdaptiveState) -> IntervalRecord:
     return state.pop_largest()
 
 
-def should_drop(rec: IntervalRecord, stencil: RuleStencil,
-                cfg: EngineConfig) -> bool:
+def should_drop(rec: IntervalRecord, stencil: RuleStencil) -> bool:
     """Numerical floor (eps below attainable accuracy) or interval so
     narrow that adjacent mapped nodes coincide in floating point."""
     if rec.eps < abs(rec.q) * EPS_MACH * stencil.cond:

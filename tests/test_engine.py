@@ -51,19 +51,17 @@ def test_select_worst_tie_breaks_by_insertion_order():
 
 
 def test_should_drop_numerical_floor():
-    cfg = _cfg()
-    assert should_drop(_rec(q=1.0, eps=0.0), ST10, cfg)
+    assert should_drop(_rec(q=1.0, eps=0.0), ST10)
     # 1e-3 is far above 1 * eps_mach * cond(P) ~ 7.7e-15
-    assert not should_drop(_rec(q=1.0, eps=1e-3), ST10, cfg)
+    assert not should_drop(_rec(q=1.0, eps=1e-3), ST10)
 
 
 def test_should_drop_collapsed_interval():
     eps_mach = np.finfo(float).eps
     rec = _rec(q=1.0, eps=1.0, a=1.0, b=1.0 + 2.0 * eps_mach)
-    assert should_drop(rec, ST10, _cfg())
+    assert should_drop(rec, ST10)
     # a clearly resolvable interval is kept
-    assert not should_drop(_rec(q=1.0, eps=1.0, a=1.0, b=1.0 + 1e-8),
-                           ST10, _cfg())
+    assert not should_drop(_rec(q=1.0, eps=1.0, a=1.0, b=1.0 + 1e-8), ST10)
 
 
 def test_accumulate_excess_sums_and_conserves():
@@ -358,7 +356,6 @@ def test_should_drop_matches_float64_nodes(n):
     st = get_stencil(n)
     assert st.edge_nodes == tuple(float(st.nodes[i]) for i in (0, 1, -2, -1))
     rng = np.random.default_rng(900 + n)
-    cfg = _cfg()
     seen = set()
     for draw in range(2000):
         a = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0))
@@ -371,6 +368,6 @@ def test_should_drop_matches_float64_nodes(n):
         for k in ks:
             rec = _rec(eps=1.0, a=a, b=a + k * ulp)
             want = _drop_by_float64(rec, st)
-            assert should_drop(rec, st, cfg) is want
+            assert should_drop(rec, st) is want
             seen.add(want)
     assert seen == {True, False}

@@ -7,7 +7,10 @@
 ``dump`` runs int_naive and int_refined, configured as
 ``benchmarks/run.py`` configures them, on every case of CHECKOUT's
 ``benchmarks/workloads.py`` for each seed, and prints one row per call:
-seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.
+seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
+first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
+(non-numeric and overflowing values, a pole, reversed and empty bounds)
+at 1e-6 with a budget of 10,000, which the benchmark cases never reach.
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
 
@@ -19,6 +22,7 @@ then checks that the CLI's bytes are unchanged.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +30,17 @@ from collections import Counter
 from pathlib import Path
 
 CLI_MODES = ("lk", "battery", "divergence", "probe")
+
+# label, integrand, a, b
+EDGES = (
+    ("nan", lambda x: math.nan, 0.0, 1.0),
+    ("nan_right_half", lambda x: math.nan if x > 0.5 else x, 0.0, 1.0),
+    ("overflow_step", lambda x: 1.7e308 if x > 0.5 else -1.7e308, 0.0, 1.0),
+    ("pole", lambda x: 1.0 / x if x else math.inf, 0.0, 1.0),
+    ("exp_reversed", math.exp, 1.0, 0.0),
+    ("exp_empty", math.exp, 0.5, 0.5),
+    ("sin_inverse", lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0),
+)
 
 
 def dump(checkout, seeds):
@@ -35,19 +50,24 @@ def dump(checkout, seeds):
                                     int_refined)
     from relquad.engine import EngineConfig
     from workloads import WORKLOADS
+
+    def rows(seed, workload, case, integrand, a, b, tau, budget):
+        engine = (None if budget is None
+                  else EngineConfig(tau=1.0, max_neval=budget))
+        for alg, integrator, config in (
+                ("naive", int_naive, NaiveConfig(engine=engine)),
+                ("refined", int_refined, RefinedConfig(engine=engine))):
+            r = integrator(integrand, a, b, tau, config)
+            print(seed, workload, case, alg, r.q.hex(), r.eps.hex(), r.neval,
+                  r.status.value, sep="\t")
+
+    for i, (label, integrand, a, b) in enumerate(EDGES):
+        rows("-", "edges", f"{i}:{label}", integrand, a, b, 1e-6, 10_000)
     for seed in seeds:
         for workload, cases in WORKLOADS.items():
             for i, case in enumerate(cases(seed)):
-                engine = (None if case.budget is None
-                          else EngineConfig(tau=1.0, max_neval=case.budget))
-                for alg, integrator, config in (
-                        ("naive", int_naive, NaiveConfig(engine=engine)),
-                        ("refined", int_refined,
-                         RefinedConfig(engine=engine))):
-                    r = integrator(case.integrand, case.a, case.b, case.tau,
-                                   config)
-                    print(seed, workload, f"{i}:{case.label}", alg, r.q.hex(),
-                          r.eps.hex(), r.neval, r.status.value, sep="\t")
+                rows(seed, workload, f"{i}:{case.label}", case.integrand,
+                     case.a, case.b, case.tau, case.budget)
 
 
 def cli(checkout):
