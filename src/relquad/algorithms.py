@@ -42,6 +42,7 @@ import numpy as np
 
 from relquad.basis import RuleStencil, get_stencil
 from relquad.engine import (
+    HEAP_CAP,
     AdaptiveState,
     DivergentIntegral,
     EngineConfig,
@@ -49,6 +50,7 @@ from relquad.engine import (
     QuadResult,
     Status,
     accumulate_excess,
+    check_tau,
     divergence_update,
     enforce_heap_cap,
     select_worst,
@@ -86,22 +88,24 @@ HINT = 0.1
 N_REFINED = 10
 THETA1 = 1.1
 
+#: The Simpson baseline's recursion depth limit.
+SIMPSON_MAX_DEPTH = 50
 
-@dataclass(kw_only=True)
+
+@dataclass(frozen=True, kw_only=True)
 class NaiveConfig:
     engine: EngineConfig | None = None
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RefinedConfig:
     engine: EngineConfig | None = None
 
 
-def _engine_cfg(tau: float,
-                config: NaiveConfig | RefinedConfig | None) -> EngineConfig:
-    """The explicit tolerance argument wins over any tau in the config."""
-    base = None if config is None else config.engine
-    return EngineConfig(tau=tau) if base is None else replace(base, tau=tau)
+def _max_neval(config: NaiveConfig | RefinedConfig | None) -> int | None:
+    """The budget of config; None, no budget, without an engine."""
+    engine = None if config is None else config.engine
+    return None if engine is None else engine.max_neval
 
 
 def _check_finite(a: float, b: float) -> None:
@@ -124,7 +128,7 @@ def _unordered(integrator, integrand, a: float, b: float, tau: float,
     return replace(res, q=-res.q)
 
 
-def _drive(fn: CountedFunction, start, tau: float, ecfg: EngineConfig,
+def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
            refine) -> QuadResult:
     """Fit the start-up interval, ``start()`` returning its record, then
     refine the worst interval until the heap's error is within tau, the
@@ -148,7 +152,7 @@ def _drive(fn: CountedFunction, start, tau: float, ecfg: EngineConfig,
         status = None
         nonnumeric = False
         while state.heap_eps_exceeds(tau):
-            if ecfg.max_neval is not None and fn.count >= ecfg.max_neval:
+            if max_neval is not None and fn.count >= max_neval:
                 status = Status.TOLERANCE_NOT_MET
                 break
             rec = select_worst(state)
@@ -165,7 +169,7 @@ def _drive(fn: CountedFunction, start, tau: float, ecfg: EngineConfig,
                 accumulate_excess(state, rec)
                 status = Status.DIVERGENT
                 break
-            enforce_heap_cap(state, ecfg)
+            enforce_heap_cap(state, HEAP_CAP)
         q, eps = state.totals()
     if status is None:
         status = (Status.CONVERGED if eps <= tau and not nonnumeric
@@ -174,7 +178,7 @@ def _drive(fn: CountedFunction, start, tau: float, ecfg: EngineConfig,
 
 
 def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
-           ecfg: EngineConfig, estimate) -> None:
+           estimate) -> None:
     """Bisect rec: fit its left and right halves at stencil st, then push
     both.  Each half reuses the values at its two end nodes (nodes of rec).
     Its eps is ``estimate(cv, c_xfer, sv, parent, side, h)`` of its fit,
@@ -202,7 +206,7 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
         sv = sample(fn, ca, cb, st, reuse=reuse)
         cv = fit(sv, st)
         q = integral(cv, ca, cb)
-        nr_div = divergence_update(q, rec.q_base, rec, ecfg)
+        nr_div = divergence_update(q, rec)
         c_xfer = transfer_to_child(parent, side, st_par)
         # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, samples
         halves.append(IntervalRecord(
@@ -230,7 +234,7 @@ def _refined_estimate(st: RuleStencil):
 def int_naive(integrand, a: float, b: float, tau: float,
               config: NaiveConfig | None = None) -> QuadResult:
     """Doubly adaptive quadrature over [a, b] to absolute tolerance tau."""
-    ecfg = _engine_cfg(tau, config)
+    check_tau(tau)
     if not (a < b and math.isfinite(b - a)):
         return _unordered(int_naive, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
@@ -257,7 +261,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
             if not split:
                 state.push(rec)
                 return
-        _split(state, fn, rec, st0, ecfg, _naive_estimate)
+        _split(state, fn, rec, st0, _naive_estimate)
 
     def start() -> IntervalRecord:
         sv = sample(fn, a, b, st_top)
@@ -270,7 +274,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
                               eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
                               q_base=q0, samples=sv)
 
-    return _drive(fn, start, tau, ecfg, refine)
+    return _drive(fn, start, tau, _max_neval(config), refine)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def int_refined(integrand, a: float, b: float, tau: float,
                 config: RefinedConfig | None = None) -> QuadResult:
     """Fixed-degree adaptive quadrature over [a, b] to absolute tolerance
     tau, with the derivative-extracting error estimate."""
-    ecfg = _engine_cfg(tau, config)
+    check_tau(tau)
     if not (a < b and math.isfinite(b - a)):
         return _unordered(int_refined, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
@@ -289,7 +293,7 @@ def int_refined(integrand, a: float, b: float, tau: float,
     estimate = _refined_estimate(st)
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        _split(state, fn, rec, st, ecfg, estimate)
+        _split(state, fn, rec, st, estimate)
 
     def start() -> IntervalRecord:
         sv = sample(fn, a, b, st)
@@ -299,7 +303,7 @@ def int_refined(integrand, a: float, b: float, tau: float,
                               samples=sv,
                               eps=float(np.finfo(float).max))  # force a split
 
-    return _drive(fn, start, tau, ecfg, refine)
+    return _drive(fn, start, tau, _max_neval(config), refine)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +311,12 @@ def int_refined(integrand, a: float, b: float, tau: float,
 # ---------------------------------------------------------------------------
 
 def int_simpson_baseline(integrand, a: float, b: float, tau: float,
-                         max_neval: int = 100_000,
-                         max_depth: int = 50) -> QuadResult:
+                         max_neval: int = 100_000) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
     accept test; no floors, no non-numeric handling, no divergence guard.
     A tau that is not positive, or non-finite bounds or widths, raise
     ValueError before any evaluation."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    check_tau(tau)
     _check_finite(a, b)
     fn = CountedFunction(integrand)
     with np.errstate(all="ignore"):
@@ -338,7 +340,7 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
             s_right = h / 12.0 * (f1 + 4.0 * fr + f2)
             s2 = s_left + s_right
             err = (s2 - s1) / 15.0
-            if abs(err) <= tol or depth >= max_depth:
+            if abs(err) <= tol or depth >= SIMPSON_MAX_DEPTH:
                 return s2 + err, abs(err)
             ql, el = recurse(x0, xm, f0, fl, f1, s_left, 0.5 * tol, depth + 1)
             qr, er = recurse(xm, x2, f1, fr, f2, s_right, 0.5 * tol, depth + 1)
@@ -355,20 +357,18 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
 # divergence-ratio probe
 # ---------------------------------------------------------------------------
 
-def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
+def divergence_ratio_probe(alpha: float) -> tuple[float, float]:
     """Ratios diagnosing non-integrable endpoint singularities.
 
     Computes the refined error estimate and integral estimate for x**alpha
-    on [0, h] treated as the left child of [0, 2h], and again on [0, h/2] as
-    the left child of [0, h], and returns (eps_ratio, q_ratio) of the inner
+    on [0, 1] treated as the left child of [0, 2], and again on [0, 1/2] as
+    the left child of [0, 1], and returns (eps_ratio, q_ratio) of the inner
     to the outer.  For integrable singularities (alpha > -1) both ratios are
     below 1 — bisection makes progress; at alpha = -1 the error ratio is 1;
     beyond it the estimates grow toward the singularity.
     """
     if not -2.0 <= alpha < 0.0:
         raise ValueError("alpha must be in [-2, 0)")
-    if not h > 0.0:
-        raise ValueError("h must be positive")
     st = get_stencil(N_REFINED)
 
     def integrand(x: float) -> float:
@@ -383,11 +383,10 @@ def divergence_ratio_probe(alpha: float, h: float = 1.0) -> tuple[float, float]:
         parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par, q=q_par, eps=0.0,
                                 q_base=q_par, samples=sv_par)
         state = AdaptiveState()
-        _split(state, fn, parent, st, EngineConfig(tau=1.0),
-               _refined_estimate(st))
+        _split(state, fn, parent, st, _refined_estimate(st))
         left = next(iter(state.heap))
         return left.eps, left.q
 
-    eps_outer, q_outer = left_child_estimate(0.0, 2.0 * h)   # -> [0, h]
-    eps_inner, q_inner = left_child_estimate(0.0, h)          # -> [0, h/2]
+    eps_outer, q_outer = left_child_estimate(0.0, 2.0)   # -> [0, 1]
+    eps_inner, q_inner = left_child_estimate(0.0, 1.0)   # -> [0, 1/2]
     return eps_inner / eps_outer, q_inner / q_outer

@@ -204,7 +204,7 @@ def run_probe(spec: RunSpec) -> list:
     """Bisection-ratio diagnostic over the alpha grid at h = 1."""
     rows = []
     for alpha in ALPHA_GRID:
-        eps_ratio, q_ratio = divergence_ratio_probe(alpha, h=1.0)
+        eps_ratio, q_ratio = divergence_ratio_probe(alpha)
         rows.append({
             "mode": spec.mode,
             "alpha": "%.1f" % alpha,

@@ -19,7 +19,7 @@ are no longer refinable.
 
 Divergence is detected by counting, along each chain of bisections, how
 often a child's integral estimate fails to shrink relative to its parent's
-base estimate; a chain where that happens more than nr_divmax times and more
+base estimate; a chain where that happens more than NR_DIVMAX times and more
 often than every other level is hopeless (integrand not integrable, e.g.
 x^-1.5), and the run stops Divergent with the interval being bisected
 retired whole, so that its totals still cover the domain.
@@ -45,6 +45,8 @@ __all__ = [
     "IntervalRecord",
     "DivergentIntegral",
     "AdaptiveState",
+    "HEAP_CAP",
+    "NR_DIVMAX",
     "select_worst",
     "should_drop",
     "accumulate_excess",
@@ -55,6 +57,11 @@ __all__ = [
 
 #: Unit roundoff of the float type every sample and coefficient is held in.
 EPS_MACH = float(np.finfo(float).eps)
+
+#: The most refinable records the heap keeps, and the divergence count a
+#: bisection chain may reach before it is judged hopeless.
+HEAP_CAP = 200
+NR_DIVMAX = 20
 
 
 class Status(enum.Enum):
@@ -73,31 +80,24 @@ class QuadResult:
     status: Status
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
+    """The evaluation budget.  tau is checked but not read: the integrators
+    take their tolerance as an argument."""
+
     tau: float
-    heap_cap: int = 200
-    nr_divmax: int = 20
     max_neval: int | None = None
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-        _check_integer(heap_cap=self.heap_cap, nr_divmax=self.nr_divmax)
-        if self.heap_cap < 2:
-            raise ValueError("heap_cap must be at least 2")
-        if self.nr_divmax < 1:
-            raise ValueError("nr_divmax must be at least 1")
-        if self.max_neval is not None:
-            _check_integer(max_neval=self.max_neval)
-            if self.max_neval < 0:
-                raise ValueError("max_neval must be at least 0")
+        check_tau(self.tau)
+        m = self.max_neval
+        if m is not None and not (isinstance(m, Integral) and m >= 0):
+            raise ValueError(f"max_neval must be an integer >= 0, got {m!r}")
 
 
-def _check_integer(**fields) -> None:
-    for name, value in fields.items():
-        if not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_tau(tau: float) -> None:
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
 
 
 @dataclass(slots=True)
@@ -155,7 +155,7 @@ class AdaptiveState:
         if not math.isnan(e):
             insort(self._order, (e, -k))
 
-    def _take(self, smallest: bool) -> IntervalRecord:
+    def pop(self, smallest: bool) -> IntervalRecord:
         """Pop the oldest record if its eps is NaN, else the earliest push
         among the smallest or the largest eps."""
         eps, order = self._eps, self._order
@@ -165,12 +165,6 @@ class AdaptiveState:
             k = -order.pop(i)[1]
         del eps[k]
         return self._recs.pop(k)
-
-    def pop_largest(self) -> IntervalRecord:
-        return self._take(False)
-
-    def pop_smallest(self) -> IntervalRecord:
-        return self._take(True)
 
     def heap_eps(self) -> float:
         return sum(self.eps)
@@ -192,7 +186,7 @@ class AdaptiveState:
 
 def select_worst(state: AdaptiveState) -> IntervalRecord:
     """Pop the record with maximal eps; ties go to the earliest inserted."""
-    return state.pop_largest()
+    return state.pop(False)
 
 
 def should_drop(rec: IntervalRecord, stencil: RuleStencil) -> bool:
@@ -214,24 +208,24 @@ def accumulate_excess(state: AdaptiveState, rec: IntervalRecord) -> None:
     state.excess_eps += rec.eps
 
 
-def divergence_update(q_child: float, q_parent_base: float,
-                      parent: IntervalRecord, cfg: EngineConfig) -> int:
+def divergence_update(q_child: float, parent: IntervalRecord) -> int:
     """Child's divergence count; raises when the chain is hopeless.
 
     The magnitude comparison (not signed, despite the listings) implements
     the ratio argument: what matters is whether the child's estimate failed
-    to shrink.  q_child = q_parent_base = 0 counts as non-shrinking.
+    to shrink against the parent's q_base.  q_child = q_base = 0 counts as
+    non-shrinking.
     """
-    nr_div = parent.nr_div + (1 if abs(q_child) >= abs(q_parent_base) else 0)
+    nr_div = parent.nr_div + (1 if abs(q_child) >= abs(parent.q_base) else 0)
     nr_rec_child = parent.nr_rec + 1
-    if nr_div > cfg.nr_divmax and 2 * nr_div > nr_rec_child:
+    if nr_div > NR_DIVMAX and 2 * nr_div > nr_rec_child:
         raise DivergentIntegral(
-            f"divergence count {nr_div} exceeds {cfg.nr_divmax} "
+            f"divergence count {nr_div} exceeds {NR_DIVMAX} "
             f"over {nr_rec_child} bisections")
     return nr_div
 
 
-def enforce_heap_cap(state: AdaptiveState, cfg: EngineConfig) -> None:
-    """Evict smallest-eps records into excess until the cap is respected."""
-    while len(state.eps) > cfg.heap_cap:
-        accumulate_excess(state, state.pop_smallest())
+def enforce_heap_cap(state: AdaptiveState, cap: int) -> None:
+    """Evict smallest-eps records into excess until at most cap remain."""
+    while len(state.eps) > cap:
+        accumulate_excess(state, state.pop(True))

@@ -16,6 +16,7 @@ from relquad.algorithms import (
 )
 from relquad.basis import get_stencil
 from relquad.engine import (
+    NR_DIVMAX,
     AdaptiveState,
     DivergentIntegral,
     EngineConfig,
@@ -91,17 +92,18 @@ def test_divergence_flag_sign_equivariant():
         np.testing.assert_allclose(rm.q, -rp.q, rtol=1e-15)
 
 
-def test_heap_cap_keeps_estimates_honest():
+def test_heap_cap_keeps_estimates_honest(monkeypatch):
     # with a 2-interval heap almost everything is evicted into the excess;
     # the result may honestly miss the tolerance but must not lie about it
     fam = lk_family(3)
     fn = fam.make_integrand(1.0 / 3.0, 4.0)
     exact = fam.exact(1.0 / 3.0, 4.0)
     tau = 1e-6 * exact
-    for alg, mk in ((int_refined, RefinedConfig), (int_naive, NaiveConfig)):
+    for alg in (int_refined, int_naive):
         free = alg(fn, 0.0, 1.0, tau)
-        capped = alg(fn, 0.0, 1.0, tau,
-                     config=mk(engine=EngineConfig(tau=1.0, heap_cap=2)))
+        with monkeypatch.context() as m:
+            m.setattr(algorithms, "HEAP_CAP", 2)
+            capped = alg(fn, 0.0, 1.0, tau)
         assert free.status is Status.CONVERGED
         assert abs(free.q - exact) <= tau
         assert abs(capped.q - exact) <= capped.eps + tau
@@ -187,15 +189,6 @@ def test_probe_input_validation():
         divergence_ratio_probe(0.5)
     with pytest.raises(ValueError):
         divergence_ratio_probe(-2.5)
-    with pytest.raises(ValueError):
-        divergence_ratio_probe(-0.5, h=0.0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(tau=-1.0)
-    with pytest.raises(ValueError):
-        EngineConfig(tau=1.0, heap_cap=0)
 
 
 def test_ladder_reuse_of_inf_or_nan_gives_the_same_fit():
@@ -398,9 +391,8 @@ def test_split_pushes_both_halves_or_neither(side, neval):
         return x if side else 1.0 - x
 
     st = get_stencil(10)
-    cfg = EngineConfig(tau=1.0)
     for g, nr_div, error in ((nan_on_side, 0, TooManyNonNumeric),
-                             (ramp, cfg.nr_divmax, DivergentIntegral)):
+                             (ramp, NR_DIVMAX, DivergentIntegral)):
         sv = sample(CountedFunction(g), 0.0, 1.0, st)
         cv = fit(sv, st)
         rec = IntervalRecord(a=0.0, b=1.0, coeffs=cv,
@@ -409,7 +401,7 @@ def test_split_pushes_both_halves_or_neither(side, neval):
         fn = CountedFunction(g)
         state = AdaptiveState()
         with pytest.raises(error):
-            _split(state, fn, rec, st, cfg, _refined_estimate(st))
+            _split(state, fn, rec, st, _refined_estimate(st))
         assert len(state.heap) == 0 and len(state.eps) == 0
         assert fn.count == neval
 

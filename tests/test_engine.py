@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from relquad.basis import get_stencil
+from relquad.algorithms import NaiveConfig, RefinedConfig
 from relquad.engine import (
+    NR_DIVMAX,
     AdaptiveState,
     DivergentIntegral,
     EngineConfig,
@@ -25,10 +28,6 @@ def _rec(q=0.0, eps=0.0, a=0.0, b=1.0, nr_div=0, nr_rec=0):
     cv = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10)
     return IntervalRecord(a=a, b=b, coeffs=cv, q=q, eps=eps, q_base=q,
                           nr_div=nr_div, nr_rec=nr_rec)
-
-
-def _cfg(tau=1e-6, **kw):
-    return EngineConfig(tau=tau, **kw)
 
 
 def test_select_worst_returns_max_eps():
@@ -90,33 +89,30 @@ def test_totals_conserved_when_children_replace_parent():
 
 
 def test_divergence_update_increments_on_growth():
-    cfg = _cfg()
     parent = _rec(q=1.0, nr_div=0, nr_rec=0)
-    assert divergence_update(1.5, 1.0, parent, cfg) == 1
-    assert divergence_update(-1.5, 1.0, parent, cfg) == 1  # magnitudes only
-    assert divergence_update(0.5, 1.0, parent, cfg) == 0
+    assert divergence_update(1.5, parent) == 1
+    assert divergence_update(-1.5, parent) == 1  # magnitudes only
+    assert divergence_update(0.5, parent) == 0
 
 
 def test_divergence_update_zero_boundary_counts():
-    # q_child = q_parent_base = 0 is "not shrinking" by the >= predicate
-    assert divergence_update(0.0, 0.0, _rec(), _cfg()) == 1
+    # q_child = q_base = 0 is "not shrinking" by the >= predicate
+    assert divergence_update(0.0, _rec()) == 1
 
 
 def test_divergence_update_raises_when_hopeless():
-    cfg = _cfg()
-    parent = _rec(nr_div=cfg.nr_divmax, nr_rec=21)
+    parent = _rec(q=0.5, nr_div=NR_DIVMAX, nr_rec=21)
     with pytest.raises(DivergentIntegral):
-        divergence_update(1.0, 0.5, parent, cfg)
+        divergence_update(1.0, parent)
 
 
 def test_divergence_update_requires_both_conditions():
-    cfg = _cfg()
     # count exceeded but not more than half the depth: no signal
-    deep_parent = _rec(nr_div=cfg.nr_divmax, nr_rec=60)
-    assert divergence_update(1.0, 0.5, deep_parent, cfg) == 21
+    deep_parent = _rec(q=0.5, nr_div=NR_DIVMAX, nr_rec=60)
+    assert divergence_update(1.0, deep_parent) == 21
     # more than half the depth but count below the threshold: no signal
-    shallow_parent = _rec(nr_div=3, nr_rec=3)
-    assert divergence_update(1.0, 0.5, shallow_parent, cfg) == 4
+    shallow_parent = _rec(q=0.5, nr_div=3, nr_rec=3)
+    assert divergence_update(1.0, shallow_parent) == 4
 
 
 def test_enforce_heap_cap_evicts_smallest():
@@ -124,7 +120,7 @@ def test_enforce_heap_cap_evicts_smallest():
     for q, eps in ((0.1, 1.0), (0.2, 2.0), (0.3, 3.0)):
         st.push(_rec(q=q, eps=eps))
     q_before, eps_before = st.totals()
-    enforce_heap_cap(st, _cfg(heap_cap=2))
+    enforce_heap_cap(st, 2)
     assert len(st.heap) == 2
     assert st.excess_eps == 1.0
     assert {r.eps for r in st.heap} == {2.0, 3.0}
@@ -138,38 +134,52 @@ def test_enforce_heap_cap_never_removes_current_max():
     st = AdaptiveState()
     for eps in (5.0, 1.0, 2.0, 3.0, 4.0):
         st.push(_rec(eps=eps))
-    enforce_heap_cap(st, _cfg(heap_cap=2))
+    enforce_heap_cap(st, 2)
     assert max(r.eps for r in st.heap) == 5.0
 
 
 def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        EngineConfig(tau=1e-6, heap_cap=1)
-    with pytest.raises(ValueError):
-        EngineConfig(tau=1e-6, nr_divmax=0)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            EngineConfig(tau=tau)
 
 
 @pytest.mark.parametrize("field, value", [
     ("tau", math.nan),
-    ("heap_cap", math.nan), ("heap_cap", 2.5), ("heap_cap", 200.0),
-    ("nr_divmax", math.nan), ("nr_divmax", 2.5), ("nr_divmax", math.inf),
     ("max_neval", math.nan), ("max_neval", -5), ("max_neval", 100.0),
     ("max_neval", math.inf),
 ])
 def test_engine_config_rejects_nan_and_non_integer_limits(field, value):
-    # a NaN nr_divmax used to turn divergence detection off (x ** -1.5 on
-    # [0, 1] ran 6,801 evaluations to q = inf, eps = nan), a NaN max_neval
-    # the budget, and a heap_cap of 2.5 or NaN was taken as given
+    # a NaN max_neval used to turn the budget off
     with pytest.raises(ValueError, match=field):
         EngineConfig(**{"tau": 1.0, field: value})
 
 
 def test_engine_config_accepts_integer_limits():
-    cfg = EngineConfig(1.0, heap_cap=np.int64(2), nr_divmax=1, max_neval=0)
-    assert (cfg.heap_cap, cfg.nr_divmax, cfg.max_neval) == (2, 1, 0)
+    assert EngineConfig(1.0, max_neval=np.int64(0)).max_neval == 0
     assert EngineConfig(1.0, max_neval=None).max_neval is None
+
+
+@pytest.mark.parametrize("field, value", [("heap_cap", 200),
+                                          ("nr_divmax", 20)])
+def test_engine_config_has_no_heap_cap_or_nr_divmax(field, value):
+    # the heap cap and the divergence limit are the engine constants
+    # HEAP_CAP and NR_DIVMAX
+    with pytest.raises(TypeError):
+        EngineConfig(**{"tau": 1.0, field: value})
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: EngineConfig(tau=1.0), "max_neval"),
+    (lambda: NaiveConfig(engine=EngineConfig(tau=1.0)), "engine"),
+    (lambda: RefinedConfig(engine=None), "engine"),
+], ids=("EngineConfig", "NaiveConfig", "RefinedConfig"))
+def test_configs_are_frozen(make, field):
+    # validated once, at construction: a later assignment such as
+    # max_neval = nan cannot turn the budget off
+    cfg = make()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, math.nan)
 
 
 def test_status_values():
@@ -206,7 +216,7 @@ def test_heap_upkeep_matches_list_scans():
     for _ in range(200):
         st = AdaptiveState()
         ref, order = [], {}
-        cfg = _cfg(heap_cap=int(rng.integers(2, 6)))
+        cap = int(rng.integers(2, 6))
         for k in range(40):
             op = rng.random()
             if op < 0.6 or not ref:
@@ -218,8 +228,8 @@ def test_heap_upkeep_matches_list_scans():
                 assert select_worst(st) is _select_scan(ref, order)
             else:
                 before = st.excess_eps
-                evicted = _cap_scan(ref, cfg.heap_cap)
-                enforce_heap_cap(st, cfg)
+                evicted = _cap_scan(ref, cap)
+                enforce_heap_cap(st, cap)
                 want = before
                 for r in evicted:
                     want += r.eps
@@ -248,7 +258,6 @@ def test_heap_eps_exceeds_matches_the_sum():
     seen = set()
     for cap in (2, 7, 50, 200):
         st, twin = AdaptiveState(), AdaptiveState()
-        cfg = _cfg(heap_cap=cap)
         for k in range(1500):
             op = rng.random()
             if op < 0.55 or not st.heap:
@@ -260,8 +269,8 @@ def test_heap_eps_exceeds_matches_the_sum():
             elif op < 0.85:
                 assert select_worst(st).q == select_worst(twin).q
             else:
-                enforce_heap_cap(st, cfg)
-                enforce_heap_cap(twin, cfg)
+                enforce_heap_cap(st, cap)
+                enforce_heap_cap(twin, cap)
             assert [r.q for r in st.heap] == [r.q for r in twin.heap]
             total = st.heap_eps()
             nan = any(math.isnan(e) for e in st.eps)
@@ -284,7 +293,6 @@ def test_heap_matches_list_scans_at_full_scale():
     for cap in (2, 7, 50, 200):
         st = AdaptiveState()
         ref, order = [], {}
-        cfg = _cfg(heap_cap=cap)
         for k in range(2000):
             op = rng.random()
             if op < 0.55 or not ref:
@@ -298,10 +306,10 @@ def test_heap_matches_list_scans_at_full_scale():
                 assert select_worst(st) is _select_scan(ref, order)
             else:
                 want_q, want_eps = st.excess_q, st.excess_eps
-                for r in _cap_scan(ref, cfg.heap_cap):
+                for r in _cap_scan(ref, cap):
                     want_q += r.q
                     want_eps += r.eps
-                enforce_heap_cap(st, cfg)
+                enforce_heap_cap(st, cap)
                 # evicted in the same order: the same float sums
                 assert st.excess_q == want_q
                 assert st.excess_eps == want_eps or (
@@ -319,7 +327,6 @@ def test_order_holds_exactly_the_live_numeric_records_sorted():
     for cap in (2, 3, 7, 50, 200):
         st = AdaptiveState()
         pushes = 0
-        cfg = _cfg(heap_cap=cap)
         for _ in range(2000):
             op = rng.random()
             if op < 0.6 or not st.heap:
@@ -331,7 +338,7 @@ def test_order_holds_exactly_the_live_numeric_records_sorted():
             elif op < 0.85:
                 select_worst(st)
             else:
-                enforce_heap_cap(st, cfg)
+                enforce_heap_cap(st, cap)
             want = sorted((r.eps, -int(r.q)) for r in st.heap
                           if not math.isnan(r.eps))
             assert ([(e.hex(), k) for e, k in st._order]
