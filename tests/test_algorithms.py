@@ -191,6 +191,14 @@ def test_probe_input_validation():
         divergence_ratio_probe(-2.5)
 
 
+def test_config_validation():
+    with pytest.raises(ValueError):
+        EngineConfig(tau=-1.0)
+    # the heap cap is the engine constant HEAP_CAP, not a config field
+    with pytest.raises(TypeError):
+        EngineConfig(tau=1.0, heap_cap=0)
+
+
 def test_ladder_reuse_of_inf_or_nan_gives_the_same_fit():
     # a raise reuses its record's values as evaluated, so a masked node
     # comes back as the integrand's inf or NaN: f, mask, count and fit are
