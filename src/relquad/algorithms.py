@@ -178,12 +178,12 @@ def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
 
 
 def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
-           estimate) -> None:
+           refined: bool) -> None:
     """Bisect rec: fit its left and right halves at stencil st, then push
     both.  Each half reuses the values at its two end nodes (nodes of rec).
-    Its eps is ``estimate(cv, c_xfer, sv, parent, side, h)`` of its fit,
-    rec's fit moved onto it, its samples, rec's fit, its side (0 left,
-    1 right) and rec's half-width.
+    Each half's eps is ``naive_error`` of its fit and rec's fit moved onto
+    it or, if refined, ``refined_error`` of those, its samples, rec's fit,
+    its side (0 left, 1 right), st and THETA1; both at rec's half-width.
 
     Both halves are pushed or neither: a fit with too few numeric values
     raises TooManyNonNumeric, and a divergence verdict DivergentIntegral,
@@ -208,23 +208,14 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
         q = integral(cv, ca, cb)
         nr_div = divergence_update(q, rec)
         c_xfer = transfer_to_child(parent, side, st_par)
+        # refined_error by its module name: benchmarks/tracing.py swaps it
+        eps = (refined_error(cv, c_xfer, sv, parent, side, st, THETA1, h).eps
+               if refined else naive_error(cv, c_xfer, h))
         # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, samples
-        halves.append(IntervalRecord(
-            ca, cb, cv, q, estimate(cv, c_xfer, sv, parent, side, h), q,
-            nr_div, rec.nr_rec + 1, sv))
+        halves.append(IntervalRecord(ca, cb, cv, q, eps, q, nr_div,
+                                     rec.nr_rec + 1, sv))
     for half in halves:
         state.push(half)
-
-
-def _naive_estimate(cv, c_xfer, sv, parent, side, h) -> float:
-    """The error estimate of a naive half, in ``_split``'s signature."""
-    return naive_error(cv, c_xfer, h)
-
-
-def _refined_estimate(st: RuleStencil):
-    """The error estimate of a refined half, in ``_split``'s signature."""
-    return lambda cv, c_xfer, sv, parent, side, h: refined_error(
-        cv, c_xfer, sv, parent, side, st, THETA1, h).eps
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +252,7 @@ def int_naive(integrand, a: float, b: float, tau: float,
             if not split:
                 state.push(rec)
                 return
-        _split(state, fn, rec, st0, _naive_estimate)
+        _split(state, fn, rec, st0, False)
 
     def start() -> IntervalRecord:
         sv = sample(fn, a, b, st_top)
@@ -290,10 +281,9 @@ def int_refined(integrand, a: float, b: float, tau: float,
         return _unordered(int_refined, integrand, a, b, tau, config)
     fn = CountedFunction(integrand)
     st = get_stencil(N_REFINED)
-    estimate = _refined_estimate(st)
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        _split(state, fn, rec, st, estimate)
+        _split(state, fn, rec, st, True)
 
     def start() -> IntervalRecord:
         sv = sample(fn, a, b, st)
@@ -383,7 +373,7 @@ def divergence_ratio_probe(alpha: float) -> tuple[float, float]:
         parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par, q=q_par, eps=0.0,
                                 q_base=q_par, samples=sv_par)
         state = AdaptiveState()
-        _split(state, fn, parent, st, _refined_estimate(st))
+        _split(state, fn, parent, st, True)
         left = next(iter(state.heap))
         return left.eps, left.q
 

@@ -23,7 +23,9 @@ the refined error estimate there.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +95,6 @@ def _multiply_by_x(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _multiply_by_x_minus(v: np.ndarray, t: float) -> np.ndarray:
-    """Coefficients of (x - t) * poly(v)."""
-    w = _multiply_by_x(v)
-    w[: len(v)] -= t * v
-    return w
-
-
 def _newton_vector(nodes: np.ndarray) -> np.ndarray:
     """Coefficients of the monic Newton polynomial prod_i (x - x_i).
 
@@ -120,7 +115,9 @@ def _newton_vector(nodes: np.ndarray) -> np.ndarray:
         order.append(nodes[i])
     v = np.array([SQRT2])  # the constant polynomial 1
     for t in order:
-        v = _multiply_by_x_minus(v, float(t))
+        w = _multiply_by_x(v)  # (x - t) * poly(v)
+        w[: len(v)] -= float(t) * v
+        v = w
     return v
 
 
@@ -279,13 +276,9 @@ def downdate_newton(b_vec: np.ndarray, x_j: float) -> np.ndarray:
     return u
 
 
-_STENCILS: dict[int, RuleStencil] = {}
+_build_once = functools.cache(build_stencil)
 
 
 def get_stencil(n: int) -> RuleStencil:
-    """Per-process cache of immutable stencils (safe to share across runs)."""
-    st = _STENCILS.get(n)
-    if st is None:
-        st = build_stencil(n)
-        _STENCILS[n] = st
-    return st
+    """The shared stencil of degree n, built once per integer n."""
+    return _build_once(operator.index(n))

@@ -7,7 +7,6 @@ from relquad import algorithms
 from relquad.algorithms import (
     NaiveConfig,
     RefinedConfig,
-    _refined_estimate,
     _split,
     divergence_ratio_probe,
     int_naive,
@@ -259,6 +258,17 @@ def test_configs_take_only_the_engine_keyword(config):
         config()
 
 
+def test_package_names_are_the_submodule_objects():
+    import relquad
+    from relquad import engine
+
+    for name in relquad.__all__:
+        module = algorithms if name in algorithms.__all__ else engine
+        assert getattr(relquad, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        relquad.no_such_name
+
+
 def test_result_fields_and_status_values():
     r = int_naive(np.exp, 0.0, 1.0, 1e-6)
     assert set(("q", "eps", "neval", "status")) <= set(r.__dataclass_fields__)
@@ -383,13 +393,19 @@ def test_neval_counts_only_this_call(alg, budget):
         fresh.q, fresh.eps, fresh.neval, fresh.status)
 
 
-@pytest.mark.parametrize("side, neval", [(0, 9), (1, 18)])
-def test_split_pushes_both_halves_or_neither(side, neval):
-    # a half with 10 of its 11 nodes NaN cannot be fitted, and a half whose
-    # integral does not shrink below q_base on a chain at its divergence
-    # limit gives a verdict: either way _split raises before pushing either
-    # half, so the driver can retire the parent as it stands; a left half
-    # that fails stops the split before the right half is sampled
+@pytest.mark.parametrize("side, neval, refined, n_par, n", [
+    (0, 9, True, 10, 10), (1, 18, True, 10, 10),
+    (0, 3, False, 4, 4), (1, 6, False, 4, 4),
+    (0, 3, False, 32, 4), (1, 6, False, 32, 4),
+], ids=("0-9", "1-18", "naive4-0-3", "naive4-1-6", "naive32-0-3",
+        "naive32-1-6"))
+def test_split_pushes_both_halves_or_neither(side, neval, refined, n_par, n):
+    # a half with all but one of its nodes NaN cannot be fitted, and a half
+    # whose integral does not shrink below q_base on a chain at its
+    # divergence limit gives a verdict: either way _split raises before
+    # pushing either half, so the driver can retire the parent as it
+    # stands; a left half that fails stops the split before the right half
+    # is sampled.  A half of degree n evaluates its n - 1 inner nodes.
     def nan_on_side(x):
         inside = x < 0.5 if side == 0 else x > 0.5
         return math.nan if inside else x
@@ -398,18 +414,18 @@ def test_split_pushes_both_halves_or_neither(side, neval):
         # the half on `side` integrates to 0.375, the other to 0.125
         return x if side else 1.0 - x
 
-    st = get_stencil(10)
+    st_par, st = get_stencil(n_par), get_stencil(n)
     for g, nr_div, error in ((nan_on_side, 0, TooManyNonNumeric),
                              (ramp, NR_DIVMAX, DivergentIntegral)):
-        sv = sample(CountedFunction(g), 0.0, 1.0, st)
-        cv = fit(sv, st)
+        sv = sample(CountedFunction(g), 0.0, 1.0, st_par)
+        cv = fit(sv, st_par)
         rec = IntervalRecord(a=0.0, b=1.0, coeffs=cv,
                              q=integral(cv, 0.0, 1.0), eps=1.0, q_base=0.25,
                              nr_div=nr_div, samples=sv)
         fn = CountedFunction(g)
         state = AdaptiveState()
         with pytest.raises(error):
-            _split(state, fn, rec, st, _refined_estimate(st))
+            _split(state, fn, rec, st, refined)
         assert len(state.heap) == 0 and len(state.eps) == 0
         assert fn.count == neval
 

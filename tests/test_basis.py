@@ -266,3 +266,8 @@ def test_stencil_arrays_are_read_only():
 
 def test_get_stencil_caches():
     assert get_stencil(8) is get_stencil(8)
+    assert get_stencil(np.int64(8)) is get_stencil(8)
+    # a failed build is not cached: it raises again
+    for n in (0, 40, 0, 40):
+        with pytest.raises(ValueError):
+            get_stencil(n)
