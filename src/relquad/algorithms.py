@@ -131,10 +131,18 @@ def _unordered(integrator, integrand, a: float, b: float, tau: float,
 def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
            refine) -> QuadResult:
     """Fit the start-up interval, ``start()`` returning its record, then
-    refine the worst interval until the heap's error is within tau, the
-    budget is spent or a chain diverges.  ``refine(state, rec)`` pushes the
-    refinement of the popped record rec.  These two are all the two
-    integrators differ in.
+    refine the worst interval while the heap's error is above both tau and
+    the error retired into excess, until the budget is spent or a chain
+    diverges.  ``refine(state, rec)`` pushes the refinement of the popped
+    record rec.  These two are all the two integrators differ in.
+
+    The returned eps is excess + heap, so once the excess alone is above
+    tau no further step can make the run Converged: it refines only until
+    the heap's error is within the excess, and then ends ToleranceNotMet
+    with eps at most twice the excess.  The excess never falls, so a run that
+    returns Converged had it within tau throughout and took exactly the
+    steps of the test against tau alone; any other run takes a prefix of
+    those steps.
 
     A start-up fit with too few numeric values ends the run at once with
     q = 0, eps = inf and ToleranceNotMet.  A refinement that meets such a
@@ -151,7 +159,8 @@ def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
         state.push(root)
         status = None
         nonnumeric = False
-        while state.heap_eps_exceeds(tau):
+        # tau first: a NaN excess_eps leaves the test at tau
+        while state.heap_eps_exceeds(max(tau, state.excess_eps)):
             if max_neval is not None and fn.count >= max_neval:
                 status = Status.TOLERANCE_NOT_MET
                 break

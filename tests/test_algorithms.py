@@ -507,3 +507,50 @@ def test_sample_reuse_shapes_are_what_the_tracer_counts(monkeypatch, alg):
             raises += 1
     assert halves > 0 and halves % 2 == 0
     assert (raises > 0) == (alg is int_naive)
+
+
+def _pole(alpha, lam=0.48302788072533803):
+    """|x - lam|^alpha on [0, 1] and its integral; lam is a draw of the
+    benchmark's singular workload."""
+    ref = (lam ** (1.0 + alpha) + (1.0 - lam) ** (1.0 + alpha)) / (1.0 + alpha)
+    return (lambda x: np.abs(x - lam) ** alpha), ref
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+@pytest.mark.parametrize("alpha", (-0.9, -0.7, -0.3))
+def test_refinement_stops_once_the_excess_rules_out_convergence(
+        monkeypatch, alg, alpha):
+    # eps = excess + heap, so once the excess alone is above tau no step can
+    # make the run Converged: an interval is popped only while the heap's
+    # error is above both tau and the excess, and a run that ends
+    # ToleranceNotMet below its budget stops with the heap within the larger
+    f, ref = _pole(alpha)
+    tau, budget = 1e-6 * ref, 10_000
+    pops = []
+
+    def wrapper(state, _real=algorithms.select_worst):
+        pops.append((state, state.heap_eps(), state.excess_eps))
+        return _real(state)
+
+    monkeypatch.setattr(algorithms, "select_worst", wrapper)
+    config = (NaiveConfig if alg is int_naive else RefinedConfig)(
+        engine=EngineConfig(1.0, max_neval=budget))
+    r = alg(f, 0.0, 1.0, tau, config)
+    assert pops
+    assert all(heap > max(tau, excess) for _, heap, excess in pops)
+    if r.status is Status.TOLERANCE_NOT_MET and r.neval < budget:
+        state = pops[-1][0]
+        assert state.heap_eps() <= max(tau, state.excess_eps)
+    assert (r.status is Status.CONVERGED) == (alpha == -0.3)
+
+
+def test_a_run_that_cannot_converge_stops_well_under_its_budget():
+    # at alpha = -0.9 the error retired around the pole passes tau long
+    # before the budget: int_refined used to spend all 10,000 evaluations
+    # (10,001) refining elsewhere, and ended ToleranceNotMet all the same
+    f, ref = _pole(-0.9)
+    config = RefinedConfig(engine=EngineConfig(1.0, max_neval=10_000))
+    r = int_refined(f, 0.0, 1.0, 1e-6 * ref, config)
+    assert r.status is Status.TOLERANCE_NOT_MET
+    assert r.neval < 5_000
+    assert r.eps > 1e-6 * ref and math.isfinite(r.q)

@@ -14,6 +14,7 @@ It prints one row per integrator and alpha:
   draws      the cases run
   miss       silent misses: Converged with |q - ref| > tau (alpha > -1)
   divergent  wrong Divergent verdicts on an integrable case (alpha > -1)
+  eps_low    integrable cases not Converged whose eps is below |q - ref|
   no_verdict ToleranceNotMet on a non-integrable case (alpha <= -1)
   neval      the mean number of evaluations
 """
@@ -32,7 +33,7 @@ def scan(checkout, seeds):
     from relquad.engine import EngineConfig, Status
 
     workloads.SINGULAR_FIXED_KS = frozenset()
-    rows = defaultdict(lambda: [0, 0, 0, 0, 0])
+    rows = defaultdict(lambda: [0, 0, 0, 0, 0, 0])
     for seed in seeds:
         for case in workloads.singular_cases(seed):
             alpha = case.params[1]
@@ -48,15 +49,17 @@ def scan(checkout, seeds):
                     row[1] += (r.status is Status.CONVERGED
                                and not abs(r.q - case.ref) <= case.tau)
                     row[2] += r.status is Status.DIVERGENT
+                    row[3] += (r.status is not Status.CONVERGED
+                               and r.eps < abs(r.q - case.ref))
                 else:
-                    row[3] += r.status is Status.TOLERANCE_NOT_MET
-                row[4] += r.neval
-    print("integrator", "alpha", "draws", "miss", "divergent", "no_verdict",
-          "neval", sep="\t")
-    for (alg, alpha), (n, miss, div, none, neval) in sorted(
+                    row[4] += r.status is Status.TOLERANCE_NOT_MET
+                row[5] += r.neval
+    print("integrator", "alpha", "draws", "miss", "divergent", "eps_low",
+          "no_verdict", "neval", sep="\t")
+    for (alg, alpha), (n, miss, div, low, none, neval) in sorted(
             rows.items(), key=lambda item: (item[0][0], -item[0][1])):
-        print(alg, f"{alpha:.1f}", n, miss, div, none, f"{neval / n:.1f}",
-              sep="\t")
+        print(alg, f"{alpha:.1f}", n, miss, div, low, none,
+              f"{neval / n:.1f}", sep="\t")
 
 
 if __name__ == "__main__":
