@@ -50,6 +50,7 @@ from relquad.engine import (
     QuadResult,
     Status,
     accumulate_excess,
+    check_budget,
     check_tau,
     divergence_update,
     enforce_heap_cap,
@@ -165,7 +166,7 @@ def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
                 status = Status.TOLERANCE_NOT_MET
                 break
             rec = select_worst(state)
-            if should_drop(rec, get_stencil(rec.coeffs.stencil_n)):
+            if should_drop(rec):
                 accumulate_excess(state, rec)
                 continue
             try:
@@ -188,11 +189,12 @@ def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
 
 def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
            refined: bool) -> None:
-    """Bisect rec: fit its left and right halves at stencil st, then push
-    both.  Each half reuses the values at its two end nodes (nodes of rec).
-    Each half's eps is ``naive_error`` of its fit and rec's fit moved onto
-    it or, if refined, ``refined_error`` of those, its samples, rec's fit,
-    its side (0 left, 1 right), st and THETA1; both at rec's half-width.
+    """Bisect rec: fit its left and right halves in the rule st, then push
+    both.  Each half reuses the values at its two end nodes, which are
+    rec's, in the rule of rec's fit.  Each half's eps is ``naive_error`` of
+    its fit and rec's fit moved onto it or, if refined, ``refined_error`` of
+    those, its samples, rec's fit, its side (0 left, 1 right) and THETA1;
+    both at rec's half-width.
 
     Both halves are pushed or neither: a fit with too few numeric values
     raises TooManyNonNumeric, and a divergence verdict DivergentIntegral,
@@ -204,10 +206,8 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
     mid = 0.5 * (a + b)
     h = 0.5 * (b - a)
     parent = rec.coeffs
-    n_par = parent.stencil_n
-    st_par = get_stencil(n_par)
     vals = rec.samples.values
-    f_b, f_mid, f_a = vals[0], vals[n_par // 2], vals[n_par]
+    f_b, f_mid, f_a = vals[0], vals[len(vals) // 2], vals[-1]
     halves = []
     # nodes descend: a half's node 0 is its right end, node n its left
     for side, ca, cb, reuse in ((0, a, mid, (f_mid, f_a)),
@@ -216,9 +216,9 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
         cv = fit(sv, st)
         q = integral(cv, ca, cb)
         nr_div = divergence_update(q, rec)
-        c_xfer = transfer_to_child(parent, side, st_par)
+        c_xfer = transfer_to_child(parent, side)
         # refined_error by its module name: benchmarks/tracing.py swaps it
-        eps = (refined_error(cv, c_xfer, sv, parent, side, st, THETA1, h).eps
+        eps = (refined_error(cv, c_xfer, sv, parent, side, THETA1, h).eps
                if refined else naive_error(cv, c_xfer, h))
         # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, samples
         halves.append(IntervalRecord(ca, cb, cv, q, eps, q, nr_div,
@@ -244,9 +244,9 @@ def int_naive(integrand, a: float, b: float, tau: float,
     st0 = get_stencil(N0)
 
     def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        if rec.coeffs.stencil_n < N_TOP:
+        if rec.coeffs.stencil.n < N_TOP:
             # one step up the degree ladder, reusing nested node values
-            st_hi = get_stencil(2 * rec.coeffs.stencil_n)
+            st_hi = get_stencil(2 * rec.coeffs.stencil.n)
             sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
             cv_hi = fit(sv_hi, st_hi)
             diff = naive_error(cv_hi, rec.coeffs, 1.0)
@@ -313,9 +313,10 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
                          max_neval: int = 100_000) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
     accept test; no floors, no non-numeric handling, no divergence guard.
-    A tau that is not positive, or non-finite bounds or widths, raise
-    ValueError before any evaluation."""
+    A tau that is not positive, a budget that ``check_budget`` rejects, or
+    non-finite bounds or widths, raise ValueError before any evaluation."""
     check_tau(tau)
+    check_budget(max_neval)
     _check_finite(a, b)
     fn = CountedFunction(integrand)
     with np.errstate(all="ignore"):

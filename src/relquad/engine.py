@@ -35,7 +35,6 @@ from numbers import Integral
 
 import numpy as np
 
-from relquad.basis import RuleStencil
 from relquad.interp import CoeffVector, SampleVector
 
 __all__ = [
@@ -90,14 +89,19 @@ class EngineConfig:
 
     def __post_init__(self):
         check_tau(self.tau)
-        m = self.max_neval
-        if m is not None and not (isinstance(m, Integral) and m >= 0):
-            raise ValueError(f"max_neval must be an integer >= 0, got {m!r}")
+        if self.max_neval is not None:
+            check_budget(self.max_neval)
 
 
 def check_tau(tau: float) -> None:
     if not tau > 0.0:
         raise ValueError("tau must be positive")
+
+
+def check_budget(max_neval: int) -> None:
+    m = max_neval
+    if isinstance(m, bool) or not (isinstance(m, Integral) and m >= 0):
+        raise ValueError(f"max_neval must be an integer >= 0, got {m!r}")
 
 
 @dataclass(slots=True)
@@ -106,8 +110,8 @@ class IntervalRecord:
 
     q_base is the reference for the divergence ratio: the q of the record's
     first fit, which the doubly adaptive integrator's degree raises leave as
-    it was.  The fitted Newton vector and rule degree travel
-    inside coeffs; samples are kept so children can reuse endpoint values.
+    it was.  The fitted Newton vector and rule travel inside coeffs;
+    samples are kept so children can reuse endpoint values.
     """
 
     a: float
@@ -189,9 +193,10 @@ def select_worst(state: AdaptiveState) -> IntervalRecord:
     return state.pop(False)
 
 
-def should_drop(rec: IntervalRecord, stencil: RuleStencil) -> bool:
-    """Numerical floor (eps below attainable accuracy) or interval so
-    narrow that adjacent mapped nodes coincide in floating point."""
+def should_drop(rec: IntervalRecord) -> bool:
+    """In the rule of rec's fit: numerical floor (eps below attainable
+    accuracy), or adjacent mapped nodes that coincide in floating point."""
+    stencil = rec.coeffs.stencil
     if rec.eps < abs(rec.q) * EPS_MACH * stencil.cond:
         return True
     mid = 0.5 * (rec.a + rec.b)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from relquad.basis import RuleStencil, newton_terms
+from relquad.basis import newton_terms
 from relquad.interp import CoeffVector, SampleVector
 
 __all__ = ["RefinedEstimate", "norm", "naive_error", "refined_error"]
@@ -90,19 +90,19 @@ def refined_error(
     samples: SampleVector,
     parent: CoeffVector,
     side: int,
-    stencil: RuleStencil,
     theta1: float,
     halfwidth: float,
 ) -> RefinedEstimate:
     """Derivative-extracting error estimate with pointwise validity test.
 
-    c_child and samples are the child's fit and values at stencil's nodes;
-    parent is the fit, at the same stencil, of the interval the child halves
-    on side 0 (left) or 1 (right), and c_parent_xfer that fit moved onto the
-    child.  The Newton terms are ``basis.newton_terms`` of the two fits'
-    Newton vectors; when neither fit is masked they depend on no data, and
-    are read from the stencil, which holds them for that case.
+    c_child and samples are the child's fit and values at the nodes of its
+    rule, c_child.stencil; parent is the fit, in the same rule, of the
+    interval the child halves on side 0 (left) or 1 (right), and
+    c_parent_xfer that fit moved onto the child.  The Newton terms are
+    ``basis.newton_terms`` of the two fits' Newton vectors; when neither fit
+    is masked they depend on no data, and the stencil holds them.
     """
+    stencil = c_child.stencil
     b_child = c_child.newton
     diff_norm = norm(c_child.c - c_parent_xfer.c)
     if b_child is stencil.b and parent.eff_degree == stencil.n:

@@ -73,12 +73,13 @@ class SampleVector(NamedTuple):
 
 
 class CoeffVector(NamedTuple):
-    """Legendre coefficients (full stencil length, zero-padded above
-    eff_degree) plus the matching downdated Newton vector when known."""
+    """Legendre coefficients in the rule stencil, which ``fit`` sets and
+    ``transfer_to_child`` passes on (full stencil length, zero-padded above
+    eff_degree), plus the matching downdated Newton vector when known."""
 
     c: np.ndarray
     eff_degree: int
-    stencil_n: int
+    stencil: RuleStencil
     newton: np.ndarray | None = None
 
 
@@ -147,7 +148,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
     mask = samples.nan_mask
     c = stencil.P_inv.dot(samples.f)
     if not mask:
-        return CoeffVector(c, n, n, stencil.b)
+        return CoeffVector(c, n, stencil, stencil.b)
     if len(mask) >= n:
         raise TooManyNonNumeric(f"{len(mask)} of {n + 1} nodes non-numeric")
     m = n
@@ -159,7 +160,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
         m -= 1
     newton = np.zeros(n + 2)
     newton[: m + 2] = b
-    return CoeffVector(c=c, eff_degree=m, stencil_n=n, newton=newton)
+    return CoeffVector(c, m, stencil, newton)
 
 
 def integral(c: CoeffVector, a: float, b: float) -> float:
@@ -172,12 +173,12 @@ def integral(c: CoeffVector, a: float, b: float) -> float:
     return 0.5 * (b - a) * SQRT2 * float(c.c[0])
 
 
-def transfer_to_child(c: CoeffVector, side: int, stencil: RuleStencil) -> CoeffVector:
+def transfer_to_child(c: CoeffVector, side: int) -> CoeffVector:
     """Re-expand the interpolant in the coordinates of one half-interval,
-    side 0 (left) or 1 (right).
+    side 0 (left) or 1 (right), by the transform of its rule, c.stencil.
 
     The transforms are upper triangular, so zero-padding above eff_degree
-    survives; the result predicts the parent's interpolant on the child and
-    carries no Newton vector of its own.
+    survives; the result predicts the parent's interpolant on the child, in
+    the same rule, and carries no Newton vector of its own.
     """
-    return CoeffVector(stencil.t[side].dot(c.c), c.eff_degree, c.stencil_n)
+    return CoeffVector(c.stencil.t[side].dot(c.c), c.eff_degree, c.stencil)

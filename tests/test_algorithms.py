@@ -393,6 +393,44 @@ def test_neval_counts_only_this_call(alg, budget):
         fresh.q, fresh.eps, fresh.neval, fresh.status)
 
 
+# an integrator run with the budget n, on [0, 1] at 1e-6
+WITH_BUDGET = {
+    "int_naive": lambda f, n: int_naive(
+        f, 0.0, 1.0, 1e-6, NaiveConfig(engine=EngineConfig(1.0, max_neval=n))),
+    "int_refined": lambda f, n: int_refined(
+        f, 0.0, 1.0, 1e-6,
+        RefinedConfig(engine=EngineConfig(1.0, max_neval=n))),
+    "int_simpson_baseline": lambda f, n: int_simpson_baseline(
+        f, 0.0, 1.0, 1e-6, max_neval=n),
+}
+
+
+@pytest.mark.parametrize("budget", (math.nan, math.inf, -5, 2.5, 100.0,
+                                    True, False, np.True_), ids=repr)
+@pytest.mark.parametrize("alg", tuple(WITH_BUDGET))
+def test_bad_budget_raises_before_any_evaluation(alg, budget):
+    # NaN, negative, non-integer and bool budgets: a NaN one used to turn
+    # Simpson's budget off (on 1/x: 103,741 evaluations and q = nan), and
+    # True was a budget of 1
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / x if x else math.inf
+
+    with pytest.raises(ValueError, match="max_neval"):
+        WITH_BUDGET[alg](f, budget)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alg", tuple(WITH_BUDGET))
+def test_integer_budgets_are_accepted(alg):
+    # a numpy integer budget stops the run as the same int does
+    want = WITH_BUDGET[alg](_peak, 40)
+    assert WITH_BUDGET[alg](_peak, np.int64(40)) == want
+    assert want.status is Status.TOLERANCE_NOT_MET
+
+
 @pytest.mark.parametrize("side, neval, refined, n_par, n", [
     (0, 9, True, 10, 10), (1, 18, True, 10, 10),
     (0, 3, False, 4, 4), (1, 6, False, 4, 4),

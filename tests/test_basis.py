@@ -91,8 +91,9 @@ def test_integration_weights_exact_for_every_basis_function():
     # integral of p_0 over [-1,1] is sqrt(2); all higher p_k integrate to 0
     for n in RULE_DEGREES:
         oracle = legendre_values(n, GL_X).T @ GL_W
-        weights = np.array([integral(CoeffVector(c=e, eff_degree=n, stencil_n=n),
-                                     -1.0, 1.0) for e in np.eye(n + 1)])
+        st = get_stencil(n)
+        weights = np.array([integral(CoeffVector(e, n, st), -1.0, 1.0)
+                            for e in np.eye(n + 1)])
         np.testing.assert_allclose(weights, oracle, rtol=0, atol=1e-13)
         assert weights[0] == SQRT2
         assert not weights[1:].any()

@@ -19,13 +19,12 @@ from relquad.engine import (
     select_worst,
     should_drop,
 )
-from relquad.interp import CoeffVector
+from relquad.interp import (CoeffVector, CountedFunction, fit, integral,
+                            sample, transfer_to_child)
 
-ST10 = get_stencil(10)
 
-
-def _rec(q=0.0, eps=0.0, a=0.0, b=1.0, nr_div=0, nr_rec=0):
-    cv = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10)
+def _rec(q=0.0, eps=0.0, a=0.0, b=1.0, nr_div=0, nr_rec=0, n=10):
+    cv = CoeffVector(c=np.zeros(n + 1), eff_degree=n, stencil=get_stencil(n))
     return IntervalRecord(a=a, b=b, coeffs=cv, q=q, eps=eps, q_base=q,
                           nr_div=nr_div, nr_rec=nr_rec)
 
@@ -50,17 +49,43 @@ def test_select_worst_tie_breaks_by_insertion_order():
 
 
 def test_should_drop_numerical_floor():
-    assert should_drop(_rec(q=1.0, eps=0.0), ST10)
+    assert should_drop(_rec(q=1.0, eps=0.0))
     # 1e-3 is far above 1 * eps_mach * cond(P) ~ 7.7e-15
-    assert not should_drop(_rec(q=1.0, eps=1e-3), ST10)
+    assert not should_drop(_rec(q=1.0, eps=1e-3))
 
 
 def test_should_drop_collapsed_interval():
     eps_mach = np.finfo(float).eps
     rec = _rec(q=1.0, eps=1.0, a=1.0, b=1.0 + 2.0 * eps_mach)
-    assert should_drop(rec, ST10)
+    assert should_drop(rec)
     # a clearly resolvable interval is kept
-    assert not should_drop(_rec(q=1.0, eps=1.0, a=1.0, b=1.0 + 1e-8), ST10)
+    assert not should_drop(_rec(q=1.0, eps=1.0, a=1.0, b=1.0 + 1e-8))
+
+
+def test_the_rule_travels_with_the_fit():
+    # fit sets the rule its coefficients are in, transfer_to_child passes
+    # it on, and should_drop reads it from the record
+    with np.errstate(all="ignore"):  # as the integrators run sample
+        for n, fn in ((4, np.exp), (10, np.exp), (10, lambda x: 1.0 / x),
+                      (32, lambda x: abs(x - 0.3) ** -0.5)):
+            st = get_stencil(n)
+            cv = fit(sample(CountedFunction(fn), 0.0, 1.0, st), st)
+            assert cv.stencil is st
+            for side in (0, 1):
+                child = transfer_to_child(cv, side)
+                assert child.stencil is st
+                assert child.c.tobytes() == st.t[side].dot(cv.c).tobytes()
+    # 1e-14 wide at 1.0: degree 32's adjacent end nodes collide, degree 4's
+    # do not, and eps = 1.0 is far above either noise floor
+    a, b = 1.0, 1.0 + 1e-14
+    drops = {}
+    for n in (4, 32):
+        st = get_stencil(n)
+        cv = fit(sample(CountedFunction(np.exp), a, b, st), st)
+        q = integral(cv, a, b)
+        drops[n] = should_drop(IntervalRecord(a=a, b=b, coeffs=cv, q=q,
+                                              eps=1.0, q_base=q))
+    assert drops == {4: False, 32: True}
 
 
 def test_accumulate_excess_sums_and_conserves():
@@ -370,11 +395,11 @@ def test_should_drop_matches_float64_nodes(n):
         ks = [int(np.exp(rng.uniform(0.0, np.log(4000.0))))]
         if draw % 10 == 0:
             flip = next(k for k in range(1, 5000) if not _drop_by_float64(
-                _rec(eps=1.0, a=a, b=a + k * ulp), st))
+                _rec(eps=1.0, a=a, b=a + k * ulp, n=n), st))
             ks += range(max(1, flip - 3), flip + 4)
         for k in ks:
-            rec = _rec(eps=1.0, a=a, b=a + k * ulp)
+            rec = _rec(eps=1.0, a=a, b=a + k * ulp, n=n)
             want = _drop_by_float64(rec, st)
-            assert should_drop(rec, st) is want
+            assert should_drop(rec) is want
             seen.add(want)
     assert seen == {True, False}

@@ -22,27 +22,30 @@ def _split_estimate(fn, a, b, side, st=ST, theta1=THETA1):
     mid = 0.5 * (a + b)
     ca, cb = (a, mid) if side == 0 else (mid, b)
     sv_ch = sample(CountedFunction(fn), ca, cb, st)
-    return refined_error(fit(sv_ch, st), transfer_to_child(cv_par, side, st),
-                         sv_ch, cv_par, side, st, theta1, 0.5 * (b - a))
+    return refined_error(fit(sv_ch, st), transfer_to_child(cv_par, side),
+                         sv_ch, cv_par, side, theta1, 0.5 * (b - a))
 
 
 def test_naive_identical_vectors():
-    c = CoeffVector(c=np.arange(5.0), eff_degree=4, stencil_n=4)
+    c = CoeffVector(c=np.arange(5.0), eff_degree=4, stencil=get_stencil(4))
     assert naive_error(c, c, 0.5) == 0.0
 
 
 def test_naive_zero_pads_shorter_vector():
-    hi = CoeffVector(c=np.array([1.0, 2.0, 0.0, 0.0]), eff_degree=3, stencil_n=3)
-    lo = CoeffVector(c=np.array([1.0, 2.0]), eff_degree=1, stencil_n=1)
+    hi = CoeffVector(c=np.array([1.0, 2.0, 0.0, 0.0]), eff_degree=3,
+                     stencil=get_stencil(3))
+    lo = CoeffVector(c=np.array([1.0, 2.0]), eff_degree=1,
+                     stencil=get_stencil(1))
     assert naive_error(hi, lo, 1.0) == 0.0
 
 
 def test_naive_cuts_off_longer_vector():
     # a higher-degree parent moved onto a lowest-degree child is compared
     # over the child's length only
-    lo = CoeffVector(c=np.array([1.0, 2.0]), eff_degree=1, stencil_n=1)
+    lo = CoeffVector(c=np.array([1.0, 2.0]), eff_degree=1,
+                     stencil=get_stencil(1))
     hi = CoeffVector(c=np.array([1.0, 5.0, 7.0, 9.0]), eff_degree=3,
-                     stencil_n=3)
+                     stencil=get_stencil(3))
     assert naive_error(lo, hi, 0.5) == 1.5
 
 
@@ -70,8 +73,9 @@ def test_naive_error_matches_concatenation_path(n_hi):
             m = min(n_hi, n_lo) + 1
             same = rng.random(m) < 0.3   # exact zeros in the difference
             c_lo[:m][same] = c_hi[:m][same]
-            hi = CoeffVector(c=c_hi, eff_degree=n_hi, stencil_n=n_hi)
-            lo = CoeffVector(c=c_lo, eff_degree=n_lo, stencil_n=n_lo)
+            # naive_error reads only the coefficients; degree 64 has no rule
+            hi = CoeffVector(c_hi, n_hi, None)
+            lo = CoeffVector(c_lo, n_lo, None)
             h = float(rng.uniform(1e-9, 4.0))
             got = naive_error(hi, lo, h)
             assert type(got) is float
@@ -231,13 +235,13 @@ def test_refined_no_negative_or_nan_eps():
 
 def test_degenerate_denominator_falls_back():
     # the child's Newton vector equals the parent's moved onto it
-    c1 = CoeffVector(c=np.r_[1.0, np.zeros(10)], eff_degree=10, stencil_n=10,
+    c1 = CoeffVector(c=np.r_[1.0, np.zeros(10)], eff_degree=10, stencil=ST,
                      newton=2.0 ** 11 * (ST.t_full[0] @ ST.b))
-    c2 = CoeffVector(c=np.r_[2.0, np.zeros(10)], eff_degree=10, stencil_n=10)
+    c2 = CoeffVector(c=np.r_[2.0, np.zeros(10)], eff_degree=10, stencil=ST)
     sv = sample(CountedFunction(lambda x: 1.0), 0.0, 1.0, ST)
-    parent = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10,
+    parent = CoeffVector(c=np.zeros(11), eff_degree=10, stencil=ST,
                          newton=ST.b)
-    est = refined_error(c1, c2, sv, parent, 0, ST, THETA1, 0.5)
+    est = refined_error(c1, c2, sv, parent, 0, THETA1, 0.5)
     assert est.used_fallback
     # the difference norm, without the extracted derivative
     assert est.eps == 0.5 * norm(c1.c - c2.c) == 0.5
@@ -248,19 +252,19 @@ def test_masked_nodes_excluded_from_pointwise_test():
     # there must not trip the fallback when every real node is fine
     from relquad.interp import SampleVector
 
-    c_child = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10,
+    c_child = CoeffVector(c=np.zeros(11), eff_degree=10, stencil=ST,
                           newton=ST.b)
-    c_xfer = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10)
-    parent = CoeffVector(c=np.zeros(11), eff_degree=10, stencil_n=10,
+    c_xfer = CoeffVector(c=np.zeros(11), eff_degree=10, stencil=ST)
+    parent = CoeffVector(c=np.zeros(11), eff_degree=10, stencil=ST,
                          newton=ST.b)
     f = np.zeros(11)
     f[3] = 5.0  # disagrees wildly with the parent, but only at the masked node
     sv = SampleVector(f=f, nan_mask=(3,), values=f.tolist())
-    est = refined_error(c_child, c_xfer, sv, parent, 0, ST, THETA1, 0.5)
+    est = refined_error(c_child, c_xfer, sv, parent, 0, THETA1, 0.5)
     assert not est.used_fallback
     # unmasked version of the same inputs does trip it
     sv2 = SampleVector(f=f, nan_mask=(), values=f.tolist())
-    est2 = refined_error(c_child, c_xfer, sv2, parent, 0, ST, THETA1, 0.5)
+    est2 = refined_error(c_child, c_xfer, sv2, parent, 0, THETA1, 0.5)
     assert est2.used_fallback
 
 
@@ -306,10 +310,10 @@ def test_refined_error_matches_deletion_path(n):
                     sv = sample(CountedFunction(fn), ca, cb, st)
                     n_masked += bool(sv.nan_mask)
                     cv = fit(sv, st)
-                    c_xfer = transfer_to_child(cv_par, side, st)
+                    c_xfer = transfer_to_child(cv_par, side)
                     b_xfer = 2.0 ** (cv_par.eff_degree + 1) * (
                         st.t_full[side] @ cv_par.newton)
-                    est = refined_error(cv, c_xfer, sv, cv_par, side, st,
+                    est = refined_error(cv, c_xfer, sv, cv_par, side,
                                         THETA1, 0.5 * (b - a))
                     verdicts.add(est.used_fallback)
                     assert ((est.eps, est.used_fallback)
@@ -395,10 +399,10 @@ def test_refined_error_matches_path_without_stencil_norms(n):
                 f[rng.choice(free)] = rng.choice((np.nan, np.inf, -np.inf))
                 sv = SampleVector(f=f, nan_mask=sv.nan_mask,
                                   values=f.tolist())
-            c_xfer = transfer_to_child(parent, side, st)
+            c_xfer = transfer_to_child(parent, side)
             theta1 = float(rng.uniform(1.0, 3.0))
             h = float(rng.uniform(1e-6, 4.0))
-            got = refined_error(cv, c_xfer, sv, parent, side, st, theta1, h)
+            got = refined_error(cv, c_xfer, sv, parent, side, theta1, h)
             want = _refined_error_without_stencil_norms(
                 cv, c_xfer, sv, parent, side, st, theta1, h)
             assert (got.eps.hex(), got.used_fallback) \

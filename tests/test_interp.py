@@ -201,7 +201,7 @@ def test_l2_norm_examples_and_oracle():
     assert np.linalg.norm(np.zeros(5)) == 0.0
     st = get_stencil(10)
     rng = np.random.default_rng(3)
-    cv = CoeffVector(c=rng.standard_normal(11), eff_degree=10, stencil_n=10)
+    cv = CoeffVector(c=rng.standard_normal(11), eff_degree=10, stencil=st)
     g = legendre_values(10, GL_X) @ cv.c
     np.testing.assert_allclose(np.linalg.norm(cv.c), np.sqrt(g @ (GL_W * g)),
                                rtol=1e-10)
@@ -209,9 +209,9 @@ def test_l2_norm_examples_and_oracle():
 
 def test_transfer_constant_invariant():
     st = get_stencil(8)
-    cv = CoeffVector(c=np.r_[3.7, np.zeros(8)], eff_degree=8, stencil_n=8)
+    cv = CoeffVector(c=np.r_[3.7, np.zeros(8)], eff_degree=8, stencil=st)
     for side in (0, 1):
-        np.testing.assert_allclose(transfer_to_child(cv, side, st).c, cv.c,
+        np.testing.assert_allclose(transfer_to_child(cv, side).c, cv.c,
                                    rtol=0, atol=1e-15)
 
 
@@ -219,7 +219,7 @@ def test_transfer_linear_function():
     # x on [-1,1] restricted to the left half is (t-1)/2 in child coordinates
     st = get_stencil(10)
     cv = fit(sample(CountedFunction(lambda x: x), -1.0, 1.0, st), st)
-    left = transfer_to_child(cv, 0, st)
+    left = transfer_to_child(cv, 0)
     t = np.linspace(-1.0, 1.0, 21)
     got = legendre_values(10, t) @ left.c
     np.testing.assert_allclose(got, (t - 1.0) / 2.0, rtol=0, atol=1e-13)
@@ -230,10 +230,10 @@ def test_transfer_pointwise_oracle(n):
     st = get_stencil(n)
     rng = np.random.default_rng(n)
     c = rng.standard_normal(n + 1)
-    cv = CoeffVector(c=c, eff_degree=n, stencil_n=n)
+    cv = CoeffVector(c=c, eff_degree=n, stencil=st)
     t = np.linspace(-1.0, 1.0, 20)
     for side, mapped in ((0, (t - 1) / 2), (1, (t + 1) / 2)):
-        child = transfer_to_child(cv, side, st)
+        child = transfer_to_child(cv, side)
         np.testing.assert_allclose(
             legendre_values(n, t) @ child.c,
             legendre_values(n, mapped) @ c,
@@ -244,8 +244,8 @@ def test_transfer_preserves_padding_and_degree():
     st = get_stencil(10)
     c = np.zeros(11)
     c[:8] = np.random.default_rng(5).standard_normal(8)
-    cv = CoeffVector(c=c, eff_degree=7, stencil_n=10)
-    child = transfer_to_child(cv, 0, st)
+    cv = CoeffVector(c=c, eff_degree=7, stencil=st)
+    child = transfer_to_child(cv, 0)
     assert child.eff_degree == 7
     np.testing.assert_array_equal(child.c[8:], np.zeros(3))
     assert child.newton is None
@@ -257,12 +257,12 @@ def test_bisection_integral_additivity():
     st = get_stencil(10)
     rng = np.random.default_rng(11)
     c = rng.standard_normal(11)
-    cv = CoeffVector(c=c, eff_degree=10, stencil_n=10)
+    cv = CoeffVector(c=c, eff_degree=10, stencil=st)
     a, b = 0.3, 2.1
     m = 0.5 * (a + b)
     total = integral(cv, a, b)
-    parts = (integral(transfer_to_child(cv, 0, st), a, m)
-             + integral(transfer_to_child(cv, 1, st), m, b))
+    parts = (integral(transfer_to_child(cv, 0), a, m)
+             + integral(transfer_to_child(cv, 1), m, b))
     np.testing.assert_allclose(parts, total, rtol=1e-12)
 
 
@@ -453,7 +453,7 @@ def _fit_by_downdate(samples, stencil):
         m -= 1
     newton = np.zeros(n + 2)
     newton[: m + 2] = b
-    return CoeffVector(c=c, eff_degree=m, stencil_n=n, newton=newton)
+    return CoeffVector(c=c, eff_degree=m, stencil=stencil, newton=newton)
 
 
 @pytest.mark.parametrize("n", (4, 8, 10, 16, 32))
@@ -470,8 +470,8 @@ def test_fit_matches_downdate_path(n):
         sv = SampleVector(f=f, nan_mask=mask, values=f.tolist())
         got, want = fit(sv, st), _fit_by_downdate(sv, st)
         assert got.c.tobytes() == want.c.tobytes()
-        assert (got.eff_degree, got.stencil_n) == (want.eff_degree,
-                                                   want.stencil_n)
+        assert got.eff_degree == want.eff_degree
+        assert got.stencil is want.stencil is st
         assert got.newton.tobytes() == want.newton.tobytes()
         if not mask:
             assert got.newton is st.b
@@ -494,7 +494,7 @@ def test_dot_products_equal_matmul_expressions(n):
         # fit: P_inv.dot(f) is the first step of the reference's P_inv @ f
         assert cv.c.tobytes() == _fit_by_downdate(sv, st).c.tobytes()
         for side in (0, 1):
-            c_xfer = transfer_to_child(cv, side, st).c
+            c_xfer = transfer_to_child(cv, side).c
             assert c_xfer.tobytes() == (st.t[side] @ cv.c).tobytes()
             # the refined prediction and the masked path's Newton terms
             assert st.P.dot(c_xfer).tobytes() == (st.P @ c_xfer).tobytes()

@@ -3,7 +3,9 @@
 ``benchmarks/tracing.py`` swaps timing and counting wrappers into
 ``relquad.algorithms`` by name, with fixed call shapes (``enforce_heap_cap``
 takes two positional arguments, ``divergence_update`` any).  A signature the
-tracer cannot absorb would otherwise show only in a traced benchmark run.
+tracer cannot absorb would otherwise show only in a traced benchmark run,
+and a wrapped name the library stops calling only as a ZeroDivisionError in
+``benchmarks/run.py``'s ``per_layer``.
 The tracer is imported from ``benchmarks/`` as it is and not changed.
 """
 
@@ -61,5 +63,12 @@ def test_traced_runs_match_untraced_runs(monkeypatch):
         assert counts["heap_len.max"] == HEAP_CAP, alg
         assert counts["evictions"] > 0, alg
         assert counts["divergent_verdicts"] > 0, alg
+        # the denominators of benchmarks/run.py's per_layer metrics
+        for name in ("sample", "fit", "select_worst"):
+            assert counts[f"{name}.calls"] > 0, (alg, name)
+    assert tracer.per_alg["refined"]["refined_error.calls"] > 0
+    # every wrapped name is still called through relquad.algorithms
+    spanned = {tracer.names[i] for i in set(tracer.arrays()[0].tolist())}
+    assert set(tracing.LAYER) <= spanned, set(tracing.LAYER) - spanned
     assert algorithms.enforce_heap_cap is engine.enforce_heap_cap
     assert algorithms.divergence_update is engine.divergence_update

@@ -3,6 +3,7 @@
     python tools/bitcheck.py dump CHECKOUT SEED [SEED ...] > rows.tsv
     python tools/bitcheck.py cli CHECKOUT > cli.tsv
     python tools/bitcheck.py diff OLD.tsv NEW.tsv
+    python tools/bitcheck.py compare OLD NEW [SEED ...]
 
 ``dump`` runs int_naive and int_refined, configured as
 ``benchmarks/run.py`` configures them, on every case of CHECKOUT's
@@ -19,6 +20,11 @@ default flags and with ``--alg all``, as ``python -m relquad.cli`` with
 ``PYTHONPATH=CHECKOUT/src``, and prints one line per run: the command and
 the sha256 of its standard output.  A plain ``diff`` of two such dumps
 then checks that the CLI's bytes are unchanged.
+
+``compare`` runs ``dump`` (seeds 0, 3 and 7 unless given) and ``cli`` on
+both checkouts, each in its own process, prints the ``diff`` report of the
+rows and the ``cli`` lines that differ, and exits 1 if any row or hash
+differs.
 """
 
 import hashlib
@@ -26,6 +32,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -84,7 +91,12 @@ def cli(checkout):
 
 
 def diff(old_path, new_path):
-    old, new = (Path(p).read_text().splitlines() for p in (old_path, new_path))
+    return 1 if diff_rows(*(Path(p).read_text().splitlines()
+                            for p in (old_path, new_path))) else 0
+
+
+def diff_rows(old, new):
+    """Print the report of two dumps' rows; returns how many differ."""
     if len(old) != len(new):
         sys.exit(f"row counts differ: {len(old)} vs {len(new)}")
     groups = Counter()
@@ -98,7 +110,32 @@ def diff(old_path, new_path):
     for (workload, alg, s_old, s_new, fields), k in sorted(groups.items()):
         print(f"{k:6d}  {workload} {alg} {s_old} -> {s_new}: {fields} differ")
     print(f"{sum(groups.values())} of {len(old)} rows differ")
-    return 1 if groups else 0
+    return sum(groups.values())
+
+
+def compare(old, new, seeds):
+    def lines(mode, *args):
+        # this script on each checkout, the two side by side; into files, so
+        # that neither waits on a full pipe
+        outs = [tempfile.TemporaryFile("w+") for _ in range(2)]
+        procs = [subprocess.Popen([sys.executable, __file__, mode, c, *args],
+                                  stdout=out)
+                 for c, out in zip((old, new), outs)]
+        if any([p.wait() for p in procs]):
+            sys.exit(f"{mode} failed on {old} or {new}")
+        for out in outs:
+            out.seek(0)
+        return [out.read().splitlines() for out in outs]
+
+    rows = diff_rows(*lines("dump", *seeds))
+    old_cli, new_cli = lines("cli")
+    hashes = 0
+    for o, n in zip(old_cli, new_cli, strict=True):
+        if o != n:
+            print(f"- {o}\n+ {n}")
+            hashes += 1
+    print(f"{hashes} of {len(old_cli)} cli hashes differ")
+    return 1 if rows or hashes else 0
 
 
 if __name__ == "__main__":
@@ -108,5 +145,8 @@ if __name__ == "__main__":
         cli(sys.argv[2])
     elif sys.argv[1:2] == ["diff"] and len(sys.argv) == 4:
         sys.exit(diff(sys.argv[2], sys.argv[3]))
+    elif sys.argv[1:2] == ["compare"] and len(sys.argv) > 3:
+        seeds = [str(int(s)) for s in sys.argv[4:]] or ["0", "3", "7"]
+        sys.exit(compare(sys.argv[2], sys.argv[3], seeds))
     else:
         sys.exit(__doc__)
