@@ -60,7 +60,6 @@ from relquad.engine import (
 from relquad.errest import naive_error, norm, refined_error
 from relquad.interp import (
     CountedFunction,
-    SampleVector,
     TooManyNonNumeric,
     fit,
     integral,
@@ -160,7 +159,7 @@ def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
         state.push(root)
         status = None
         nonnumeric = False
-        # tau first: a NaN excess_eps leaves the test at tau
+        # only popped records, whose eps is not NaN, retire: no NaN excess
         while state.heap_eps_exceeds(max(tau, state.excess_eps)):
             if max_neval is not None and fn.count >= max_neval:
                 status = Status.TOLERANCE_NOT_MET
@@ -254,21 +253,18 @@ def int_naive(integrand, a: float, b: float, tau: float,
             rec.coeffs = cv_hi
             rec.q = integral(cv_hi, rec.a, rec.b)
             rec.eps = 0.5 * (rec.b - rec.a) * diff
-            norm_hi = norm(cv_hi.c)
             # relative coefficient change: a large jump even at the new
             # degree means the ladder is not converging here — bisect
-            split = diff > HINT * norm_hi if norm_hi > 0.0 else diff > 0.0
-            if not split:
+            if not diff > HINT * norm(cv_hi.c):
                 state.push(rec)
                 return
         _split(state, fn, rec, st0, False)
 
     def start() -> IntervalRecord:
-        sv = sample(fn, a, b, st_top)
+        sv_lo = sample(fn, a, b, st_lo)
+        sv = sample(fn, a, b, st_top, reuse=sv_lo.values)
         c_top = fit(sv, st_top)
-        # the lower rule's nodes are the even-indexed ones (Chebyshev nesting)
-        c_lo = fit(SampleVector(sv.f[::2].copy(), tuple(
-            i // 2 for i in sv.nan_mask if i % 2 == 0), sv.values[::2]), st_lo)
+        c_lo = fit(sv_lo, st_lo)
         q0 = integral(c_top, a, b)
         return IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
                               eps=naive_error(c_top, c_lo, 0.5 * (b - a)),

@@ -8,8 +8,10 @@ eviction take from the two ends of one ascending list of (eps, -number)
 of the records whose eps is not NaN: its last entry is the largest eps,
 pushed earliest among ties, and the earliest push among the smallest is
 found by bisection.  A push is an insertion into that sorted list.  0.0
-and -0.0 tie, and a NaN eps, which the list does not hold, is chosen only
-while its record is the oldest on the heap.
+and -0.0 tie.  A NaN eps, which the list does not hold, is never
+selected or evicted: it makes ``heap_eps_exceeds`` false, so the driver
+ends the run at the step that pushed it, in which at most one record, a
+numeric one at a cap of 2 or more, is evicted.
 
 Intervals whose error estimate is below the numerical noise floor
 eps_mach * |q| * cond(P), or which have become so narrow that adjacent
@@ -160,14 +162,13 @@ class AdaptiveState:
             insort(self._order, (e, -k))
 
     def pop(self, smallest: bool) -> IntervalRecord:
-        """Pop the oldest record if its eps is NaN, else the earliest push
-        among the smallest or the largest eps."""
-        eps, order = self._eps, self._order
-        if len(eps) == len(order) or not math.isnan(eps[k := next(iter(eps))]):
-            # -number < 1: the entries before (smallest eps, 1) are its ties
-            i = bisect_left(order, (order[0][0], 1)) - 1 if smallest else -1
-            k = -order.pop(i)[1]
-        del eps[k]
+        """Pop the earliest push among the smallest or the largest eps that
+        is not NaN; there must be one."""
+        order = self._order
+        # -number < 1: the entries before (smallest eps, 1) are its ties
+        i = bisect_left(order, (order[0][0], 1)) - 1 if smallest else -1
+        k = -order.pop(i)[1]
+        del self._eps[k]
         return self._recs.pop(k)
 
     def heap_eps(self) -> float:
@@ -176,7 +177,7 @@ class AdaptiveState:
     def heap_eps_exceeds(self, tau: float) -> bool:
         """heap_eps() > tau, without the sum where the largest eps decides
         it: a float sum of terms >= 0, as every eps is or NaN, is at least
-        its largest term.  A NaN eps takes the sum, which it makes NaN."""
+        its largest term.  A NaN eps makes the sum NaN and the answer false."""
         order = self._order
         if order and len(order) == len(self._eps) and order[-1][0] > tau:
             return True

@@ -24,6 +24,7 @@ from relquad.engine import (
 )
 from relquad.interp import (
     CountedFunction,
+    SampleVector,
     TooManyNonNumeric,
     fit,
     integral,
@@ -107,6 +108,54 @@ def test_heap_cap_keeps_estimates_honest(monkeypatch):
         assert abs(free.q - exact) <= tau
         assert abs(capped.q - exact) <= capped.eps + tau
         assert abs(capped.q - free.q) <= capped.eps + free.eps
+
+
+# values near the largest float overflow the fit: the step gives a NaN
+# estimate at start-up, the spike one in the middle of a run (at cap 200,
+# onto a heap of 18 records for int_naive and 9 for int_refined)
+NAN_ESTIMATES = {
+    "step": lambda x: 1.7e308 if x > 0.5 else -1.7e308,
+    "spike": lambda x: (1.7e308 if 0.3 < x < 0.31
+                        else math.floor(math.exp(3 * x))),
+}
+
+
+@pytest.mark.parametrize("cap", (2, 3, 200))
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+@pytest.mark.parametrize("label", NAN_ESTIMATES)
+def test_a_nan_estimate_is_never_popped_and_ends_the_run(monkeypatch, label,
+                                                          alg, cap):
+    # the store never selects or evicts a record whose eps is NaN, and the
+    # driver selects nothing after the step that pushed one
+    log = []
+
+    def push(state, rec, _real=AdaptiveState.push):
+        log.append(("push", rec.eps))
+        _real(state, rec)
+
+    def pop(state, smallest, _real=AdaptiveState.pop):
+        rec = _real(state, smallest)
+        log.append(("pop", rec.eps))
+        return rec
+
+    def select(state, _real=algorithms.select_worst):
+        log.append(("select", 0.0))
+        return _real(state)
+
+    monkeypatch.setattr(AdaptiveState, "push", push)
+    monkeypatch.setattr(AdaptiveState, "pop", pop)
+    monkeypatch.setattr(algorithms, "select_worst", select)
+    monkeypatch.setattr(algorithms, "HEAP_CAP", cap)
+    res = alg(NAN_ESTIMATES[label], 0.0, 1.0, 1e-6)
+    first = next((i for i, (op, eps) in enumerate(log)
+                  if op == "push" and math.isnan(eps)), None)
+    if first is None:
+        # at a small cap the spike can be retired before a fit overflows
+        assert label == "spike" and cap < 200
+        return
+    assert all(op != "select" for op, _ in log[first:])
+    assert not any(op == "pop" and math.isnan(eps) for op, eps in log)
+    assert res.status is Status.TOLERANCE_NOT_MET
 
 
 def test_budget_stops_promptly_with_honest_status():
@@ -353,6 +402,61 @@ def test_startup_lower_fit_that_cannot_be_made_returns():
     res = int_naive(lambda x: x if x in odd else math.nan, 0.0, 1.0, 1e-6)
     assert (res.q, res.eps, res.neval, res.status) == (
         0.0, math.inf, 33, Status.TOLERANCE_NOT_MET)
+
+
+def _fit_lower_by_slicing(sv, st_lo):
+    """The start-up's degree-16 fit as once made from the degree-32
+    samples: their even-indexed nodes, with the masked indices halved."""
+    return fit(SampleVector(sv.f[::2].copy(), tuple(
+        i // 2 for i in sv.nan_mask if i % 2 == 0), sv.values[::2]), st_lo)
+
+
+def _fit_bytes(cv):
+    return cv.c.tobytes(), cv.eff_degree, cv.newton.tobytes()
+
+
+@pytest.mark.parametrize("nan_at", [(), (0, 6, 32), (1, 15, 31),
+                                    (0, 3, 16, 17, 29, 32)],
+                         ids=("none", "even", "odd", "both"))
+def test_nested_startup_samples_fit_as_the_sliced_ones(nan_at):
+    # sampling the degree-16 rule, then the degree-32 rule reusing its
+    # values, gives both fits byte for byte as slicing the degree-32 samples
+    st_lo, st_top = get_stencil(16), get_stencil(32)
+    xs = sample(CountedFunction(lambda x: x), 0.0, 1.0, st_top).values
+    ys = np.random.default_rng(len(nan_at)).standard_normal(33)
+    ys[list(nan_at)] = math.nan
+    table = dict(zip(xs, ys.tolist()))
+
+    def g(x):
+        return table[float(x)]
+
+    sv = sample(CountedFunction(g), 0.0, 1.0, st_top)
+    fn = CountedFunction(g)
+    sv_lo = sample(fn, 0.0, 1.0, st_lo)
+    sv_top = sample(fn, 0.0, 1.0, st_top, reuse=sv_lo.values)
+    assert fn.count == 33
+    assert sv_top.nan_mask == sv.nan_mask == nan_at
+    assert _fit_bytes(fit(sv_top, st_top)) == _fit_bytes(fit(sv, st_top))
+    assert (_fit_bytes(fit(sv_lo, st_lo))
+            == _fit_bytes(_fit_lower_by_slicing(sv, st_lo)))
+
+
+def test_startup_samples_the_lower_rule_then_reuses_it(monkeypatch):
+    # int_naive's first two sample calls: the degree-16 rule afresh, then
+    # the degree-32 rule with those 17 values; 33 evaluations in all
+    seen = []
+
+    def wrapper(fn, a, b, stencil, reuse=None, _real=algorithms.sample):
+        sv = _real(fn, a, b, stencil, reuse=reuse)
+        seen.append((stencil.n, reuse, sv.values, fn.count))
+        return sv
+
+    monkeypatch.setattr(algorithms, "sample", wrapper)
+    int_naive(np.exp, 0.0, 1.0, 1e-10)
+    (n_lo, reuse_lo, values_lo, count_lo), (n_top, reuse_top, _, count) = seen
+    assert (n_lo, reuse_lo, count_lo) == (16, None, 17)
+    assert (n_top, len(reuse_top), count) == (32, 17, 33)
+    assert reuse_top == values_lo
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined))

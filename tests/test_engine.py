@@ -213,11 +213,17 @@ def test_status_values():
     assert Status.DIVERGENT.value == "Divergent"
 
 
+def _numeric(heap):
+    """Indices of the records whose eps is not NaN."""
+    return [i for i, r in enumerate(heap) if not math.isnan(r.eps)]
+
+
 def _select_scan(heap, order):
-    """The record-attribute scan select_worst replaced; `order` gives each
-    record's insertion number."""
-    best = 0
-    for i in range(1, len(heap)):
+    """The record-attribute scan select_worst replaced, over the records
+    whose eps is not NaN; `order` gives each record's insertion number."""
+    live = _numeric(heap)
+    best = live[0]
+    for i in live[1:]:
         r = heap[i]
         if r.eps > heap[best].eps or (r.eps == heap[best].eps
                                       and order[id(r)] < order[id(heap[best])]):
@@ -228,14 +234,17 @@ def _select_scan(heap, order):
 def _cap_scan(heap, cap):
     evicted = []
     while len(heap) > cap:
-        worst = min(range(len(heap)), key=lambda i: heap[i].eps)
+        worst = min(_numeric(heap), key=lambda i: heap[i].eps)
         evicted.append(heap.pop(worst))
     return evicted
 
 
 def test_heap_upkeep_matches_list_scans():
     # eps drawn from a handful of values, so ties (0.0 against -0.0 too)
-    # are the rule; pushes, selections and evictions interleave at random
+    # are the rule; pushes, selections and evictions interleave at random.
+    # As in _drive, a selection needs a record whose eps is not NaN, and an
+    # eviction enough of them to bring the heap down to the cap: once the
+    # NaN records alone are more than the cap, a new run starts
     rng = np.random.default_rng(3)
     pool = (0.0, -0.0, 1.0, 1.0, 2.0, 3.0, float("nan"))
     for _ in range(200):
@@ -244,7 +253,9 @@ def test_heap_upkeep_matches_list_scans():
         cap = int(rng.integers(2, 6))
         for k in range(40):
             op = rng.random()
-            if op < 0.6 or not ref:
+            if len(ref) - len(_numeric(ref)) > cap:
+                st, ref = AdaptiveState(), []
+            if op < 0.6 or not _numeric(ref):
                 r = _rec(q=float(k), eps=pool[rng.integers(len(pool))])
                 order[id(r)] = k
                 st.push(r)
@@ -277,7 +288,9 @@ def test_heap_eps_exceeds_matches_the_sum():
     # random states after pops and evictions, with NaN, inf, 0.0 and -0.0
     # among the eps; tau at, just below and just above the sum and the
     # largest eps: the verdict of heap_eps() > tau, and a twin state that
-    # never asks makes the same choices
+    # never asks makes the same choices.  Selections and evictions take
+    # only records whose eps is not NaN, as in _drive; once the NaN records
+    # alone are more than the cap, a new run starts
     rng = np.random.default_rng(17)
     pool = (0.0, -0.0, 1.0, 2.0, 5e-324, float("inf"), float("nan"))
     seen = set()
@@ -285,7 +298,9 @@ def test_heap_eps_exceeds_matches_the_sum():
         st, twin = AdaptiveState(), AdaptiveState()
         for k in range(1500):
             op = rng.random()
-            if op < 0.55 or not st.heap:
+            if sum(map(math.isnan, st.eps)) > cap:
+                st, twin = AdaptiveState(), AdaptiveState()
+            if op < 0.55 or all(map(math.isnan, st.eps)):
                 scale = 10.0 ** int(rng.integers(-3, 4))
                 eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
                        else float(rng.exponential()) * scale)
@@ -312,7 +327,9 @@ def test_heap_eps_exceeds_matches_the_sum():
 
 def test_heap_matches_list_scans_at_full_scale():
     # caps up to the default 200 and long runs of mixed operations; eps
-    # mixes continuous draws with a pool of ties, signed zeros, inf and NaN
+    # mixes continuous draws with a pool of ties, signed zeros, inf and NaN.
+    # Selections and evictions take only records whose eps is not NaN; once
+    # the NaN records alone are more than the cap, a new run starts
     rng = np.random.default_rng(11)
     pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"), float("nan"))
     for cap in (2, 7, 50, 200):
@@ -320,7 +337,9 @@ def test_heap_matches_list_scans_at_full_scale():
         ref, order = [], {}
         for k in range(2000):
             op = rng.random()
-            if op < 0.55 or not ref:
+            if len(ref) - len(_numeric(ref)) > cap:
+                st, ref = AdaptiveState(), []
+            if op < 0.55 or not _numeric(ref):
                 eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
                        else float(rng.exponential()))
                 r = _rec(q=float(k), eps=eps)
@@ -346,7 +365,9 @@ def test_heap_matches_list_scans_at_full_scale():
 def test_order_holds_exactly_the_live_numeric_records_sorted():
     # after every push, selection and eviction the sorted column is
     # (eps, -push number) of the records on the heap whose eps is not NaN,
-    # ascending, with the bits of each eps: nothing stale, nothing missing
+    # ascending, with the bits of each eps: nothing stale, nothing missing.
+    # Selections and evictions take only records whose eps is not NaN; once
+    # the NaN records alone are more than the cap, a new run starts
     rng = np.random.default_rng(5)
     pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"), float("nan"))
     for cap in (2, 3, 7, 50, 200):
@@ -354,7 +375,9 @@ def test_order_holds_exactly_the_live_numeric_records_sorted():
         pushes = 0
         for _ in range(2000):
             op = rng.random()
-            if op < 0.6 or not st.heap:
+            if sum(map(math.isnan, st.eps)) > cap:
+                st, pushes = AdaptiveState(), 0
+            if op < 0.6 or all(map(math.isnan, st.eps)):
                 eps = (pool[rng.integers(len(pool))] if rng.random() < 0.4
                        else float(rng.exponential()))
                 # each record carries its push number as its q

@@ -5,8 +5,8 @@
     python tools/bitcheck.py diff OLD.tsv NEW.tsv
     python tools/bitcheck.py compare OLD NEW [SEED ...]
 
-``dump`` runs int_naive and int_refined, configured as
-``benchmarks/run.py`` configures them, on every case of CHECKOUT's
+``dump`` runs int_naive and int_refined with the configs of CHECKOUT's
+``benchmarks/run.py`` ``Plan`` on every case of CHECKOUT's
 ``benchmarks/workloads.py`` for each seed, and prints one row per call:
 seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
 first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
@@ -47,34 +47,32 @@ EDGES = (
     ("exp_reversed", math.exp, 1.0, 0.0),
     ("exp_empty", math.exp, 0.5, 0.5),
     ("sin_inverse", lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0),
+    # a NaN estimate in the middle of a run
+    ("overflow_spike", lambda x: (1.7e308 if 0.3 < x < 0.31
+                                  else math.floor(math.exp(3 * x))), 0.0, 1.0),
 )
 
 
 def dump(checkout, seeds):
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
-    from relquad.algorithms import (NaiveConfig, RefinedConfig, int_naive,
-                                    int_refined)
-    from relquad.engine import EngineConfig
-    from workloads import WORKLOADS
+    from run import Plan
+    from workloads import WORKLOADS, Case
 
-    def rows(seed, workload, case, integrand, a, b, tau, budget):
-        engine = (None if budget is None
-                  else EngineConfig(tau=1.0, max_neval=budget))
-        for alg, integrator, config in (
-                ("naive", int_naive, NaiveConfig(engine=engine)),
-                ("refined", int_refined, RefinedConfig(engine=engine))):
-            r = integrator(integrand, a, b, tau, config)
-            print(seed, workload, case, alg, r.q.hex(), r.eps.hex(), r.neval,
-                  r.status.value, sep="\t")
+    def rows(seed, workload, cases):
+        for i, alg, integrator, config in Plan(cases).calls:
+            case = cases[i]
+            r = integrator(case.integrand, case.a, case.b, case.tau, config)
+            print(seed, workload, f"{i}:{case.label}", alg, r.q.hex(),
+                  r.eps.hex(), r.neval, r.status.value, sep="\t")
 
-    for i, (label, integrand, a, b) in enumerate(EDGES):
-        rows("-", "edges", f"{i}:{label}", integrand, a, b, 1e-6, 10_000)
+    # no reference value and no pass rule: only the bits are compared
+    rows("-", "edges", [Case(label, integrand, a, b, 1e-6, None, "",
+                             budget=10_000)
+                        for label, integrand, a, b in EDGES])
     for seed in seeds:
         for workload, cases in WORKLOADS.items():
-            for i, case in enumerate(cases(seed)):
-                rows(seed, workload, f"{i}:{case.label}", case.integrand,
-                     case.a, case.b, case.tau, case.budget)
+            rows(seed, workload, cases(seed))
 
 
 def cli(checkout):
