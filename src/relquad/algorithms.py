@@ -1,21 +1,22 @@
 """The public integrators.
 
-``int_naive`` and ``int_refined`` share one adaptive driver, ``_drive``
-(heap, floors, cap, divergence count, budget); each brings only its start-up
-fit and a refinement step, and both bisect an interval with ``_split``.
+``int_naive`` and ``int_refined`` are each a start-up, which fits [a, b]
+once, and a step, which refines the worst interval; ``_drive`` runs both
+and owns the call contract (tau and bounds checks, empty and reversed
+bounds, budget, evaluation count) and the loop (heap, floors, cap,
+divergence count).  Both steps bisect with ``_split``.
 
-``int_naive`` is doubly adaptive: every interval carries a rule degree from
-the ladder 4/8/16/32 and the worst interval first exhausts the ladder —
-reusing nested node values — before it is bisected back to the lowest
-degree.  Its error estimate is the coefficient distance between consecutive
-fits.
+``int_naive`` is doubly adaptive: its start-up fits degrees 16 and 32 on
+nested nodes; its step raises the worst interval one rung of the ladder
+4/8/16/32, reusing nested node values, and bisects it back to the lowest
+degree once the ladder is exhausted or the coefficients jump.  Its error
+estimate is the coefficient distance between consecutive fits.
 
-``int_refined`` works at the single degree 10 and bisects
-immediately, but models the actual interpolation error: it extracts a proxy
-for the (n+1)st derivative from the change in coefficients relative to the
-change in Newton polynomials, validates the smoothness assumption pointwise,
-and falls back to the plain difference norm where the integrand is not
-smooth enough for the model.
+``int_refined`` fits once at degree 10 and bisects at every step, but
+models the actual interpolation error: it extracts a proxy for the (n+1)st
+derivative from the change in coefficients relative to the change in Newton
+polynomials, validates the smoothness assumption pointwise, and falls back
+to the plain difference norm where the integrand is not smooth enough.
 
 ``int_simpson_baseline`` is the classic recursive adaptive Simpson scheme
 with tolerance halving; it is deliberately unguarded (no floors, no
@@ -102,39 +103,30 @@ class RefinedConfig:
     engine: EngineConfig | None = None
 
 
-def _max_neval(config: NaiveConfig | RefinedConfig | None) -> int | None:
-    """The budget of config; None, no budget, without an engine."""
-    engine = None if config is None else config.engine
-    return None if engine is None else engine.max_neval
-
-
 def _check_finite(a: float, b: float) -> None:
     # b - a is NaN or infinite if a bound is, and infinite if it overflows
     if not math.isfinite(b - a):
         raise ValueError(f"b - a must be finite, got a={a!r}, b={b!r}")
 
 
-def _unordered(integrator, integrand, a: float, b: float, tau: float,
-               config) -> QuadResult:
-    """Bounds not a < b with a finite width, which the driver never sees.
-
-    A non-finite width raises before any evaluation; [a, a] integrates to 0
-    exactly, at no cost; a > b integrates over [b, a] and negates q.
-    """
-    _check_finite(a, b)
-    if a == b:
-        return QuadResult(q=0.0, eps=0.0, neval=0, status=Status.CONVERGED)
-    res = integrator(integrand, b, a, tau, config)
-    return replace(res, q=-res.q)
-
-
-def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
+def _drive(integrand, a: float, b: float, tau: float,
+           config: NaiveConfig | RefinedConfig | None, start,
            refine) -> QuadResult:
-    """Fit the start-up interval, ``start()`` returning its record, then
-    refine the worst interval while the heap's error is above both tau and
-    the error retired into excess, until the budget is spent or a chain
-    diverges.  ``refine(state, rec)`` pushes the refinement of the popped
-    record rec.  These two are all the two integrators differ in.
+    """The call contract and the adaptive loop of both integrators, which
+    differ only in ``start(fn, a, b)``, returning the start-up record of
+    [a, b], and ``refine(fn, state, rec)``, pushing the refinement of the
+    popped record rec; fn is the integrand wrapped in a CountedFunction.
+
+    A tau that is not positive, then a non-finite bound or width, raises
+    ValueError before any evaluation; [a, a] integrates to 0 exactly, at no
+    cost; a > b integrates over [b, a] and negates q.  Otherwise the loop
+    refines the worst interval while the heap's error is above both tau and
+    the error retired into excess, until the budget, ``config.engine``'s
+    max_neval, is spent or a chain diverges.  The budget is checked before
+    each step, so a run makes at most max_neval - 1 plus one step's fresh
+    evaluations, or the start-up's if more: max(max_neval + 21, 33) for
+    int_naive (a raise from 16 to 32, then a split at degree 4) and
+    max(max_neval + 17, 11) for int_refined (a split at degree 10).
 
     The returned eps is excess + heap, so once the excess alone is above
     tau no further step can make the run Converged: it refines only until
@@ -149,9 +141,19 @@ def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
     fit, or a divergence verdict, pushes nothing; rec is then retired into
     excess with its own q and eps.  The run then cannot return Converged,
     and on a verdict it stops at once with Divergent."""
+    check_tau(tau)
+    _check_finite(a, b)
+    if a == b:
+        return QuadResult(q=0.0, eps=0.0, neval=0, status=Status.CONVERGED)
+    if a > b:
+        res = _drive(integrand, b, a, tau, config, start, refine)
+        return replace(res, q=-res.q)
+    engine = None if config is None else config.engine
+    max_neval = None if engine is None else engine.max_neval
+    fn = CountedFunction(integrand)
     with np.errstate(all="ignore"):  # for the whole run: see sample
         try:
-            root = start()
+            root = start(fn, a, b)
         except TooManyNonNumeric:
             return QuadResult(q=0.0, eps=math.inf, neval=fn.count,
                               status=Status.TOLERANCE_NOT_MET)
@@ -169,7 +171,7 @@ def _drive(fn: CountedFunction, start, tau: float, max_neval: int | None,
                 accumulate_excess(state, rec)
                 continue
             try:
-                refine(state, rec)
+                refine(fn, state, rec)
             except TooManyNonNumeric:
                 accumulate_excess(state, rec)
                 nonnumeric = True
@@ -230,75 +232,71 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
 # doubly adaptive integrator (degree ladder + bisection)
 # ---------------------------------------------------------------------------
 
+def _naive_start(fn: CountedFunction, a: float, b: float) -> IntervalRecord:
+    """Degree 16, then degree 32 reusing its values; eps is their distance."""
+    st_lo, st_top = get_stencil(N_TOP // 2), get_stencil(N_TOP)
+    sv_lo = sample(fn, a, b, st_lo)
+    sv = sample(fn, a, b, st_top, reuse=sv_lo.values)
+    c_top = fit(sv, st_top)
+    c_lo = fit(sv_lo, st_lo)
+    q0 = integral(c_top, a, b)
+    return IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
+                          eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
+                          q_base=q0, samples=sv)
+
+
+def _naive_refine(fn: CountedFunction, state: AdaptiveState,
+                  rec: IntervalRecord) -> None:
+    if rec.coeffs.stencil.n < N_TOP:
+        # one step up the degree ladder, reusing nested node values
+        st_hi = get_stencil(2 * rec.coeffs.stencil.n)
+        sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
+        cv_hi = fit(sv_hi, st_hi)
+        diff = naive_error(cv_hi, rec.coeffs, 1.0)
+        rec.samples = sv_hi
+        rec.coeffs = cv_hi
+        rec.q = integral(cv_hi, rec.a, rec.b)
+        rec.eps = 0.5 * (rec.b - rec.a) * diff
+        # relative coefficient change: a large jump even at the new
+        # degree means the ladder is not converging here — bisect
+        if not diff > HINT * norm(cv_hi.c):
+            state.push(rec)
+            return
+    _split(state, fn, rec, get_stencil(N0), False)
+
+
 def int_naive(integrand, a: float, b: float, tau: float,
               config: NaiveConfig | None = None) -> QuadResult:
     """Doubly adaptive quadrature over [a, b] to absolute tolerance tau."""
-    check_tau(tau)
-    if not (a < b and math.isfinite(b - a)):
-        return _unordered(int_naive, integrand, a, b, tau, config)
-    fn = CountedFunction(integrand)
-
-    st_top = get_stencil(N_TOP)
-    st_lo = get_stencil(N_TOP // 2)
-    st0 = get_stencil(N0)
-
-    def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        if rec.coeffs.stencil.n < N_TOP:
-            # one step up the degree ladder, reusing nested node values
-            st_hi = get_stencil(2 * rec.coeffs.stencil.n)
-            sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
-            cv_hi = fit(sv_hi, st_hi)
-            diff = naive_error(cv_hi, rec.coeffs, 1.0)
-            rec.samples = sv_hi
-            rec.coeffs = cv_hi
-            rec.q = integral(cv_hi, rec.a, rec.b)
-            rec.eps = 0.5 * (rec.b - rec.a) * diff
-            # relative coefficient change: a large jump even at the new
-            # degree means the ladder is not converging here — bisect
-            if not diff > HINT * norm(cv_hi.c):
-                state.push(rec)
-                return
-        _split(state, fn, rec, st0, False)
-
-    def start() -> IntervalRecord:
-        sv_lo = sample(fn, a, b, st_lo)
-        sv = sample(fn, a, b, st_top, reuse=sv_lo.values)
-        c_top = fit(sv, st_top)
-        c_lo = fit(sv_lo, st_lo)
-        q0 = integral(c_top, a, b)
-        return IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
-                              eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
-                              q_base=q0, samples=sv)
-
-    return _drive(fn, start, tau, _max_neval(config), refine)
+    return _drive(integrand, a, b, tau, config, _naive_start, _naive_refine)
 
 
 # ---------------------------------------------------------------------------
 # refined integrator (fixed degree, derivative-extracting estimate)
 # ---------------------------------------------------------------------------
 
+def _refined_start(fn: CountedFunction, a: float, b: float) -> IntervalRecord:
+    """One fit at degree N_REFINED, charged the largest float: the record
+    has no estimate of its own, and must be split."""
+    st = get_stencil(N_REFINED)
+    sv = sample(fn, a, b, st)
+    cv = fit(sv, st)
+    q0 = integral(cv, a, b)
+    return IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0, samples=sv,
+                          eps=float(np.finfo(float).max))
+
+
+def _refined_refine(fn: CountedFunction, state: AdaptiveState,
+                    rec: IntervalRecord) -> None:
+    _split(state, fn, rec, get_stencil(N_REFINED), True)
+
+
 def int_refined(integrand, a: float, b: float, tau: float,
                 config: RefinedConfig | None = None) -> QuadResult:
     """Fixed-degree adaptive quadrature over [a, b] to absolute tolerance
     tau, with the derivative-extracting error estimate."""
-    check_tau(tau)
-    if not (a < b and math.isfinite(b - a)):
-        return _unordered(int_refined, integrand, a, b, tau, config)
-    fn = CountedFunction(integrand)
-    st = get_stencil(N_REFINED)
-
-    def refine(state: AdaptiveState, rec: IntervalRecord) -> None:
-        _split(state, fn, rec, st, True)
-
-    def start() -> IntervalRecord:
-        sv = sample(fn, a, b, st)
-        cv = fit(sv, st)
-        q0 = integral(cv, a, b)
-        return IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0,
-                              samples=sv,
-                              eps=float(np.finfo(float).max))  # force a split
-
-    return _drive(fn, start, tau, _max_neval(config), refine)
+    return _drive(integrand, a, b, tau, config, _refined_start,
+                  _refined_refine)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +363,6 @@ def divergence_ratio_probe(alpha: float) -> tuple[float, float]:
     """
     if not -2.0 <= alpha < 0.0:
         raise ValueError("alpha must be in [-2, 0)")
-    st = get_stencil(N_REFINED)
 
     def integrand(x: float) -> float:
         with np.errstate(all="ignore"):
@@ -373,13 +370,8 @@ def divergence_ratio_probe(alpha: float) -> tuple[float, float]:
 
     def left_child_estimate(a0: float, b0: float) -> tuple[float, float]:
         fn = CountedFunction(integrand)
-        sv_par = sample(fn, a0, b0, st)
-        cv_par = fit(sv_par, st)
-        q_par = integral(cv_par, a0, b0)
-        parent = IntervalRecord(a=a0, b=b0, coeffs=cv_par, q=q_par, eps=0.0,
-                                q_base=q_par, samples=sv_par)
         state = AdaptiveState()
-        _split(state, fn, parent, st, True)
+        _refined_refine(fn, state, _refined_start(fn, a0, b0))
         left = next(iter(state.heap))
         return left.eps, left.q
 

@@ -30,7 +30,13 @@ from relquad.interp import (
     integral,
     sample,
 )
-from relquad.testlib import battery_get, lk_family, waldvogel_family_draw
+from relquad.testlib import (
+    LK_FAMILIES,
+    battery_get,
+    lk_draw,
+    lk_family,
+    waldvogel_family_draw,
+)
 
 
 def test_exp_costs_match_the_rule_sizes():
@@ -158,16 +164,66 @@ def test_a_nan_estimate_is_never_popped_and_ends_the_run(monkeypatch, label,
     assert res.status is Status.TOLERANCE_NOT_MET
 
 
+# The budget is checked before each step, so a run stopped by it makes at
+# most budget - 1 evaluations plus one step's fresh ones: int_naive's raise
+# from degree 16 to 32 (16) and then a split at degree 4 (6), int_refined's
+# split at degree 10 (18).  The start-up ignores the budget.  Per integrator:
+# (the largest overrun, the start-up's evaluations).
+OVERRUN = {int_naive: (21, 33), int_refined: (17, 11)}
+CONFIG = {int_naive: NaiveConfig, int_refined: RefinedConfig}
+
+
+def _budget_bound(alg, budget):
+    step, startup = OVERRUN[alg]
+    return max(budget + step, startup)
+
+
 def test_budget_stops_promptly_with_honest_status():
     f13 = battery_get(13)
-    for alg, mk in ((int_refined, RefinedConfig), (int_naive, NaiveConfig)):
+    for alg in (int_refined, int_naive):
         for budget in (200, 500):
-            cfg = mk(engine=EngineConfig(tau=1.0, max_neval=budget))
+            cfg = CONFIG[alg](engine=EngineConfig(tau=1.0, max_neval=budget))
             r = alg(f13.integrand, 0.0, 1.0, 1e-9, config=cfg)
             assert r.status is Status.TOLERANCE_NOT_MET
-            # the check sits at the loop head, so overshoot is at most one
-            # refinement step's worth of samples
-            assert budget < r.neval <= budget + 40
+            assert budget < r.neval <= _budget_bound(alg, budget)
+
+
+# |x - 0.88974|^-0.22143 on [0, 1] at 1e-14: unbudgeted, a run ends
+# ToleranceNotMet after 3,097 (naive) or 4,061 (refined) evaluations, so any
+# smaller budget stops it
+ABS_POWER = lk_draw(LK_FAMILIES[0], 0, 0)[0]
+
+
+def _abs_power_with_budget(alg, a, b, budget):
+    cfg = CONFIG[alg](engine=EngineConfig(tau=1.0, max_neval=budget))
+    return alg(ABS_POWER, a, b, 1e-14, cfg)
+
+
+# budgets at which a step takes the draw's run to the bound: evaluations
+AT_BOUND = {int_naive: {70: 91}, int_refined: {12: 29, 30: 47, 48: 65}}
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_budget_overrun_is_bounded_and_reached(alg):
+    for budget in range(0, 121):
+        r = _abs_power_with_budget(alg, 0.0, 1.0, budget)
+        assert r.status is Status.TOLERANCE_NOT_MET
+        bound = _budget_bound(alg, budget)
+        assert max(budget, 1) <= r.neval <= bound
+        if budget in AT_BOUND[alg]:
+            assert r.neval == AT_BOUND[alg][budget] == bound
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_reversed_bounds_with_a_budget_negate(alg):
+    # the budget is read once, for the run over [0, 1] that [1, 0] makes
+    fwd = _abs_power_with_budget(alg, 0.0, 1.0, 70)
+    rev = _abs_power_with_budget(alg, 1.0, 0.0, 70)
+    assert rev.q.hex() == (-fwd.q).hex()
+    assert (rev.eps.hex(), rev.neval, rev.status) == (
+        fwd.eps.hex(), fwd.neval, fwd.status)
+    assert fwd.status is Status.TOLERANCE_NOT_MET
+    assert fwd.neval == (91 if alg is int_naive else 83)
 
 
 @pytest.mark.parametrize("fid", [1, 3, 6, 7, 10, 19])
@@ -379,6 +435,16 @@ def test_tau_not_positive_rejected_before_any_evaluation(alg, tau):
 
     with pytest.raises(ValueError, match="tau must be positive"):
         alg(integrand, 0.0, 1.0, tau)
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
+def test_tau_is_checked_before_the_bounds(alg):
+    # both are wrong: the tau error is raised, before any evaluation
+    def integrand(x):
+        pytest.fail("the integrand was called")
+
+    with pytest.raises(ValueError, match="tau must be positive"):
+        alg(integrand, math.nan, math.nan, math.nan)
 
 
 @pytest.mark.parametrize("alg, neval", [(int_naive, 33), (int_refined, 11)])

@@ -10,8 +10,9 @@
 ``benchmarks/workloads.py`` for each seed, and prints one row per call:
 seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
 first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
-(non-numeric and overflowing values, a pole, reversed and empty bounds)
-at 1e-6 with a budget of 10,000, which the benchmark cases never reach.
+(non-numeric and overflowing values, a pole, reversed and empty bounds,
+and runs stopped by a small budget), each at its own tau and budget,
+which the benchmark cases never reach.
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
 
@@ -38,18 +39,30 @@ from pathlib import Path
 
 CLI_MODES = ("lk", "battery", "divergence", "probe")
 
-# label, integrand, a, b
+# lk family 1 (abs_power), seed 0, draw 0: lk_draw(LK_FAMILIES[0], 0, 0)[0]
+ABS_POWER = lambda x: abs(x - 0.8897387912781343) ** -0.22143097489688685
+
+# label, integrand, a, b, tau, budget
 EDGES = (
-    ("nan", lambda x: math.nan, 0.0, 1.0),
-    ("nan_right_half", lambda x: math.nan if x > 0.5 else x, 0.0, 1.0),
-    ("overflow_step", lambda x: 1.7e308 if x > 0.5 else -1.7e308, 0.0, 1.0),
-    ("pole", lambda x: 1.0 / x if x else math.inf, 0.0, 1.0),
-    ("exp_reversed", math.exp, 1.0, 0.0),
-    ("exp_empty", math.exp, 0.5, 0.5),
-    ("sin_inverse", lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0),
+    ("nan", lambda x: math.nan, 0.0, 1.0, 1e-6, 10_000),
+    ("nan_right_half", lambda x: math.nan if x > 0.5 else x, 0.0, 1.0, 1e-6,
+     10_000),
+    ("overflow_step", lambda x: 1.7e308 if x > 0.5 else -1.7e308, 0.0, 1.0,
+     1e-6, 10_000),
+    ("pole", lambda x: 1.0 / x if x else math.inf, 0.0, 1.0, 1e-6, 10_000),
+    ("exp_reversed", math.exp, 1.0, 0.0, 1e-6, 10_000),
+    ("exp_empty", math.exp, 0.5, 0.5, 1e-6, 10_000),
+    ("sin_inverse", lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0, 1e-6,
+     10_000),
     # a NaN estimate in the middle of a run
     ("overflow_spike", lambda x: (1.7e308 if 0.3 < x < 0.31
-                                  else math.floor(math.exp(3 * x))), 0.0, 1.0),
+                                  else math.floor(math.exp(3 * x))), 0.0, 1.0,
+     1e-6, 10_000),
+    # stopped by the budget at the largest overrun a step can make: int_naive
+    # at 70 (91 evaluations), int_refined at 12 (29); and over [1, 0]
+    ("abs_power_budget70", ABS_POWER, 0.0, 1.0, 1e-14, 70),
+    ("abs_power_budget12", ABS_POWER, 0.0, 1.0, 1e-14, 12),
+    ("abs_power_reversed_budget70", ABS_POWER, 1.0, 0.0, 1e-14, 70),
 )
 
 
@@ -67,9 +80,9 @@ def dump(checkout, seeds):
                   r.eps.hex(), r.neval, r.status.value, sep="\t")
 
     # no reference value and no pass rule: only the bits are compared
-    rows("-", "edges", [Case(label, integrand, a, b, 1e-6, None, "",
-                             budget=10_000)
-                        for label, integrand, a, b in EDGES])
+    rows("-", "edges", [Case(label, integrand, a, b, tau, None, "",
+                             budget=budget)
+                        for label, integrand, a, b, tau, budget in EDGES])
     for seed in seeds:
         for workload, cases in WORKLOADS.items():
             rows(seed, workload, cases(seed))
