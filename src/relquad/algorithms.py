@@ -120,8 +120,8 @@ def _drive(integrand, a: float, b: float, tau: float,
     A tau that is not positive, then a non-finite bound or width, raises
     ValueError before any evaluation; [a, a] integrates to 0 exactly, at no
     cost; a > b integrates over [b, a] and negates q.  Otherwise the loop
-    refines the worst interval while the heap's error is above both tau and
-    the error retired into excess, until the budget, ``config.engine``'s
+    refines the worst interval while the heap's error is above tau and the
+    error retired into excess is not, until the budget, ``config.engine``'s
     max_neval, is spent or a chain diverges.  The budget is checked before
     each step, so a run makes at most max_neval - 1 plus one step's fresh
     evaluations, or the start-up's if more: max(max_neval + 21, 33) for
@@ -129,9 +129,10 @@ def _drive(integrand, a: float, b: float, tau: float,
     max(max_neval + 17, 11) for int_refined (a split at degree 10).
 
     The returned eps is excess + heap, so once the excess alone is above
-    tau no further step can make the run Converged: it refines only until
-    the heap's error is within the excess, and then ends ToleranceNotMet
-    with eps at most twice the excess.  The excess never falls, so a run that
+    tau no further step can make the run Converged: the run stops at the
+    step whose retirement (a drop, an eviction, an unfittable half or a
+    verdict) carried the excess past tau, and ends ToleranceNotMet with the
+    heap's error as it then stood.  The excess never falls, so a run that
     returns Converged had it within tau throughout and took exactly the
     steps of the test against tau alone; any other run takes a prefix of
     those steps.
@@ -162,7 +163,7 @@ def _drive(integrand, a: float, b: float, tau: float,
         status = None
         nonnumeric = False
         # only popped records, whose eps is not NaN, retire: no NaN excess
-        while state.heap_eps_exceeds(max(tau, state.excess_eps)):
+        while state.excess_eps <= tau and state.heap_eps_exceeds(tau):
             if max_neval is not None and fn.count >= max_neval:
                 status = Status.TOLERANCE_NOT_MET
                 break

@@ -11,8 +11,9 @@
 seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
 first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
 (non-numeric and overflowing values, a pole, reversed and empty bounds,
-and runs stopped by a small budget), each at its own tau and budget,
-which the benchmark cases never reach.
+runs stopped by a small budget, and an lk draw at a tolerance below its
+noise floor), each at its own tau and budget, which the benchmark cases
+never reach.
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
 
@@ -63,6 +64,11 @@ EDGES = (
     ("abs_power_budget70", ABS_POWER, 0.0, 1.0, 1e-14, 70),
     ("abs_power_budget12", ABS_POWER, 0.0, 1.0, 1e-14, 12),
     ("abs_power_reversed_budget70", ABS_POWER, 1.0, 0.0, 1e-14, 70),
+    # lk abs_power, seed 0, draw 1, at relative 1e-12: both integrators stop
+    # once the retired error passes tau, well under the budget
+    ("abs_power_rel1e-12", lambda x: (abs(x - 0.8486500432887727)
+                                      ** -0.3728710862554596), 0.0, 1.0,
+     1e-12 * 1.926584893489147, 10_000),
 )
 
 
