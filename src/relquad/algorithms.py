@@ -27,11 +27,11 @@ All three return a ``QuadResult`` whose eps is the total (heap + excess)
 error estimate and whose status reports Converged / ToleranceNotMet /
 Divergent honestly; NaN/Inf integrand values are data (masked and downdated
 away), never propagated into q or eps by the two coefficient-based methods.
-Finite values near the largest float are the exception: they overflow the
-fit, and q or eps can then be NaN.
-An interval whose bisection meets a half with too few numeric values to fit,
-or a divergence verdict, is retired as it stands, so q and eps cover [a, b];
-the run then ends ToleranceNotMet at best, or Divergent.
+A fit with no usable estimate, because too few of its values are numeric or
+because finite values near the largest float overflow it, is never pushed.
+An interval whose bisection meets such a half, or a divergence verdict, is
+retired as it stands, so q and eps cover [a, b]; the run then ends
+ToleranceNotMet at best, or Divergent.
 """
 
 from __future__ import annotations
@@ -109,6 +109,13 @@ def _check_finite(a: float, b: float) -> None:
         raise ValueError(f"b - a must be finite, got a={a!r}, b={b!r}")
 
 
+def _check_usable(q: float, eps: float) -> None:
+    """Raise TooManyNonNumeric unless a fit's q and eps are both finite: a
+    fit that overflows is retired like one with too few numeric values."""
+    if not (math.isfinite(q) and math.isfinite(eps)):
+        raise TooManyNonNumeric(f"fit overflows: q = {q!r}, eps = {eps!r}")
+
+
 def _drive(integrand, a: float, b: float, tau: float,
            config: NaiveConfig | RefinedConfig | None, start,
            refine) -> QuadResult:
@@ -137,11 +144,13 @@ def _drive(integrand, a: float, b: float, tau: float,
     steps of the test against tau alone; any other run takes a prefix of
     those steps.
 
-    A start-up fit with too few numeric values ends the run at once with
-    q = 0, eps = inf and ToleranceNotMet.  A refinement that meets such a
-    fit, or a divergence verdict, pushes nothing; rec is then retired into
-    excess with its own q and eps.  The run then cannot return Converged,
-    and on a verdict it stops at once with Divergent."""
+    A fit is unusable if it has too few numeric values or its q or eps is
+    not finite (``_check_usable``).  An unusable start-up fit ends the run
+    at once with q = 0, eps = inf and ToleranceNotMet.  A refinement that
+    meets one, or a divergence verdict, pushes nothing; rec is then retired
+    into excess with its own q and eps, which are finite.  The run then
+    cannot return Converged, and on a verdict it stops at once with
+    Divergent."""
     check_tau(tau)
     _check_finite(a, b)
     if a == b:
@@ -155,6 +164,7 @@ def _drive(integrand, a: float, b: float, tau: float,
     with np.errstate(all="ignore"):  # for the whole run: see sample
         try:
             root = start(fn, a, b)
+            _check_usable(root.q, root.eps)
         except TooManyNonNumeric:
             return QuadResult(q=0.0, eps=math.inf, neval=fn.count,
                               status=Status.TOLERANCE_NOT_MET)
@@ -162,7 +172,6 @@ def _drive(integrand, a: float, b: float, tau: float,
         state.push(root)
         status = None
         nonnumeric = False
-        # only popped records, whose eps is not NaN, retire: no NaN excess
         while state.excess_eps <= tau and state.heap_eps_exceeds(tau):
             if max_neval is not None and fn.count >= max_neval:
                 status = Status.TOLERANCE_NOT_MET
@@ -198,10 +207,10 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
     those, its samples, rec's fit, its side (0 left, 1 right) and THETA1;
     both at rec's half-width.
 
-    Both halves are pushed or neither: a fit with too few numeric values
-    raises TooManyNonNumeric, and a divergence verdict DivergentIntegral,
-    before either half is pushed.  The left half's divergence_update runs
-    before the right half is sampled, so a verdict on the left costs no
+    Both halves are pushed or neither: an unusable fit raises
+    TooManyNonNumeric, and a divergence verdict DivergentIntegral, before
+    either half is pushed.  The left half is checked before the right half
+    is sampled, so an unusable fit or a verdict on the left costs no
     right-half evaluations.
     """
     a, b = rec.a, rec.b
@@ -222,6 +231,7 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
         # refined_error by its module name: benchmarks/tracing.py swaps it
         eps = (refined_error(cv, c_xfer, sv, parent, side, THETA1, h).eps
                if refined else naive_error(cv, c_xfer, h))
+        _check_usable(q, eps)
         # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, samples
         halves.append(IntervalRecord(ca, cb, cv, q, eps, q, nr_div,
                                      rec.nr_rec + 1, sv))
@@ -254,10 +264,11 @@ def _naive_refine(fn: CountedFunction, state: AdaptiveState,
         sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
         cv_hi = fit(sv_hi, st_hi)
         diff = naive_error(cv_hi, rec.coeffs, 1.0)
-        rec.samples = sv_hi
-        rec.coeffs = cv_hi
-        rec.q = integral(cv_hi, rec.a, rec.b)
-        rec.eps = 0.5 * (rec.b - rec.a) * diff
+        q = integral(cv_hi, rec.a, rec.b)
+        eps = 0.5 * (rec.b - rec.a) * diff
+        # an unusable raise leaves rec as it was, to be retired
+        _check_usable(q, eps)
+        rec.samples, rec.coeffs, rec.q, rec.eps = sv_hi, cv_hi, q, eps
         # relative coefficient change: a large jump even at the new
         # degree means the ladder is not converging here — bisect
         if not diff > HINT * norm(cv_hi.c):

@@ -5,13 +5,11 @@ The "heap" holds the refinable records in insertion order, each under the
 number of its push, with a parallel column ``eps`` of their error
 estimates; the total error is ``sum(eps)`` in that order.  Selection and
 eviction take from the two ends of one ascending list of (eps, -number)
-of the records whose eps is not NaN: its last entry is the largest eps,
-pushed earliest among ties, and the earliest push among the smallest is
-found by bisection.  A push is an insertion into that sorted list.  0.0
-and -0.0 tie.  A NaN eps, which the list does not hold, is never
-selected or evicted: it makes ``heap_eps_exceeds`` false, so the driver
-ends the run at the step that pushed it, in which at most one record, a
-numeric one at a cap of 2 or more, is evicted.
+of the records: its last entry is the largest eps, pushed earliest among
+ties, and the earliest push among the smallest is found by bisection.  A
+push is an insertion into that sorted list.  0.0 and -0.0 tie.  Every eps
+is a number: the driver retires a fit whose q or eps is not finite
+before anything is pushed.
 
 Intervals whose error estimate is below the numerical noise floor
 eps_mach * |q| * cond(P), or which have become so narrow that adjacent
@@ -30,7 +28,6 @@ retired whole, so that its totals still cover the domain.
 from __future__ import annotations
 
 import enum
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from numbers import Integral
@@ -144,7 +141,7 @@ class AdaptiveState:
         # push number -> record, and -> its eps
         self._recs: dict[int, IntervalRecord] = {}
         self._eps: dict[int, float] = {}
-        # (eps, -number) of the records whose eps is not NaN, ascending
+        # (eps, -number) of the records, ascending
         self._order: list[tuple[float, int]] = []
         self._pushes = 0
         self.heap = self._recs.values()
@@ -158,12 +155,11 @@ class AdaptiveState:
         e = rec.eps
         self._recs[k] = rec
         self._eps[k] = e
-        if not math.isnan(e):
-            insort(self._order, (e, -k))
+        insort(self._order, (e, -k))
 
     def pop(self, smallest: bool) -> IntervalRecord:
-        """Pop the earliest push among the smallest or the largest eps that
-        is not NaN; there must be one."""
+        """Pop the earliest push among the smallest or the largest eps;
+        there must be one."""
         order = self._order
         # -number < 1: the entries before (smallest eps, 1) are its ties
         i = bisect_left(order, (order[0][0], 1)) - 1 if smallest else -1
@@ -176,10 +172,10 @@ class AdaptiveState:
 
     def heap_eps_exceeds(self, tau: float) -> bool:
         """heap_eps() > tau, without the sum where the largest eps decides
-        it: a float sum of terms >= 0, as every eps is or NaN, is at least
-        its largest term.  A NaN eps makes the sum NaN and the answer false."""
+        it: a float sum of terms >= 0, as every eps is, is at least its
+        largest term."""
         order = self._order
-        if order and len(order) == len(self._eps) and order[-1][0] > tau:
+        if order and order[-1][0] > tau:
             return True
         return sum(self.eps) > tau
 

@@ -37,7 +37,8 @@ __all__ = [
 
 
 class TooManyNonNumeric(ValueError):
-    """Raised when so many nodes are non-numeric that no useful fit remains."""
+    """Raised when there is no usable fit: so many nodes are non-numeric that
+    no useful fit remains, or the fit's q or eps is not finite."""
 
 
 class CountedFunction:

@@ -116,10 +116,10 @@ def test_heap_cap_keeps_estimates_honest(monkeypatch):
         assert abs(capped.q - free.q) <= capped.eps + free.eps
 
 
-# values near the largest float overflow the fit: the step gives a NaN
-# estimate at start-up, the spike one in the middle of a run (at cap 200,
-# onto a heap of 18 records for int_naive and 9 for int_refined)
-NAN_ESTIMATES = {
+# values near the largest float overflow the fit: the step's start-up fit
+# for int_naive and its first split for int_refined; the spike's in the
+# middle of a run at cap 200, and not at all at caps 2 and 3
+OVERFLOWING = {
     "step": lambda x: 1.7e308 if x > 0.5 else -1.7e308,
     "spike": lambda x: (1.7e308 if 0.3 < x < 0.31
                         else math.floor(math.exp(3 * x))),
@@ -128,40 +128,62 @@ NAN_ESTIMATES = {
 
 @pytest.mark.parametrize("cap", (2, 3, 200))
 @pytest.mark.parametrize("alg", (int_naive, int_refined))
-@pytest.mark.parametrize("label", NAN_ESTIMATES)
+@pytest.mark.parametrize("label", OVERFLOWING)
 def test_a_nan_estimate_is_never_popped_and_ends_the_run(monkeypatch, label,
                                                           alg, cap):
-    # the store never selects or evicts a record whose eps is NaN, and the
-    # driver selects nothing after the step that pushed one
-    log = []
+    # a fit that overflows is retired as it stands, like one with too few
+    # numeric values: no record whose q or eps is not finite is pushed, so
+    # none is popped, and the run ends ToleranceNotMet with a finite q
+    pushed = []
 
     def push(state, rec, _real=AdaptiveState.push):
-        log.append(("push", rec.eps))
+        pushed.append((rec.q, rec.eps))
         _real(state, rec)
 
-    def pop(state, smallest, _real=AdaptiveState.pop):
-        rec = _real(state, smallest)
-        log.append(("pop", rec.eps))
-        return rec
-
-    def select(state, _real=algorithms.select_worst):
-        log.append(("select", 0.0))
-        return _real(state)
-
     monkeypatch.setattr(AdaptiveState, "push", push)
-    monkeypatch.setattr(AdaptiveState, "pop", pop)
-    monkeypatch.setattr(algorithms, "select_worst", select)
     monkeypatch.setattr(algorithms, "HEAP_CAP", cap)
-    res = alg(NAN_ESTIMATES[label], 0.0, 1.0, 1e-6)
-    first = next((i for i, (op, eps) in enumerate(log)
-                  if op == "push" and math.isnan(eps)), None)
-    if first is None:
-        # at a small cap the spike can be retired before a fit overflows
-        assert label == "spike" and cap < 200
-        return
-    assert all(op != "select" for op, _ in log[first:])
-    assert not any(op == "pop" and math.isnan(eps) for op, eps in log)
+    res = alg(OVERFLOWING[label], 0.0, 1.0, 1e-6)
+    assert all(math.isfinite(q) and math.isfinite(e) for q, e in pushed)
+    assert math.isfinite(res.q) and res.eps >= 0.0
     assert res.status is Status.TOLERANCE_NOT_MET
+
+
+def test_an_overflowing_start_up_fit_ends_the_run():
+    # int_naive's degree-32 start-up fit of the step overflows (its eps is
+    # NaN): the run ends as for a start-up fit with too few numeric values
+    r = int_naive(OVERFLOWING["step"], 0.0, 1.0, 1e-6)
+    assert (r.q, r.eps, r.neval, r.status) == (
+        0.0, math.inf, 33, Status.TOLERANCE_NOT_MET)
+
+
+def test_an_overflowing_half_retires_the_interval_being_split():
+    # int_refined's start-up fit of the step is finite and its left half's
+    # overflows: neither half is pushed, the right half is never sampled
+    # (11 + 9 evaluations), and [0, 1] is retired with its start-up q and
+    # its charge of the largest float
+    r = int_refined(OVERFLOWING["step"], 0.0, 1.0, 1e-6)
+    assert math.isfinite(r.q)
+    assert (r.eps, r.neval, r.status) == (
+        float(np.finfo(float).max), 20, Status.TOLERANCE_NOT_MET)
+
+
+def test_an_overflowing_ladder_raise_leaves_the_interval_as_it_was():
+    # 1/(1 + 25 x^2) on [-1, 1], but +-1.7e308 at exactly the four nodes a
+    # degree-8 raise of [-1, 0] adds: the start-up fit and the first split's
+    # degree-4 fits are finite, and the raise of [-1, 0], the worst half,
+    # overflows (its eps is inf).  [-1, 0] is retired with its degree-4 q
+    # and eps, which put the excess past tau, after 33 + 6 + 4 evaluations
+    fresh = [-0.5 + 0.5 * float(x) for x in get_stencil(8).nodes[1::2]]
+
+    def f(x):
+        if x in fresh:
+            return math.copysign(1.7e308, x + 0.5)
+        return 1.0 / (1.0 + 25.0 * x * x)
+
+    r = int_naive(f, -1.0, 1.0, 1e-6)
+    assert math.isfinite(r.q) and 1e-6 < r.eps < math.inf
+    assert abs(r.q - 0.4 * math.atan(5.0)) <= r.eps
+    assert (r.neval, r.status) == (43, Status.TOLERANCE_NOT_MET)
 
 
 # The budget is checked before each step, so a run stopped by it makes at

@@ -213,17 +213,11 @@ def test_status_values():
     assert Status.DIVERGENT.value == "Divergent"
 
 
-def _numeric(heap):
-    """Indices of the records whose eps is not NaN."""
-    return [i for i, r in enumerate(heap) if not math.isnan(r.eps)]
-
-
 def _select_scan(heap, order):
-    """The record-attribute scan select_worst replaced, over the records
-    whose eps is not NaN; `order` gives each record's insertion number."""
-    live = _numeric(heap)
-    best = live[0]
-    for i in live[1:]:
+    """The record-attribute scan select_worst replaced; `order` gives each
+    record's insertion number."""
+    best = 0
+    for i in range(1, len(heap)):
         r = heap[i]
         if r.eps > heap[best].eps or (r.eps == heap[best].eps
                                       and order[id(r)] < order[id(heap[best])]):
@@ -234,28 +228,24 @@ def _select_scan(heap, order):
 def _cap_scan(heap, cap):
     evicted = []
     while len(heap) > cap:
-        worst = min(_numeric(heap), key=lambda i: heap[i].eps)
+        worst = min(range(len(heap)), key=lambda i: heap[i].eps)
         evicted.append(heap.pop(worst))
     return evicted
 
 
 def test_heap_upkeep_matches_list_scans():
     # eps drawn from a handful of values, so ties (0.0 against -0.0 too)
-    # are the rule; pushes, selections and evictions interleave at random.
-    # As in _drive, a selection needs a record whose eps is not NaN, and an
-    # eviction enough of them to bring the heap down to the cap: once the
-    # NaN records alone are more than the cap, a new run starts
+    # are the rule; pushes, selections and evictions interleave at random,
+    # and a selection, as in _drive, needs a record
     rng = np.random.default_rng(3)
-    pool = (0.0, -0.0, 1.0, 1.0, 2.0, 3.0, float("nan"))
+    pool = (0.0, -0.0, 1.0, 1.0, 2.0, 3.0)
     for _ in range(200):
         st = AdaptiveState()
         ref, order = [], {}
         cap = int(rng.integers(2, 6))
         for k in range(40):
             op = rng.random()
-            if len(ref) - len(_numeric(ref)) > cap:
-                st, ref = AdaptiveState(), []
-            if op < 0.6 or not _numeric(ref):
+            if op < 0.6 or not ref:
                 r = _rec(q=float(k), eps=pool[rng.integers(len(pool))])
                 order[id(r)] = k
                 st.push(r)
@@ -269,8 +259,7 @@ def test_heap_upkeep_matches_list_scans():
                 want = before
                 for r in evicted:
                     want += r.eps
-                assert st.excess_eps == want or (np.isnan(want)
-                                                 and np.isnan(st.excess_eps))
+                assert st.excess_eps == want
             assert [id(r) for r in st.heap] == [id(r) for r in ref]
             assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
 
@@ -285,22 +274,18 @@ def test_heap_eps_sums_in_heap_order():
 
 
 def test_heap_eps_exceeds_matches_the_sum():
-    # random states after pops and evictions, with NaN, inf, 0.0 and -0.0
-    # among the eps; tau at, just below and just above the sum and the
-    # largest eps: the verdict of heap_eps() > tau, and a twin state that
-    # never asks makes the same choices.  Selections and evictions take
-    # only records whose eps is not NaN, as in _drive; once the NaN records
-    # alone are more than the cap, a new run starts
+    # random states after pops and evictions, with inf, 0.0 and -0.0 among
+    # the eps; tau at, just below and just above the sum and the largest
+    # eps: the verdict of heap_eps() > tau, and a twin state that never
+    # asks makes the same choices
     rng = np.random.default_rng(17)
-    pool = (0.0, -0.0, 1.0, 2.0, 5e-324, float("inf"), float("nan"))
+    pool = (0.0, -0.0, 1.0, 2.0, 5e-324, float("inf"))
     seen = set()
     for cap in (2, 7, 50, 200):
         st, twin = AdaptiveState(), AdaptiveState()
         for k in range(1500):
             op = rng.random()
-            if sum(map(math.isnan, st.eps)) > cap:
-                st, twin = AdaptiveState(), AdaptiveState()
-            if op < 0.55 or all(map(math.isnan, st.eps)):
+            if op < 0.55 or not st.eps:
                 scale = 10.0 ** int(rng.integers(-3, 4))
                 eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
                        else float(rng.exponential()) * scale)
@@ -313,33 +298,28 @@ def test_heap_eps_exceeds_matches_the_sum():
                 enforce_heap_cap(twin, cap)
             assert [r.q for r in st.heap] == [r.q for r in twin.heap]
             total = st.heap_eps()
-            nan = any(math.isnan(e) for e in st.eps)
-            top = max((e for e in st.eps if not math.isnan(e)), default=0.0)
+            top = max(st.eps, default=0.0)
             taus = [float(t) for v in (total, top) if 0.0 < v < math.inf
                     for t in (v, np.nextafter(v, 0.0), np.nextafter(v, 9.0))]
             for tau in (*taus, 1e-300, float(rng.exponential()), 1e300):
                 want = total > tau
                 assert st.heap_eps_exceeds(tau) is want
-                seen.add("nan" if nan else "largest" if top > tau
+                seen.add("largest" if top > tau
                          else "sum" if want else "within")
-    assert seen == {"nan", "largest", "sum", "within"}
+    assert seen == {"largest", "sum", "within"}
 
 
 def test_heap_matches_list_scans_at_full_scale():
     # caps up to the default 200 and long runs of mixed operations; eps
-    # mixes continuous draws with a pool of ties, signed zeros, inf and NaN.
-    # Selections and evictions take only records whose eps is not NaN; once
-    # the NaN records alone are more than the cap, a new run starts
+    # mixes continuous draws with a pool of ties, signed zeros and inf
     rng = np.random.default_rng(11)
-    pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"), float("nan"))
+    pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"))
     for cap in (2, 7, 50, 200):
         st = AdaptiveState()
         ref, order = [], {}
         for k in range(2000):
             op = rng.random()
-            if len(ref) - len(_numeric(ref)) > cap:
-                st, ref = AdaptiveState(), []
-            if op < 0.55 or not _numeric(ref):
+            if op < 0.55 or not ref:
                 eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
                        else float(rng.exponential()))
                 r = _rec(q=float(k), eps=eps)
@@ -356,28 +336,23 @@ def test_heap_matches_list_scans_at_full_scale():
                 enforce_heap_cap(st, cap)
                 # evicted in the same order: the same float sums
                 assert st.excess_q == want_q
-                assert st.excess_eps == want_eps or (
-                    math.isnan(want_eps) and math.isnan(st.excess_eps))
+                assert st.excess_eps == want_eps
             assert [id(r) for r in st.heap] == [id(r) for r in ref]
             assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
 
 
 def test_order_holds_exactly_the_live_numeric_records_sorted():
     # after every push, selection and eviction the sorted column is
-    # (eps, -push number) of the records on the heap whose eps is not NaN,
-    # ascending, with the bits of each eps: nothing stale, nothing missing.
-    # Selections and evictions take only records whose eps is not NaN; once
-    # the NaN records alone are more than the cap, a new run starts
+    # (eps, -push number) of the records on the heap, ascending, with the
+    # bits of each eps: nothing stale, nothing missing
     rng = np.random.default_rng(5)
-    pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"), float("nan"))
+    pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"))
     for cap in (2, 3, 7, 50, 200):
         st = AdaptiveState()
         pushes = 0
         for _ in range(2000):
             op = rng.random()
-            if sum(map(math.isnan, st.eps)) > cap:
-                st, pushes = AdaptiveState(), 0
-            if op < 0.6 or all(map(math.isnan, st.eps)):
+            if op < 0.6 or not st.eps:
                 eps = (pool[rng.integers(len(pool))] if rng.random() < 0.4
                        else float(rng.exponential()))
                 # each record carries its push number as its q
@@ -387,8 +362,7 @@ def test_order_holds_exactly_the_live_numeric_records_sorted():
                 select_worst(st)
             else:
                 enforce_heap_cap(st, cap)
-            want = sorted((r.eps, -int(r.q)) for r in st.heap
-                          if not math.isnan(r.eps))
+            want = sorted((r.eps, -int(r.q)) for r in st.heap)
             assert ([(e.hex(), k) for e, k in st._order]
                     == [(e.hex(), k) for e, k in want])
 

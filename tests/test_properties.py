@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as hs
 
 from relquad import algorithms
@@ -238,3 +239,88 @@ def test_polynomials_up_to_the_rule_degree_are_exact(alg, max_degree, neval,
     assert r.status is Status.CONVERGED
     assert abs(r.q - exact) <= 1e-10
     assert r.neval == neval
+
+
+# ROADMAP item 8's contract on sums of 1-3 parts, each (kind, scale s,
+# centre c, parameter p) over the bounds [lo, hi]: |x - c|^p with p in
+# (-1.5, 1), a peak of width 10^p down to 1e-8, a step at c, sin(p x) up
+# to p = 1e4, NaN on |x - c| < 10^p, inf at x = c (a bound or the
+# midpoint, which a start-up samples), and exp growth to e^p at hi, up to
+# the largest float; |s| runs from 1e-300 to 1.7e308, so values and fits
+# reach overflow
+def _part(kind, s, c, p, lo, hi, x):
+    if kind == "power":
+        return s * abs(x - c) ** p
+    if kind == "peak":
+        w = 10.0 ** p
+        return s * w / ((x - c) ** 2 + w * w)
+    if kind == "step":
+        return s if x > c else 0.0
+    if kind == "sine":
+        return s * np.sin(p * x)
+    if kind == "hole":
+        return math.nan if abs(x - c) < 10.0 ** p else 0.0
+    if kind == "inf":
+        return s * math.inf if x == c else 0.0
+    return s * np.exp(p * (x - lo) / (hi - lo))  # "exp"
+
+
+#: a run stopped by its budget makes at most max(budget + step, start-up)
+#: evaluations
+BUDGET_BOUND = {int_naive: (21, 33), int_refined: (17, 11)}
+CONFIG = {int_naive: NaiveConfig, int_refined: RefinedConfig}
+
+
+@hs.composite
+def contract_cases(draw):
+    lo = draw(hs.floats(-10.0, 10.0))
+    hi = lo + 10.0 ** draw(hs.floats(-6.0, 1.3))
+    centre = hs.floats(lo, hi)
+    part = hs.one_of(
+        hs.tuples(hs.just("power"), centre,
+                  hs.floats(-1.5, 1.0, exclude_min=True, exclude_max=True)),
+        hs.tuples(hs.just("peak"), centre, hs.floats(-8.0, 0.0)),
+        hs.tuples(hs.just("step"), centre, hs.just(0.0)),
+        hs.tuples(hs.just("sine"), hs.just(0.0), hs.floats(0.0, 1e4)),
+        hs.tuples(hs.just("hole"), centre, hs.floats(-8.0, -1.0)),
+        hs.tuples(hs.just("inf"), hs.sampled_from((lo, hi, 0.5 * (lo + hi))),
+                  hs.just(0.0)),
+        hs.tuples(hs.just("exp"), hs.just(lo), hs.floats(0.0, 709.7)),
+    )
+    # log10 |s|, half the time within a factor 1e13 of the largest float
+    top = math.log10(1.7e308)
+    exponent = hs.one_of(hs.floats(-300.0, top), hs.floats(295.0, top))
+    parts = draw(hs.lists(hs.tuples(part, hs.sampled_from((1.0, -1.0)),
+                                    exponent), min_size=1, max_size=3))
+    tol = 10.0 ** draw(hs.floats(-14.0, 0.0))
+    budget = draw(hs.sampled_from((None, 50, 500, 5_000)))
+    return ([(kind, sign * 10.0 ** e, c, p)
+             for (kind, c, p), sign, e in parts], lo, hi, tol, budget)
+
+
+@pytest.mark.parametrize("alg", INTEGRATORS)
+@seed(8)
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=contract_cases())
+def test_the_contract_holds_on_random_sums_of_hard_parts(alg, case):
+    # a finite q, eps >= 0, Converged only within tau, the budget's bound
+    # and exact negation under reversed bounds; tau is relative to the
+    # largest scale
+    parts, lo, hi, tol, budget = case
+
+    def f(x):
+        x = np.float64(x)
+        return sum(_part(*part, lo, hi, x) for part in parts)
+
+    tau = tol * max(abs(s) for _, s, _, _ in parts)
+    cfg = (None if budget is None
+           else CONFIG[alg](engine=EngineConfig(tau=1.0, max_neval=budget)))
+    fwd = alg(f, lo, hi, tau, cfg)
+    rev = alg(f, hi, lo, tau, cfg)
+    assert math.isfinite(fwd.q) and fwd.eps >= 0.0
+    assert fwd.status is not Status.CONVERGED or fwd.eps <= tau
+    if budget is not None:
+        step, startup = BUDGET_BOUND[alg]
+        assert fwd.neval <= max(budget + step, startup)
+    assert rev.q == -fwd.q
+    assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)

@@ -43,6 +43,11 @@ CLI_MODES = ("lk", "battery", "divergence", "probe")
 # lk family 1 (abs_power), seed 0, draw 0: lk_draw(LK_FAMILIES[0], 0, 0)[0]
 ABS_POWER = lambda x: abs(x - 0.8897387912781343) ** -0.22143097489688685
 
+# -0.5 + 0.5 * get_stencil(8).nodes[1::2]: the nodes a degree-8 raise of
+# [-1, 0] adds
+RAISE_NODES = (-0.03806023374435663, -0.3086582838174551, -0.6913417161825449,
+               -0.9619397662556434)
+
 # label, integrand, a, b, tau, budget
 EDGES = (
     ("nan", lambda x: math.nan, 0.0, 1.0, 1e-6, 10_000),
@@ -55,9 +60,15 @@ EDGES = (
     ("exp_empty", math.exp, 0.5, 0.5, 1e-6, 10_000),
     ("sin_inverse", lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0, 1e-6,
      10_000),
-    # a NaN estimate in the middle of a run
+    # a fit that overflows in the middle of a run
     ("overflow_spike", lambda x: (1.7e308 if 0.3 < x < 0.31
                                   else math.floor(math.exp(3 * x))), 0.0, 1.0,
+     1e-6, 10_000),
+    # a fit that overflows at a ladder raise: int_naive's raise of [-1, 0]
+    # to degree 8 meets +-1.7e308 at each of its four fresh nodes
+    ("overflow_raise", lambda x: (math.copysign(1.7e308, x + 0.5)
+                                  if x in RAISE_NODES
+                                  else 1.0 / (1.0 + 25.0 * x * x)), -1.0, 1.0,
      1e-6, 10_000),
     # stopped by the budget at the largest overrun a step can make: int_naive
     # at 70 (91 evaluations), int_refined at 12 (29); and over [1, 0]
