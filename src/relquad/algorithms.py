@@ -203,9 +203,10 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
     """Bisect rec: fit its left and right halves in the rule st, then push
     both.  Each half reuses the values at its two end nodes, which are
     rec's, in the rule of rec's fit.  Each half's eps is ``naive_error`` of
-    its fit and rec's fit moved onto it or, if refined, ``refined_error`` of
-    those, its samples, rec's fit, its side (0 left, 1 right) and THETA1;
-    both at rec's half-width.
+    its fit's coefficients and rec's moved onto it or, if refined,
+    ``refined_error`` of its fit, those moved coefficients, its samples,
+    rec's fit, its side (0 left, 1 right) and THETA1; both at rec's
+    half-width.
 
     Both halves are pushed or neither: an unusable fit raises
     TooManyNonNumeric, and a divergence verdict DivergentIntegral, before
@@ -230,11 +231,11 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
         c_xfer = transfer_to_child(parent, side)
         # refined_error by its module name: benchmarks/tracing.py swaps it
         eps = (refined_error(cv, c_xfer, sv, parent, side, THETA1, h).eps
-               if refined else naive_error(cv, c_xfer, h))
+               if refined else naive_error(cv.c, c_xfer, h))
         _check_usable(q, eps)
-        # positional: a, b, coeffs, q, eps, q_base, nr_div, nr_rec, samples
-        halves.append(IntervalRecord(ca, cb, cv, q, eps, q, nr_div,
-                                     rec.nr_rec + 1, sv))
+        # positional: a, b, samples, coeffs, q, eps, q_base, nr_div, nr_rec
+        halves.append(IntervalRecord(ca, cb, sv, cv, q, eps, q, nr_div,
+                                     rec.nr_rec + 1))
     for half in halves:
         state.push(half)
 
@@ -251,9 +252,9 @@ def _naive_start(fn: CountedFunction, a: float, b: float) -> IntervalRecord:
     c_top = fit(sv, st_top)
     c_lo = fit(sv_lo, st_lo)
     q0 = integral(c_top, a, b)
-    return IntervalRecord(a=a, b=b, coeffs=c_top, q=q0,
-                          eps=naive_error(c_top, c_lo, 0.5 * (b - a)),
-                          q_base=q0, samples=sv)
+    return IntervalRecord(a=a, b=b, samples=sv, coeffs=c_top, q=q0,
+                          eps=naive_error(c_top.c, c_lo.c, 0.5 * (b - a)),
+                          q_base=q0)
 
 
 def _naive_refine(fn: CountedFunction, state: AdaptiveState,
@@ -263,7 +264,7 @@ def _naive_refine(fn: CountedFunction, state: AdaptiveState,
         st_hi = get_stencil(2 * rec.coeffs.stencil.n)
         sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
         cv_hi = fit(sv_hi, st_hi)
-        diff = naive_error(cv_hi, rec.coeffs, 1.0)
+        diff = naive_error(cv_hi.c, rec.coeffs.c, 1.0)
         q = integral(cv_hi, rec.a, rec.b)
         eps = 0.5 * (rec.b - rec.a) * diff
         # an unusable raise leaves rec as it was, to be retired
@@ -294,7 +295,7 @@ def _refined_start(fn: CountedFunction, a: float, b: float) -> IntervalRecord:
     sv = sample(fn, a, b, st)
     cv = fit(sv, st)
     q0 = integral(cv, a, b)
-    return IntervalRecord(a=a, b=b, coeffs=cv, q=q0, q_base=q0, samples=sv,
+    return IntervalRecord(a=a, b=b, samples=sv, coeffs=cv, q=q0, q_base=q0,
                           eps=float(np.finfo(float).max))
 
 
@@ -376,17 +377,14 @@ def divergence_ratio_probe(alpha: float) -> tuple[float, float]:
     if not -2.0 <= alpha < 0.0:
         raise ValueError("alpha must be in [-2, 0)")
 
-    def integrand(x: float) -> float:
-        with np.errstate(all="ignore"):
-            return float(np.power(x, alpha))
-
     def left_child_estimate(a0: float, b0: float) -> tuple[float, float]:
-        fn = CountedFunction(integrand)
+        fn = CountedFunction(lambda x: np.power(x, alpha))
         state = AdaptiveState()
         _refined_refine(fn, state, _refined_start(fn, a0, b0))
         left = next(iter(state.heap))
         return left.eps, left.q
 
-    eps_outer, q_outer = left_child_estimate(0.0, 2.0)   # -> [0, 1]
-    eps_inner, q_inner = left_child_estimate(0.0, 1.0)   # -> [0, 1/2]
+    with np.errstate(all="ignore"):  # as _drive does: 0 ** alpha is inf
+        eps_outer, q_outer = left_child_estimate(0.0, 2.0)   # -> [0, 1]
+        eps_inner, q_inner = left_child_estimate(0.0, 1.0)   # -> [0, 1/2]
     return eps_inner / eps_outer, q_inner / q_outer

@@ -39,7 +39,6 @@ __all__ = [
     "downdate_newton",
     "get_stencil",
     "legendre_values",
-    "eval_series",
     "newton_terms",
 ]
 
@@ -75,12 +74,6 @@ def legendre_values(degree: int, x: np.ndarray) -> np.ndarray:
     for k in range(1, degree):
         out[:, k + 1] = (x * out[:, k] - GAMMA[k] * out[:, k - 1]) / ALPHA[k]
     return out
-
-
-def eval_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs[k] p_k at points x."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return legendre_values(len(coeffs) - 1, x) @ coeffs
 
 
 def _multiply_by_x(v: np.ndarray) -> np.ndarray:

@@ -107,21 +107,22 @@ def check_budget(max_neval: int) -> None:
 class IntervalRecord:
     """One heap entry.
 
-    q_base is the reference for the divergence ratio: the q of the record's
-    first fit, which the doubly adaptive integrator's degree raises leave as
-    it was.  The fitted Newton vector and rule travel inside coeffs;
-    samples are kept so children can reuse endpoint values.
+    samples are the integrand's values at the nodes of the record's rule,
+    kept so that children reuse their end values, and coeffs their fit,
+    which carries the rule and the Newton vector.  q_base is the reference
+    for the divergence ratio: the q of the record's first fit, which the
+    doubly adaptive integrator's degree raises leave as it was.
     """
 
     a: float
     b: float
+    samples: SampleVector
     coeffs: CoeffVector
     q: float
     eps: float
     q_base: float
     nr_div: int = 0
     nr_rec: int = 0
-    samples: SampleVector | None = None
 
 
 class DivergentIntegral(RuntimeError):

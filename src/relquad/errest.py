@@ -69,12 +69,11 @@ class RefinedEstimate(NamedTuple):
     used_fallback: bool
 
 
-def naive_error(c_hi: CoeffVector, c_lo: CoeffVector, halfwidth: float) -> float:
-    """halfwidth * ||c_hi - c_lo||_2 over c_hi's length: c_lo is zero-padded
-    if shorter, and cut off if longer (a higher-degree parent moved onto a
-    lowest-degree child is compared up to the child's degree only)."""
-    hi = c_hi.c
-    lo = c_lo.c
+def naive_error(hi: np.ndarray, lo: np.ndarray, halfwidth: float) -> float:
+    """halfwidth * ||hi - lo||_2 of two coefficient arrays, over hi's
+    length: lo is zero-padded if shorter, and cut off if longer (a
+    higher-degree parent moved onto a lowest-degree child is compared up to
+    the child's degree only)."""
     if len(lo) < len(hi):
         # hi - 0.0 is hi bit for bit, so this is hi minus zero-padded lo
         d = hi.copy()
@@ -86,7 +85,7 @@ def naive_error(c_hi: CoeffVector, c_lo: CoeffVector, halfwidth: float) -> float
 
 def refined_error(
     c_child: CoeffVector,
-    c_parent_xfer: CoeffVector,
+    c_parent_xfer: np.ndarray,
     samples: SampleVector,
     parent: CoeffVector,
     side: int,
@@ -98,13 +97,14 @@ def refined_error(
     c_child and samples are the child's fit and values at the nodes of its
     rule, c_child.stencil; parent is the fit, in the same rule, of the
     interval the child halves on side 0 (left) or 1 (right), and
-    c_parent_xfer that fit moved onto the child.  The Newton terms are
+    c_parent_xfer the coefficients of that fit moved onto the child
+    (``interp.transfer_to_child``).  The Newton terms are
     ``basis.newton_terms`` of the two fits' Newton vectors; when neither fit
     is masked they depend on no data, and the stencil holds them.
     """
     stencil = c_child.stencil
     b_child = c_child.newton
-    diff_norm = norm(c_child.c - c_parent_xfer.c)
+    diff_norm = norm(c_child.c - c_parent_xfer)
     if b_child is stencil.b and parent.eff_degree == stencil.n:
         # both unmasked: the Newton terms are the stencil's own
         abs_pi = stencil.abs_pi_xfer[side]
@@ -120,7 +120,7 @@ def refined_error(
 
     # The margin |P c_xfer - f| - theta1 * deriv * |pi| node by node, in
     # floats; the matrix product stays in numpy, whose BLAS fixes its bits.
-    pred = stencil.P.dot(c_parent_xfer.c).tolist()
+    pred = stencil.P.dot(c_parent_xfer).tolist()
     f = samples.values
     slack = theta1 * deriv
     mask = samples.nan_mask

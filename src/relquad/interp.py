@@ -74,14 +74,14 @@ class SampleVector(NamedTuple):
 
 
 class CoeffVector(NamedTuple):
-    """Legendre coefficients in the rule stencil, which ``fit`` sets and
-    ``transfer_to_child`` passes on (full stencil length, zero-padded above
-    eff_degree), plus the matching downdated Newton vector when known."""
+    """A fit, made only by ``fit``: Legendre coefficients in its rule
+    stencil (full stencil length, zero-padded above eff_degree) and the
+    matching downdated Newton vector."""
 
     c: np.ndarray
     eff_degree: int
     stencil: RuleStencil
-    newton: np.ndarray | None = None
+    newton: np.ndarray
 
 
 def sample(integrand, a: float, b: float, stencil: RuleStencil,
@@ -174,12 +174,13 @@ def integral(c: CoeffVector, a: float, b: float) -> float:
     return 0.5 * (b - a) * SQRT2 * float(c.c[0])
 
 
-def transfer_to_child(c: CoeffVector, side: int) -> CoeffVector:
-    """Re-expand the interpolant in the coordinates of one half-interval,
-    side 0 (left) or 1 (right), by the transform of its rule, c.stencil.
+def transfer_to_child(c: CoeffVector, side: int) -> np.ndarray:
+    """The coefficients of the fit c re-expanded in the coordinates of one
+    half-interval, side 0 (left) or 1 (right), by the transform of its
+    rule, c.stencil.
 
     The transforms are upper triangular, so zero-padding above eff_degree
     survives; the result predicts the parent's interpolant on the child, in
-    the same rule, and carries no Newton vector of its own.
+    the same rule.  It is not a fit of the child: it has no Newton vector.
     """
-    return CoeffVector(c.stencil.t[side].dot(c.c), c.eff_degree, c.stencil)
+    return c.stencil.t[side].dot(c.c)

@@ -32,9 +32,7 @@ __all__ = [
     "BatteryFunction",
     "LK_FAMILIES",
     "BATTERY",
-    "lk_family",
     "lk_draw",
-    "battery_get",
     "floor_exp_exact",
     "waldvogel_family_draw",
     "divergence_draw",
@@ -157,6 +155,7 @@ def _oscillatory_exact(lam, alpha):
     return math.sin(beta * (1.0 - l0) ** 2) - math.sin(beta * l0 ** 2)
 
 
+#: In id order: family k is LK_FAMILIES[k - 1].
 LK_FAMILIES: tuple[LKFamily, ...] = (
     LKFamily(1, "abs_power", (0.0, 1.0), (0.0, 1.0), (-0.5, 0.0), 1,
              _abs_power_integrand, _abs_power_exact),
@@ -171,12 +170,6 @@ LK_FAMILIES: tuple[LKFamily, ...] = (
     LKFamily(6, "oscillatory", (0.0, 1.0), (0.0, 1.0), (1.8, 2.0), 1,
              _oscillatory_integrand, _oscillatory_exact),
 )
-
-
-def lk_family(fid: int) -> LKFamily:
-    if not 1 <= fid <= len(LK_FAMILIES):
-        raise ValueError(f"family id must be 1..{len(LK_FAMILIES)}, got {fid}")
-    return LK_FAMILIES[fid - 1]
 
 
 def lk_draw(family: LKFamily, seed: int, index: int = 0):
@@ -248,6 +241,7 @@ def _f25(x):
 
 _PI = math.pi
 
+#: In id order: f_k is BATTERY[k - 1].
 BATTERY: tuple[BatteryFunction, ...] = (
     BatteryFunction(1, (0.0, 1.0), lambda x: np.exp(x), math.e - 1.0),
     BatteryFunction(2, (0.0, 1.0), lambda x: 1.0 * (x > 0.3), 0.7),
@@ -297,12 +291,6 @@ BATTERY: tuple[BatteryFunction, ...] = (
                     floor_exp_exact(3.0)),
     BatteryFunction(25, (0.0, 5.0), _f25, 7.5),
 )
-
-
-def battery_get(fid: int) -> BatteryFunction:
-    if not 1 <= fid <= len(BATTERY):
-        raise ValueError(f"battery id must be 1..{len(BATTERY)}, got {fid}")
-    return BATTERY[fid - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,23 @@ from relquad.algorithms import (
     int_refined,
     int_simpson_baseline,
 )
-from relquad.basis import eval_series, get_stencil, legendre_values
+from relquad.basis import get_stencil, legendre_values
 from relquad.cli import CSV_HEADER, main
 from relquad.interp import CountedFunction, fit, sample
 from relquad.testlib import (
-    battery_get,
+    BATTERY,
+    LK_FAMILIES,
     divergence_draw,
     lk_draw,
-    lk_family,
     waldvogel_family_draw,
 )
 
 DEGREES = (4, 8, 10, 16, 32)
+
+
+def eval_series(c, x):
+    return legendre_values(len(c) - 1, x) @ c  # sum_k c[k] p_k at x
+
 
 # Mean-evaluation reference cells for the seeded family benchmark
 # (family id, algorithm, tolerance) -> reported mean; window is +/-35%.
@@ -182,7 +187,7 @@ def test_criterion_5_family_benchmark_table(verdict):
         t0 = time.perf_counter()
         failures = []
         for famid in (1, 2, 3, 4, 5, 6):
-            fam = lk_family(famid)
+            fam = LK_FAMILIES[famid - 1]
             a, b = fam.domain
             for tol in (1e-3, 1e-6):
                 draws = [lk_draw(fam, 0, i) for i in range(100)]
@@ -217,7 +222,7 @@ def test_criterion_6_battery_spot_rows(verdict):
     ):
         t0 = time.perf_counter()
 
-        f1 = battery_get(1)
+        f1 = BATTERY[1 - 1]
         for integrate in INTEGRATORS.values():
             tau = 1e-3 * abs(f1.reference_value)
             res = integrate(f1.integrand, *f1.domain, tau)
@@ -225,7 +230,7 @@ def test_criterion_6_battery_spot_rows(verdict):
             assert abs(res.q - f1.reference_value) <= tau
             assert res.neval <= 40
 
-        f24 = battery_get(24)
+        f24 = BATTERY[24 - 1]
         tau = 1e-6 * abs(f24.reference_value)
         for integrate in INTEGRATORS.values():
             res = integrate(f24.integrand, *f24.domain, tau)
@@ -238,7 +243,7 @@ def test_criterion_6_battery_spot_rows(verdict):
         )
 
         for fid in (12, 13, 17, 19):
-            entry = battery_get(fid)
+            entry = BATTERY[fid - 1]
             tau = max(1e-6 * abs(entry.reference_value), 1e-6)
             for integrate in INTEGRATORS.values():
                 res = integrate(entry.integrand, *entry.domain, tau)
@@ -254,7 +259,7 @@ def test_criterion_6_battery_spot_rows(verdict):
         # on [0, w] with w <= 0.2, six bisections of [0, 10], each adding a
         # sibling fit.  The cheapest battery run is already 33 (naive) or 29
         # (refined) evaluations on one interval.
-        f16 = battery_get(16)
+        f16 = BATTERY[16 - 1]
         tau = 1e-12 * abs(f16.reference_value)
         for integrate in INTEGRATORS.values():
             res = integrate(f16.integrand, *f16.domain, tau)

@@ -11,17 +11,20 @@ from relquad.basis import (
     StencilBuildError,
     build_stencil,
     downdate_newton,
-    eval_series,
     get_stencil,
     legendre_values,
 )
-from relquad.interp import CoeffVector, CountedFunction, fit, integral, sample
+from relquad.interp import CountedFunction, SampleVector, fit, integral, sample
 
 RULE_DEGREES = (4, 8, 10, 16, 32)
 
 # 200-point Gauss-Legendre rule: exact for polynomial integrands up to
 # degree 399, far beyond any product p_j * p_k used below.
 GL_X, GL_W = npleg.leggauss(200)
+
+
+def eval_series(c, x):
+    return legendre_values(len(c) - 1, x) @ c  # sum_k c[k] p_k at x
 
 
 def test_recurrence_first_coefficients():
@@ -88,15 +91,18 @@ def test_nodes_nested_under_degree_doubling():
 
 
 def test_integration_weights_exact_for_every_basis_function():
-    # integral of p_0 over [-1,1] is sqrt(2); all higher p_k integrate to 0
+    # integral of p_0 over [-1,1] is sqrt(2); all higher p_k integrate to
+    # 0: the integral of a fit is sqrt(2) times its first coefficient, and
+    # the fit of p_k's values at the nodes integrates as p_k does
     for n in RULE_DEGREES:
         oracle = legendre_values(n, GL_X).T @ GL_W
         st = get_stencil(n)
-        weights = np.array([integral(CoeffVector(e, n, st), -1.0, 1.0)
-                            for e in np.eye(n + 1)])
+        weights = []
+        for p_k in st.P.T:
+            cv = fit(SampleVector(p_k.copy(), (), p_k.tolist()), st)
+            weights.append(integral(cv, -1.0, 1.0))
+            assert weights[-1] == SQRT2 * float(cv.c[0])
         np.testing.assert_allclose(weights, oracle, rtol=0, atol=1e-13)
-        assert weights[0] == SQRT2
-        assert not weights[1:].any()
 
 
 def test_degree_one_stencil_by_hand():

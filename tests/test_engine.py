@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -19,14 +20,23 @@ from relquad.engine import (
     select_worst,
     should_drop,
 )
-from relquad.interp import (CoeffVector, CountedFunction, fit, integral,
-                            sample, transfer_to_child)
+from relquad.interp import CountedFunction, fit, integral, sample
+
+
+@functools.cache
+def _zero_samples_and_fit(n):
+    # the same on every interval: the records below share them
+    st = get_stencil(n)
+    sv = sample(CountedFunction(lambda x: 0.0), 0.0, 1.0, st)
+    return sv, fit(sv, st)
 
 
 def _rec(q=0.0, eps=0.0, a=0.0, b=1.0, nr_div=0, nr_rec=0, n=10):
-    cv = CoeffVector(c=np.zeros(n + 1), eff_degree=n, stencil=get_stencil(n))
-    return IntervalRecord(a=a, b=b, coeffs=cv, q=q, eps=eps, q_base=q,
-                          nr_div=nr_div, nr_rec=nr_rec)
+    """A record of the zero function on [a, b] at degree n, with the q,
+    eps and divergence counts given."""
+    sv, cv = _zero_samples_and_fit(n)
+    return IntervalRecord(a=a, b=b, samples=sv, coeffs=cv, q=q, eps=eps,
+                          q_base=q, nr_div=nr_div, nr_rec=nr_rec)
 
 
 def test_select_worst_returns_max_eps():
@@ -63,28 +73,25 @@ def test_should_drop_collapsed_interval():
 
 
 def test_the_rule_travels_with_the_fit():
-    # fit sets the rule its coefficients are in, transfer_to_child passes
-    # it on, and should_drop reads it from the record
+    # fit sets the rule its coefficients are in, and should_drop reads it
+    # from the record
     with np.errstate(all="ignore"):  # as the integrators run sample
         for n, fn in ((4, np.exp), (10, np.exp), (10, lambda x: 1.0 / x),
                       (32, lambda x: abs(x - 0.3) ** -0.5)):
             st = get_stencil(n)
             cv = fit(sample(CountedFunction(fn), 0.0, 1.0, st), st)
             assert cv.stencil is st
-            for side in (0, 1):
-                child = transfer_to_child(cv, side)
-                assert child.stencil is st
-                assert child.c.tobytes() == st.t[side].dot(cv.c).tobytes()
     # 1e-14 wide at 1.0: degree 32's adjacent end nodes collide, degree 4's
     # do not, and eps = 1.0 is far above either noise floor
     a, b = 1.0, 1.0 + 1e-14
     drops = {}
     for n in (4, 32):
         st = get_stencil(n)
-        cv = fit(sample(CountedFunction(np.exp), a, b, st), st)
+        sv = sample(CountedFunction(np.exp), a, b, st)
+        cv = fit(sv, st)
         q = integral(cv, a, b)
-        drops[n] = should_drop(IntervalRecord(a=a, b=b, coeffs=cv, q=q,
-                                              eps=1.0, q_base=q))
+        drops[n] = should_drop(IntervalRecord(a=a, b=b, samples=sv, coeffs=cv,
+                                              q=q, eps=1.0, q_base=q))
     assert drops == {4: False, 32: True}
 
 

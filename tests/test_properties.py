@@ -10,7 +10,7 @@ from hypothesis import strategies as hs
 from relquad import algorithms
 from relquad.algorithms import NaiveConfig, RefinedConfig, int_naive, int_refined
 from relquad.engine import EngineConfig, Status
-from relquad.testlib import divergence_draw, lk_draw, lk_family
+from relquad.testlib import LK_FAMILIES, divergence_draw, lk_draw
 
 INTEGRATORS = (int_naive, int_refined)
 
@@ -19,7 +19,7 @@ lk_cases = hs.tuples(hs.integers(1, 6), hs.integers(0, 10 ** 6),
 
 
 def _lk(fid, seed, tol):
-    fam = lk_family(fid)
+    fam = LK_FAMILIES[fid - 1]
     fn, exact = lk_draw(fam, seed)
     assume(exact != 0.0)
     return fn, fam.domain, tol * abs(exact)
@@ -47,7 +47,7 @@ def test_power_of_two_scaling_is_exact_far_from_one(alg, config):
     # a run that never converges fail quickly
     cfg = config(engine=EngineConfig(tau=1.0, max_neval=100_000))
     for fid in range(1, 7):
-        fam = lk_family(fid)
+        fam = LK_FAMILIES[fid - 1]
         a, b = fam.domain
         for seed in range(3):
             fn, exact = lk_draw(fam, seed)
@@ -165,7 +165,7 @@ def test_dense_scattered_nan_is_retired_not_raised(monkeypatch, tol):
     # NaN at one point in 16 on lk oscillatory draw 3 (salt 3): int_naive
     # meets a degree-4 half with 4 of its 5 nodes NaN, which used to raise;
     # the interval it retires is charged its own eps, which covers the error
-    fam = lk_family(6)
+    fam = LK_FAMILIES[6 - 1]
     fn, exact = lk_draw(fam, 3)
     (a, b), tau = fam.domain, tol * abs(exact)
     r, intervals = _final_intervals(monkeypatch, int_naive,

@@ -7,11 +7,9 @@ import pytest
 from relquad.testlib import (
     BATTERY,
     LK_FAMILIES,
-    battery_get,
     divergence_draw,
     floor_exp_exact,
     lk_draw,
-    lk_family,
     stream_rng,
     waldvogel_family_draw,
 )
@@ -77,17 +75,13 @@ def test_family_table_layout():
     assert [f.domain for f in LK_FAMILIES] == [
         (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (1.0, 2.0), (1.0, 2.0), (0.0, 1.0)
     ]
-    assert lk_family(4).alpha_range == (-6.0, -3.0)
-    assert lk_family(5).n_lambda == 4
-    with pytest.raises(ValueError):
-        lk_family(0)
-    with pytest.raises(ValueError):
-        lk_family(7)
+    assert LK_FAMILIES[4 - 1].alpha_range == (-6.0, -3.0)
+    assert LK_FAMILIES[5 - 1].n_lambda == 4
 
 
 def test_abs_power_closed_form_example():
     # singularity dead center at half strength: 2 * sqrt(2)
-    fam = lk_family(1)
+    fam = LK_FAMILIES[1 - 1]
     np.testing.assert_allclose(fam.exact(0.5, -0.5), 2.0 * math.sqrt(2.0),
                                rtol=1e-15)
     fn = fam.make_integrand(0.5, -0.5)
@@ -96,7 +90,7 @@ def test_abs_power_closed_form_example():
 
 def test_step_exp_boundary_parameter():
     # step at the right endpoint leaves nothing to integrate
-    fam = lk_family(2)
+    fam = LK_FAMILIES[2 - 1]
     assert fam.exact(1.0, 0.37) == 0.0
     fn = fam.make_integrand(1.0, 0.37)
     assert fn(0.999) == 0.0
@@ -106,7 +100,7 @@ def test_step_exp_boundary_parameter():
 
 
 def test_oscillatory_shape_parameter_wiring():
-    fam = lk_family(6)
+    fam = LK_FAMILIES[6 - 1]
     for lam, alpha in ((0.3, 1.8), (0.9, 2.0), (0.5, 1.9)):
         beta = 10.0 ** alpha / max(lam ** 2, (1.0 - lam) ** 2)
         want = math.sin(beta * (1.0 - lam) ** 2) - math.sin(beta * lam ** 2)
@@ -141,7 +135,7 @@ def _lk_oracle(fam, lam, alpha, n):
 def test_lk_exact_matches_oracle(fid):
     # ten seeded draws per family: the draw protocol is pinned (lambdas first,
     # then alpha) and the closed form must match two oracle resolutions
-    fam = lk_family(fid)
+    fam = LK_FAMILIES[fid - 1]
     for idx in range(10):
         rng = stream_rng(SEED, fid, idx)
         lam = rng.uniform(*fam.lambda_range, size=fam.n_lambda)
@@ -160,7 +154,7 @@ def test_lk_exact_matches_oracle(fid):
 
 
 def test_lk_draw_deterministic_and_split():
-    fam = lk_family(3)
+    fam = LK_FAMILIES[3 - 1]
     f1, e1 = lk_draw(fam, 123, 5)
     f2, e2 = lk_draw(fam, 123, 5)
     assert e1 == e2
@@ -168,7 +162,8 @@ def test_lk_draw_deterministic_and_split():
     assert e1 != lk_draw(fam, 123, 6)[1]
     assert e1 != lk_draw(fam, 124, 5)[1]
     # families with the same seed/index draw from independent streams
-    assert lk_draw(lk_family(1), 123, 5)[1] != lk_draw(lk_family(2), 123, 5)[1]
+    assert (lk_draw(LK_FAMILIES[1 - 1], 123, 5)[1]
+            != lk_draw(LK_FAMILIES[2 - 1], 123, 5)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +173,7 @@ def test_lk_draw_deterministic_and_split():
 # discontinuous entries, geometric grading into integrable singularities,
 # plain uniform panels otherwise
 def _battery_edges(fid):
-    a, b = battery_get(fid).domain
+    a, b = BATTERY[fid - 1].domain
     if fid in (3, 6, 7, 19):
         return _graded_edges(a, b, a)
     if fid == 2:
@@ -203,7 +198,7 @@ _ORACLE_FN = {12: lambda x: x / np.expm1(x)}
 
 @pytest.mark.parametrize("fid", range(1, 26))
 def test_battery_reference_two_resolution(fid):
-    bf = battery_get(fid)
+    bf = BATTERY[fid - 1]
     fn = _ORACLE_FN.get(fid, bf.integrand)
     edges = _battery_edges(fid)
     o24 = _panel_quad(fn, edges, 24)
@@ -213,24 +208,21 @@ def test_battery_reference_two_resolution(fid):
 
 
 def test_battery_oracle_twin_matches_f12():
-    bf = battery_get(12)
+    bf = BATTERY[12 - 1]
     x = np.linspace(1e-3, 1.0, 257)
     np.testing.assert_allclose(bf.integrand(x), _ORACLE_FN[12](x), rtol=1e-10)
 
 
 def test_battery_frozen_spot_values():
-    np.testing.assert_allclose(battery_get(1).reference_value, math.e - 1.0,
+    assert [bf.id for bf in BATTERY] == list(range(1, 26))
+    np.testing.assert_allclose(BATTERY[1 - 1].reference_value, math.e - 1.0,
                                rtol=1e-16)
-    assert battery_get(2).reference_value == 0.7
-    assert battery_get(19).reference_value == -1.0
-    assert battery_get(25).reference_value == 7.5
-    assert battery_get(24).reference_value == floor_exp_exact(3.0)
+    assert BATTERY[2 - 1].reference_value == 0.7
+    assert BATTERY[19 - 1].reference_value == -1.0
+    assert BATTERY[25 - 1].reference_value == 7.5
+    assert BATTERY[24 - 1].reference_value == floor_exp_exact(3.0)
     # genuinely the same number: both reduce to Si(100 pi) / pi
-    assert battery_get(13).reference_value == battery_get(17).reference_value
-    with pytest.raises(ValueError):
-        battery_get(0)
-    with pytest.raises(ValueError):
-        battery_get(26)
+    assert BATTERY[13 - 1].reference_value == BATTERY[17 - 1].reference_value
 
 
 def test_battery_all_evaluable_without_raising():
@@ -247,15 +239,15 @@ def test_battery_all_evaluable_without_raising():
 
 def test_battery_nonnumeric_modifications():
     with np.errstate(all="ignore"):
-        assert math.isnan(float(battery_get(12).integrand(0.0)))
-        assert math.isnan(float(battery_get(13).integrand(0.0)))
-        assert math.isnan(float(battery_get(17).integrand(0.0)))
-        assert float(battery_get(19).integrand(0.0)) == -math.inf
+        assert math.isnan(float(BATTERY[12 - 1].integrand(0.0)))
+        assert math.isnan(float(BATTERY[13 - 1].integrand(0.0)))
+        assert math.isnan(float(BATTERY[17 - 1].integrand(0.0)))
+        assert float(BATTERY[19 - 1].integrand(0.0)) == -math.inf
     # the step in f2 evaluates to 0/1, and f24/f25 stay finite at the edges
-    assert battery_get(2).integrand(0.2) == 0.0
-    assert battery_get(2).integrand(0.4) == 1.0
-    assert float(battery_get(24).integrand(3.0)) == 20.0
-    assert float(battery_get(25).integrand(5.0)) == 2.0
+    assert BATTERY[2 - 1].integrand(0.2) == 0.0
+    assert BATTERY[2 - 1].integrand(0.4) == 1.0
+    assert float(BATTERY[24 - 1].integrand(3.0)) == 20.0
+    assert float(BATTERY[25 - 1].integrand(5.0)) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +289,7 @@ def test_waldvogel_draws():
 
 
 def test_waldvogel_endpoint_identity():
-    assert floor_exp_exact(3.0) == battery_get(24).reference_value
+    assert floor_exp_exact(3.0) == BATTERY[24 - 1].reference_value
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@
 seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
 first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
 (non-numeric and overflowing values, a pole, reversed and empty bounds,
-runs stopped by a small budget, and an lk draw at a tolerance below its
-noise floor), each at its own tau and budget, which the benchmark cases
-never reach.
+runs stopped by a small budget, an lk draw at a tolerance below its noise
+floor, and a singular draw whose status hangs on the loop's test), each at
+its own tau and budget, which the benchmark cases never reach.
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
 
@@ -80,6 +80,12 @@ EDGES = (
     ("abs_power_rel1e-12", lambda x: (abs(x - 0.8486500432887727)
                                       ** -0.3728710862554596), 0.0, 1.0,
      1e-12 * 1.926584893489147, 10_000),
+    # the singular workload's seed-1 draw 8 at alpha = -0.7, at its tau and
+    # budget: int_refined ends ToleranceNotMet with the excess within tau
+    # and the error 17.6 tau; testing the heap against tau - excess would
+    # make it a Converged miss
+    ("pole_alpha-0.7_seed1", lambda x: abs(x - 0.8403273027848961) ** -0.7,
+     0.0, 1.0, 1e-6 * 5.086249605639786, 10_000),
 )
 
 
