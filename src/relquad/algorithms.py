@@ -6,10 +6,10 @@ and owns the call contract (tau and bounds checks, empty and reversed
 bounds, budget, evaluation count) and the loop (heap, floors, cap,
 divergence count).  Both steps bisect with ``_split``.
 
-``int_naive`` is doubly adaptive: its start-up fits degrees 16 and 32 on
-nested nodes; its step raises the worst interval one rung of the ladder
-4/8/16/32, reusing nested node values, and bisects it back to the lowest
-degree once the ladder is exhausted or the coefficients jump.  Its error
+``int_naive`` is doubly adaptive: its step raises the worst interval one
+rung of the ladder 4/8/16/32 (``_raise``), reusing nested node values, and
+bisects it back to the lowest degree once the ladder is exhausted or the
+coefficients jump; its start-up is a degree-16 fit raised once.  Its error
 estimate is the coefficient distance between consecutive fits.
 
 ``int_refined`` fits once at degree 10 and bisects at every step, but
@@ -28,10 +28,8 @@ error estimate and whose status reports Converged / ToleranceNotMet /
 Divergent honestly; NaN/Inf integrand values are data (masked and downdated
 away), never propagated into q or eps by the two coefficient-based methods.
 A fit with no usable estimate, because too few of its values are numeric or
-because finite values near the largest float overflow it, is never pushed.
-An interval whose bisection meets such a half, or a divergence verdict, is
-retired as it stands, so q and eps cover [a, b]; the run then ends
-ToleranceNotMet at best, or Divergent.
+because finite values near the largest float overflow it, is never pushed;
+``_drive`` says how the interval being refined is retired and the run ends.
 """
 
 from __future__ import annotations
@@ -172,10 +170,8 @@ def _drive(integrand, a: float, b: float, tau: float,
         state.push(root)
         status = None
         nonnumeric = False
-        while state.excess_eps <= tau and state.heap_eps_exceeds(tau):
-            if max_neval is not None and fn.count >= max_neval:
-                status = Status.TOLERANCE_NOT_MET
-                break
+        while (state.excess_eps <= tau and state.heap_eps_exceeds(tau)
+               and (max_neval is None or fn.count < max_neval)):
             rec = select_worst(state)
             if should_drop(rec):
                 accumulate_excess(state, rec)
@@ -244,35 +240,38 @@ def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
 # doubly adaptive integrator (degree ladder + bisection)
 # ---------------------------------------------------------------------------
 
+def _raise(fn: CountedFunction, rec: IntervalRecord) -> float:
+    """Raise rec one rung of the ladder, reusing the values at its even
+    nodes, and charge it its half-width times the coefficient distance of
+    the two fits, which is returned.  An unusable fit raises
+    TooManyNonNumeric and leaves rec as it was."""
+    st = get_stencil(2 * rec.coeffs.stencil.n)
+    sv = sample(fn, rec.a, rec.b, st, reuse=rec.samples.values)
+    cv = fit(sv, st)
+    diff = naive_error(cv.c, rec.coeffs.c, 1.0)
+    q = integral(cv, rec.a, rec.b)
+    eps = 0.5 * (rec.b - rec.a) * diff
+    _check_usable(q, eps)
+    rec.samples, rec.coeffs, rec.q, rec.eps = sv, cv, q, eps
+    return diff
+
+
 def _naive_start(fn: CountedFunction, a: float, b: float) -> IntervalRecord:
-    """Degree 16, then degree 32 reusing its values; eps is their distance."""
-    st_lo, st_top = get_stencil(N_TOP // 2), get_stencil(N_TOP)
-    sv_lo = sample(fn, a, b, st_lo)
-    sv = sample(fn, a, b, st_top, reuse=sv_lo.values)
-    c_top = fit(sv, st_top)
-    c_lo = fit(sv_lo, st_lo)
-    q0 = integral(c_top, a, b)
-    return IntervalRecord(a=a, b=b, samples=sv, coeffs=c_top, q=q0,
-                          eps=naive_error(c_top.c, c_lo.c, 0.5 * (b - a)),
-                          q_base=q0)
+    """A degree-16 fit raised once; its q, eps and q_base are the raise's."""
+    st = get_stencil(N_TOP // 2)
+    sv = sample(fn, a, b, st)
+    rec = IntervalRecord(a, b, sv, fit(sv, st), q=0.0, eps=0.0, q_base=0.0)
+    _raise(fn, rec)
+    rec.q_base = rec.q
+    return rec
 
 
 def _naive_refine(fn: CountedFunction, state: AdaptiveState,
                   rec: IntervalRecord) -> None:
     if rec.coeffs.stencil.n < N_TOP:
-        # one step up the degree ladder, reusing nested node values
-        st_hi = get_stencil(2 * rec.coeffs.stencil.n)
-        sv_hi = sample(fn, rec.a, rec.b, st_hi, reuse=rec.samples.values)
-        cv_hi = fit(sv_hi, st_hi)
-        diff = naive_error(cv_hi.c, rec.coeffs.c, 1.0)
-        q = integral(cv_hi, rec.a, rec.b)
-        eps = 0.5 * (rec.b - rec.a) * diff
-        # an unusable raise leaves rec as it was, to be retired
-        _check_usable(q, eps)
-        rec.samples, rec.coeffs, rec.q, rec.eps = sv_hi, cv_hi, q, eps
         # relative coefficient change: a large jump even at the new
         # degree means the ladder is not converging here — bisect
-        if not diff > HINT * norm(cv_hi.c):
+        if not _raise(fn, rec) > HINT * norm(rec.coeffs.c):
             state.push(rec)
             return
     _split(state, fn, rec, get_stencil(N0), False)

@@ -28,7 +28,8 @@ from relquad.interp import CoeffVector, SampleVector
 __all__ = ["RefinedEstimate", "norm", "naive_error", "refined_error"]
 
 # Below this, the Newton-vector difference in the denominator of the
-# derivative extraction is treated as degenerate rather than divided by.
+# derivative extraction is not divided by.  No run seen gets here, but the
+# Python float division diff_norm / 0.0 would raise out of the run.
 _DEGENERATE_DENOM = 1e-300
 
 # A finite sum of squares at least this large has no term that underflowed

@@ -468,27 +468,29 @@ def test_tau_is_checked_before_the_bounds(alg):
         alg(integrand, math.nan, math.nan, math.nan)
 
 
-@pytest.mark.parametrize("alg, neval", [(int_naive, 33), (int_refined, 11)])
+@pytest.mark.parametrize("alg, neval", [(int_naive, 17), (int_refined, 11)])
 @pytest.mark.parametrize("integrand", [
     lambda x: math.nan,
     lambda x: 0.0 if x == 0 else math.nan,
 ], ids=("nan", "nan_unless_zero"))
 def test_startup_fit_that_cannot_be_made_returns(alg, neval, integrand):
     # with at most one numeric start-up node both used to raise
-    # TooManyNonNumeric after their start-up evaluations
+    # TooManyNonNumeric; each stops after its first fit's evaluations, and
+    # int_naive never samples the 16 nodes its degree-32 raise would add
     res = alg(integrand, 0.0, 1.0, 1e-6)
     assert (res.q, res.eps, res.neval, res.status) == (
         0.0, math.inf, neval, Status.TOLERANCE_NOT_MET)
 
 
 def test_startup_lower_fit_that_cannot_be_made_returns():
-    # numeric at odd nodes of the 33-point rule only: the degree-32 fit can
-    # be made, the degree-16 fit on the even nodes cannot
+    # numeric at odd nodes of the 33-point rule only: the degree-32 fit could
+    # be made, the degree-16 fit on the even nodes cannot, and the run ends
+    # after its 17 values, before the raise to degree 32 samples
     odd = set(sample(CountedFunction(lambda x: x), 0.0, 1.0,
                      get_stencil(32)).values[1::2])
     res = int_naive(lambda x: x if x in odd else math.nan, 0.0, 1.0, 1e-6)
     assert (res.q, res.eps, res.neval, res.status) == (
-        0.0, math.inf, 33, Status.TOLERANCE_NOT_MET)
+        0.0, math.inf, 17, Status.TOLERANCE_NOT_MET)
 
 
 def _fit_lower_by_slicing(sv, st_lo):

@@ -48,9 +48,22 @@ ABS_POWER = lambda x: abs(x - 0.8897387912781343) ** -0.22143097489688685
 RAISE_NODES = (-0.03806023374435663, -0.3086582838174551, -0.6913417161825449,
                -0.9619397662556434)
 
+# 0.5 + 0.5 * get_stencil(32).nodes[1::2]: the odd nodes of int_naive's
+# start-up rule on [0, 1]
+ODD_NODES = (0.9975923633360985, 0.9784701678661044, 0.9409606321741775,
+             0.8865052266813684, 0.8171966420818227, 0.735698368412999,
+             0.6451423386272311, 0.5490085701647804, 0.4509914298352196,
+             0.35485766137276886, 0.2643016315870011, 0.18280335791817726,
+             0.1134947733186315, 0.059039367825822475, 0.021529832133895588,
+             0.0024076366639015356)
+
 # label, integrand, a, b, tau, budget
 EDGES = (
     ("nan", lambda x: math.nan, 0.0, 1.0, 1e-6, 10_000),
+    # numeric at the odd start-up nodes only: int_naive's degree-32 start-up
+    # fit could be made, its degree-16 fit cannot
+    ("nan_at_even_nodes", lambda x: x if x in ODD_NODES else math.nan, 0.0,
+     1.0, 1e-6, 10_000),
     ("nan_right_half", lambda x: math.nan if x > 0.5 else x, 0.0, 1.0, 1e-6,
      10_000),
     ("overflow_step", lambda x: 1.7e308 if x > 0.5 else -1.7e308, 0.0, 1.0,
