@@ -1,10 +1,11 @@
 """The public integrators.
 
-``int_naive`` and ``int_refined`` are each a start-up, which fits [a, b]
-once, and a step, which refines the worst interval; ``_drive`` runs both
-and owns the call contract (tau and bounds checks, empty and reversed
-bounds, budget, evaluation count) and the loop (heap, floors, cap,
-divergence count).  Both steps bisect with ``_split``.
+``_call`` owns the call contract of all three (tau and bounds checks, one
+number type, empty and reversed bounds, evaluation count).  ``int_naive``
+and ``int_refined`` are each a start-up, which fits [a, b] once, and a
+step, which refines the worst interval; ``_drive`` is the loop that runs
+both (heap, floors, cap, budget, divergence count).  Both bisect with
+``_split``.
 
 ``int_naive`` is doubly adaptive: its step raises the worst interval one
 rung of the ladder 4/8/16/32 (``_raise``), reusing nested node values, and
@@ -35,7 +36,7 @@ because finite values near the largest float overflow it, is never pushed;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,12 +102,6 @@ class RefinedConfig:
     engine: EngineConfig | None = None
 
 
-def _check_finite(a: float, b: float) -> None:
-    # b - a is NaN or infinite if a bound is, and infinite if it overflows
-    if not math.isfinite(b - a):
-        raise ValueError(f"b - a must be finite, got a={a!r}, b={b!r}")
-
-
 def _check_usable(q: float, eps: float) -> None:
     """Raise TooManyNonNumeric unless a fit's q and eps are both finite: a
     fit that overflows is retired like one with too few numeric values."""
@@ -114,24 +109,54 @@ def _check_usable(q: float, eps: float) -> None:
         raise TooManyNonNumeric(f"fit overflows: q = {q!r}, eps = {eps!r}")
 
 
-def _drive(integrand, a: float, b: float, tau: float,
-           config: NaiveConfig | RefinedConfig | None, start,
-           refine) -> QuadResult:
-    """The call contract and the adaptive loop of both integrators, which
-    differ only in ``start(fn, a, b)``, returning the start-up record of
-    [a, b], and ``refine(fn, state, rec)``, pushing the refinement of the
-    popped record rec; fn is the integrand wrapped in a CountedFunction.
+def _as_float(x) -> float:
+    """x as a Python float, infinite if too large for one; not a string."""
+    if isinstance(x, (str, bytes, bytearray)):
+        raise TypeError(f"expected a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # an int or Fraction beyond the largest float
+        return math.inf if x > 0 else -math.inf
 
-    A tau that is not positive, then a non-finite bound or width, raises
-    ValueError before any evaluation; [a, a] integrates to 0 exactly, at no
-    cost; a > b integrates over [b, a] and negates q.  Otherwise the loop
-    refines the worst interval while the heap's error is above tau and the
-    error retired into excess is not, until the budget, ``config.engine``'s
-    max_neval, is spent or a chain diverges.  The budget is checked before
-    each step, so a run makes at most max_neval - 1 plus one step's fresh
-    evaluations, or the start-up's if more: max(max_neval + 21, 33) for
-    int_naive (a raise from 16 to 32, then a split at degree 4) and
-    max(max_neval + 17, 11) for int_refined (a split at degree 10).
+
+def _call(integrand, a, b, tau, run, *args) -> QuadResult:
+    """The call contract of all three integrators around one run,
+    ``run(fn, lo, hi, tau, *args) -> (q, eps, status)`` over lo < hi, with
+    fn the integrand wrapped in a CountedFunction.  A tau that is not
+    positive, then a non-finite bound or width, raises ValueError before
+    any evaluation.  tau, a and b are converted to Python floats, so bounds
+    of any real type give the result of their float values, and one too
+    large for a float is not finite.  [a, a] integrates to 0 exactly, at no
+    cost; a > b integrates over [b, a] and negates q."""
+    check_tau(tau)
+    tau, a, b = _as_float(tau), _as_float(a), _as_float(b)
+    # b - a is NaN or infinite if a bound is, and infinite if it overflows
+    if not math.isfinite(b - a):
+        raise ValueError(f"b - a must be finite, got a={a!r}, b={b!r}")
+    if a == b:
+        return QuadResult(q=0.0, eps=0.0, neval=0, status=Status.CONVERGED)
+    fn = CountedFunction(integrand)
+    with np.errstate(all="ignore"):  # for the whole run: see sample
+        q, eps, status = run(fn, min(a, b), max(a, b), tau, *args)
+    return QuadResult(q=-q if a > b else q, eps=eps, neval=fn.count,
+                      status=status)
+
+
+def _drive(fn: CountedFunction, a: float, b: float, tau: float,
+           config: NaiveConfig | RefinedConfig | None, start,
+           refine) -> tuple[float, float, Status]:
+    """The adaptive loop of both integrators over a < b, returning q, eps
+    and the status; the two differ only in ``start(fn, a, b)``, returning
+    the start-up record of [a, b], and ``refine(fn, state, rec)``, pushing
+    the refinement of the popped record rec.
+
+    The loop refines the worst interval while the heap's error is above tau
+    and the error retired into excess is not, until the budget,
+    ``config.engine``'s max_neval, is spent or a chain diverges.  The budget
+    is checked before each step, so a run makes at most max_neval - 1 plus
+    one step's fresh evaluations, or the start-up's if more: max(max_neval
+    + 21, 33) for int_naive (a raise from 16 to 32, then a split at degree
+    4) and max(max_neval + 17, 11) for int_refined (a split at degree 10).
 
     The returned eps is excess + heap, so once the excess alone is above
     tau no further step can make the run Converged: the run stops at the
@@ -149,49 +174,39 @@ def _drive(integrand, a: float, b: float, tau: float,
     into excess with its own q and eps, which are finite.  The run then
     cannot return Converged, and on a verdict it stops at once with
     Divergent."""
-    check_tau(tau)
-    _check_finite(a, b)
-    if a == b:
-        return QuadResult(q=0.0, eps=0.0, neval=0, status=Status.CONVERGED)
-    if a > b:
-        res = _drive(integrand, b, a, tau, config, start, refine)
-        return replace(res, q=-res.q)
     engine = None if config is None else config.engine
     max_neval = None if engine is None else engine.max_neval
-    fn = CountedFunction(integrand)
-    with np.errstate(all="ignore"):  # for the whole run: see sample
+    try:
+        root = start(fn, a, b)
+        _check_usable(root.q, root.eps)
+    except TooManyNonNumeric:
+        return 0.0, math.inf, Status.TOLERANCE_NOT_MET
+    state = AdaptiveState()
+    state.push(root)
+    status = None
+    nonnumeric = False
+    while (state.excess_eps <= tau and state.heap_eps_exceeds(tau)
+           and (max_neval is None or fn.count < max_neval)):
+        rec = select_worst(state)
+        if should_drop(rec):
+            accumulate_excess(state, rec)
+            continue
         try:
-            root = start(fn, a, b)
-            _check_usable(root.q, root.eps)
+            refine(fn, state, rec)
         except TooManyNonNumeric:
-            return QuadResult(q=0.0, eps=math.inf, neval=fn.count,
-                              status=Status.TOLERANCE_NOT_MET)
-        state = AdaptiveState()
-        state.push(root)
-        status = None
-        nonnumeric = False
-        while (state.excess_eps <= tau and state.heap_eps_exceeds(tau)
-               and (max_neval is None or fn.count < max_neval)):
-            rec = select_worst(state)
-            if should_drop(rec):
-                accumulate_excess(state, rec)
-                continue
-            try:
-                refine(fn, state, rec)
-            except TooManyNonNumeric:
-                accumulate_excess(state, rec)
-                nonnumeric = True
-                continue
-            except DivergentIntegral:
-                accumulate_excess(state, rec)
-                status = Status.DIVERGENT
-                break
-            enforce_heap_cap(state, HEAP_CAP)
-        q, eps = state.totals()
+            accumulate_excess(state, rec)
+            nonnumeric = True
+            continue
+        except DivergentIntegral:
+            accumulate_excess(state, rec)
+            status = Status.DIVERGENT
+            break
+        enforce_heap_cap(state, HEAP_CAP)
+    q, eps = state.totals()
     if status is None:
         status = (Status.CONVERGED if eps <= tau and not nonnumeric
                   else Status.TOLERANCE_NOT_MET)
-    return QuadResult(q=q, eps=eps, neval=fn.count, status=status)
+    return q, eps, status
 
 
 def _split(state: AdaptiveState, fn, rec: IntervalRecord, st: RuleStencil,
@@ -280,7 +295,8 @@ def _naive_refine(fn: CountedFunction, state: AdaptiveState,
 def int_naive(integrand, a: float, b: float, tau: float,
               config: NaiveConfig | None = None) -> QuadResult:
     """Doubly adaptive quadrature over [a, b] to absolute tolerance tau."""
-    return _drive(integrand, a, b, tau, config, _naive_start, _naive_refine)
+    return _call(integrand, a, b, tau, _drive, config, _naive_start,
+                 _naive_refine)
 
 
 # ---------------------------------------------------------------------------
@@ -307,56 +323,57 @@ def int_refined(integrand, a: float, b: float, tau: float,
                 config: RefinedConfig | None = None) -> QuadResult:
     """Fixed-degree adaptive quadrature over [a, b] to absolute tolerance
     tau, with the derivative-extracting error estimate."""
-    return _drive(integrand, a, b, tau, config, _refined_start,
-                  _refined_refine)
+    return _call(integrand, a, b, tau, _drive, config, _refined_start,
+                 _refined_refine)
 
 
 # ---------------------------------------------------------------------------
 # classic adaptive Simpson baseline
 # ---------------------------------------------------------------------------
 
+def _simpson(fn: CountedFunction, a: float, b: float, tau: float,
+             max_neval: int) -> tuple[float, float, Status]:
+    fa, fb = fn(a), fn(b)
+    m = 0.5 * (a + b)
+    fm = fn(m)
+    capped = False
+
+    def recurse(x0, x2, f0, f1, f2, s1, tol, depth):
+        # s1 = Simpson estimate over [x0, x2] with midpoint f1
+        nonlocal capped
+        xm = 0.5 * (x0 + x2)
+        if fn.count + 2 > max_neval:
+            capped = True
+            return s1, 0.0
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x2)
+        fl, fr = fn(xl), fn(xr)
+        h = x2 - x0
+        s_left = h / 12.0 * (f0 + 4.0 * fl + f1)
+        s_right = h / 12.0 * (f1 + 4.0 * fr + f2)
+        s2 = s_left + s_right
+        err = (s2 - s1) / 15.0
+        if abs(err) <= tol or depth >= SIMPSON_MAX_DEPTH:
+            return s2 + err, abs(err)
+        ql, el = recurse(x0, xm, f0, fl, f1, s_left, 0.5 * tol, depth + 1)
+        qr, er = recurse(xm, x2, f1, fr, f2, s_right, 0.5 * tol, depth + 1)
+        return ql + qr, el + er
+
+    s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    q, eps = recurse(a, b, fa, fm, fb, s1, tau, 0)
+    status = (Status.CONVERGED if not capped and np.isfinite(q) and eps <= tau
+              else Status.TOLERANCE_NOT_MET)
+    return float(q), float(eps), status
+
+
 def int_simpson_baseline(integrand, a: float, b: float, tau: float,
                          max_neval: int = 100_000) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
     accept test; no floors, no non-numeric handling, no divergence guard.
-    A tau that is not positive, a budget that ``check_budget`` rejects, or
-    non-finite bounds or widths, raise ValueError before any evaluation."""
-    check_tau(tau)
+    A budget that ``check_budget`` rejects raises ValueError before any
+    evaluation; tau and the bounds are ``_call``'s, as for int_naive."""
     check_budget(max_neval)
-    _check_finite(a, b)
-    fn = CountedFunction(integrand)
-    with np.errstate(all="ignore"):
-        fa, fb = fn(a), fn(b)
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        capped = False
-
-        def recurse(x0, x2, f0, f1, f2, s1, tol, depth):
-            # s1 = Simpson estimate over [x0, x2] with midpoint f1
-            nonlocal capped
-            xm = 0.5 * (x0 + x2)
-            if fn.count + 2 > max_neval:
-                capped = True
-                return s1, 0.0
-            xl = 0.5 * (x0 + xm)
-            xr = 0.5 * (xm + x2)
-            fl, fr = fn(xl), fn(xr)
-            h = x2 - x0
-            s_left = h / 12.0 * (f0 + 4.0 * fl + f1)
-            s_right = h / 12.0 * (f1 + 4.0 * fr + f2)
-            s2 = s_left + s_right
-            err = (s2 - s1) / 15.0
-            if abs(err) <= tol or depth >= SIMPSON_MAX_DEPTH:
-                return s2 + err, abs(err)
-            ql, el = recurse(x0, xm, f0, fl, f1, s_left, 0.5 * tol, depth + 1)
-            qr, er = recurse(xm, x2, f1, fr, f2, s_right, 0.5 * tol, depth + 1)
-            return ql + qr, el + er
-
-        s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        q, eps = recurse(a, b, fa, fm, fb, s1, tau, 0)
-    status = (Status.CONVERGED if not capped and np.isfinite(q) and eps <= tau
-              else Status.TOLERANCE_NOT_MET)
-    return QuadResult(q=float(q), eps=float(eps), neval=fn.count, status=status)
+    return _call(integrand, a, b, tau, _simpson, max_neval)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +400,7 @@ def divergence_ratio_probe(alpha: float) -> tuple[float, float]:
         left = next(iter(state.heap))
         return left.eps, left.q
 
-    with np.errstate(all="ignore"):  # as _drive does: 0 ** alpha is inf
+    with np.errstate(all="ignore"):  # as _call does: 0 ** alpha is inf
         eps_outer, q_outer = left_child_estimate(0.0, 2.0)   # -> [0, 1]
         eps_inner, q_inner = left_child_estimate(0.0, 1.0)   # -> [0, 1/2]
     return eps_inner / eps_outer, q_inner / q_outer

@@ -13,10 +13,11 @@ handling, and f24/f25 are discontinuous.
 
 Reproducibility protocol: every realization owns a private generator,
 ``PCG64(SeedSequence((seed, tag, index)))``, where ``tag`` identifies the
-stream (family id 1-6, 7 for the floor(exp) family, 100+k for the
-divergence sweep at alpha = -k/10) and ``index`` is the realization
-number.  Any single cell of a benchmark table can therefore be reproduced
-in isolation, and realizations may run in any order or in parallel.
+stream (family id 1-6, 100+k for the divergence sweep at alpha = -k/10;
+the tests draw their floor(exp) staircases from stream 7) and ``index`` is
+the realization number.  Any single cell of a benchmark table can
+therefore be reproduced in isolation, and realizations may run in any
+order or in parallel.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ __all__ = [
     "BATTERY",
     "lk_draw",
     "floor_exp_exact",
-    "waldvogel_family_draw",
     "divergence_draw",
     "stream_rng",
 ]
 
-_WALDVOGEL_TAG = 7
 _DIVERGENCE_TAG_BASE = 100
 
 
@@ -294,18 +293,7 @@ BATTERY: tuple[BatteryFunction, ...] = (
 
 
 # ---------------------------------------------------------------------------
-# floor(exp) family and the divergence sweep
-
-def waldvogel_family_draw(seed: int, index: int = 0):
-    """Draw one staircase realization: returns (integrand, domain, exact).
-
-    The integrand is floor(exp(x)) and the random parameter is the upper
-    endpoint, lam ~ U[2.5, 3.5], so the domain is part of the draw.
-    """
-    rng = stream_rng(seed, _WALDVOGEL_TAG, index)
-    lam = float(rng.uniform(2.5, 3.5))
-    return (lambda x: np.floor(np.exp(x))), (0.0, lam), floor_exp_exact(lam)
-
+# divergence sweep
 
 def divergence_draw(alpha: float, seed: int, index: int = 0):
     """Draw |x - lam|^alpha on [0, 1] with lam ~ U[0, 1] at fixed alpha.

@@ -36,8 +36,8 @@ from relquad.testlib import (
     LK_FAMILIES,
     divergence_draw,
     lk_draw,
-    waldvogel_family_draw,
 )
+from staircase import waldvogel_family_draw
 
 DEGREES = (4, 8, 10, 16, 32)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,12 +31,8 @@ from relquad.interp import (
     integral,
     sample,
 )
-from relquad.testlib import (
-    BATTERY,
-    LK_FAMILIES,
-    lk_draw,
-    waldvogel_family_draw,
-)
+from relquad.testlib import BATTERY, LK_FAMILIES, lk_draw
+from staircase import waldvogel_family_draw
 
 
 def test_exp_costs_match_the_rule_sizes():
@@ -411,10 +408,11 @@ def _peak(x):
 PEAK_REF = 0.02 * math.atan(50.0)  # integral of _peak over [0, 1]
 
 
-@pytest.mark.parametrize("alg", (int_naive, int_refined))
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 def test_reversed_interval_negates(alg):
-    # over [1, 0] both used to stop after the first fit with a negative eps
-    # and a wrong Converged (naive -0.05522, refined -0.03011)
+    # over [1, 0] int_naive and int_refined used to stop after the first fit
+    # with a negative eps and a wrong Converged (naive -0.05522, refined
+    # -0.03011)
     fwd = alg(_peak, 0.0, 1.0, 1e-8)
     rev = alg(_peak, 1.0, 0.0, 1e-8)
     assert rev.q == -fwd.q
@@ -424,9 +422,23 @@ def test_reversed_interval_negates(alg):
     assert abs(rev.q + PEAK_REF) <= 1e-8
 
 
-@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_simpson_reversed_is_the_negated_forward_run():
+    # Simpson used to recurse over [1, 0] with negative widths, and on this
+    # kink_exp draw its eps differed from the forward run's in the last bits
+    fam = LK_FAMILIES[3 - 1]
+    fn, exact = lk_draw(fam, 0, 0)
+    a, b = fam.domain
+    tau = 1e-6 * abs(exact)
+    fwd = int_simpson_baseline(fn, a, b, tau)
+    rev = int_simpson_baseline(fn, b, a, tau)
+    assert rev.q == -fwd.q
+    assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 def test_empty_interval_is_exactly_zero(alg):
-    # refined used to return eps = 1.8e308 and ToleranceNotMet here
+    # refined used to return eps = 1.8e308 and ToleranceNotMet here, and
+    # Simpson to evaluate 5 nodes
     calls = []
     res = alg(lambda x: calls.append(x) or _peak(x), 0.5, 0.5, 1e-8)
     assert (res.q, res.eps, res.neval, res.status) == (0.0, 0.0, 0,
@@ -438,10 +450,28 @@ def test_empty_interval_is_exactly_zero(alg):
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
                                   (math.inf, 0.0), (math.nan, 1.0),
                                   (0.0, math.nan), (math.inf, math.inf),
-                                  (-1e308, 1e308), (1e308, -1e308)])
+                                  (-1e308, 1e308), (1e308, -1e308),
+                                  pytest.param(10 ** 400, 0.0,
+                                               id="10**400-0.0"),
+                                  pytest.param(0, -10 ** 400,
+                                               id="0--10**400"),
+                                  pytest.param(Fraction(10 ** 400), 1,
+                                               id="Fraction(10**400)-1")])
 def test_nonfinite_bounds_rejected_before_any_evaluation(alg, a, b):
+    # a bound too large for a float used to raise OverflowError
     calls = []
     with pytest.raises(ValueError, match="finite"):
+        alg(lambda x: calls.append(x) or 1.0, a, b, 1e-6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
+@pytest.mark.parametrize("a, b", [("0", "1"), (0.0, "1"), (b"0", b"1"),
+                                  (bytearray(b"0"), 1.0)], ids=repr)
+def test_string_bounds_rejected_before_any_evaluation(alg, a, b):
+    # float() parses a string, but a bound is a number
+    calls = []
+    with pytest.raises(TypeError, match="real number"):
         alg(lambda x: calls.append(x) or 1.0, a, b, 1e-6)
     assert calls == []
 
@@ -466,6 +496,17 @@ def test_tau_is_checked_before_the_bounds(alg):
 
     with pytest.raises(ValueError, match="tau must be positive"):
         alg(integrand, math.nan, math.nan, math.nan)
+
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
+def test_tau_is_checked_then_converted(alg):
+    # a string tau fails the check against 0.0, before float() could parse
+    # it; a tau of another real type gives the result of its float value
+    with pytest.raises(TypeError):
+        alg(lambda x: pytest.fail("the integrand was called"), 0.0, 1.0,
+            "1e-6")
+    tau = np.float32(1e-6)
+    assert alg(np.exp, 0.0, 1.0, tau) == alg(np.exp, 0.0, 1.0, float(tau))
 
 
 @pytest.mark.parametrize("alg, neval", [(int_naive, 17), (int_refined, 11)])

@@ -1,6 +1,8 @@
-"""Property tests of the two integrators on random inputs (hypothesis)."""
+"""Property tests of the integrators on random inputs (hypothesis)."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as hs
 
 from relquad import algorithms
-from relquad.algorithms import NaiveConfig, RefinedConfig, int_naive, int_refined
+from relquad.algorithms import (
+    NaiveConfig,
+    RefinedConfig,
+    int_naive,
+    int_refined,
+    int_simpson_baseline,
+)
 from relquad.engine import EngineConfig, Status
 from relquad.testlib import LK_FAMILIES, divergence_draw, lk_draw
 
@@ -70,6 +78,38 @@ def test_reversed_limits_negate_q(alg, case):
     rev = alg(fn, b, a, tau)
     assert rev.q == -fwd.q
     assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
+
+
+# a bound p / q, or its integer part, in each accepted real type; Decimal
+# bounds are accepted too, as their float() values
+BOUND_TYPES = {
+    "float16": lambda p, q: np.float16(p / q),
+    "float32": lambda p, q: np.float32(p / q),
+    "float64": lambda p, q: np.float64(p / q),
+    "longdouble": lambda p, q: np.longdouble(p) / np.longdouble(q),
+    "int": lambda p, q: p // q,
+    "int64": lambda p, q: np.int64(p // q),
+    "Fraction": Fraction,
+    "Decimal": lambda p, q: Decimal(p) / Decimal(q),
+}
+bounds = hs.tuples(hs.sampled_from(sorted(BOUND_TYPES)), hs.integers(-48, 48),
+                   hs.integers(1, 16)).map(lambda t: BOUND_TYPES[t[0]](*t[1:]))
+
+
+@pytest.mark.parametrize("alg", INTEGRATORS + (int_simpson_baseline,))
+@settings(max_examples=60, deadline=None)
+@given(a=bounds, b=bounds)
+def test_bounds_of_any_real_type_give_the_result_of_their_floats(alg, a, b):
+    # float32 bounds used to make the whole run compute in float32: a
+    # Converged q 3.0e-8 off from int_naive, a spent budget from Simpson
+    def fn(x):
+        return np.exp(np.sin(3.0 * x))
+
+    got = alg(fn, a, b, 1e-10)
+    want = alg(fn, float(a), float(b), 1e-10)
+    assert type(got.q) is float and type(got.eps) is float
+    assert (got.q.hex(), got.eps.hex(), got.neval, got.status) == (
+        want.q.hex(), want.eps.hex(), want.neval, want.status)
 
 
 def _assert_sign_equivariant(alg, fn, a, b, tau, config=None):

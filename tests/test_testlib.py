@@ -11,8 +11,8 @@ from relquad.testlib import (
     floor_exp_exact,
     lk_draw,
     stream_rng,
-    waldvogel_family_draw,
 )
+from staircase import waldvogel_family_draw
 
 SEED = 20260815
 
@@ -268,6 +268,9 @@ def test_floor_exp_exact_frozen_value():
 
 
 def test_waldvogel_draws():
+    # pinned, so that the staircase stream cannot change unnoticed
+    assert waldvogel_family_draw(0, 0)[1:] == ((0.0, 2.5388610620975163),
+                                               10.479118249508309)
     lams = []
     for idx in range(100):
         fn, (a, lam), exact = waldvogel_family_draw(SEED, idx)

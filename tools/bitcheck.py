@@ -10,10 +10,10 @@
 ``benchmarks/workloads.py`` for each seed, and prints one row per call:
 seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
 first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
-(non-numeric and overflowing values, a pole, reversed and empty bounds,
-runs stopped by a small budget, an lk draw at a tolerance below its noise
-floor, and a singular draw whose status hangs on the loop's test), each at
-its own tau and budget, which the benchmark cases never reach.
+(non-numeric and overflowing values, a pole, reversed, empty and float32
+bounds, runs stopped by a small budget, an lk draw at a tolerance below its
+noise floor, and a singular draw whose status hangs on the loop's test),
+each at its own tau and budget, which the benchmark cases never reach.
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
 
@@ -37,6 +37,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 CLI_MODES = ("lk", "battery", "divergence", "probe")
 
@@ -99,6 +101,9 @@ EDGES = (
     # make it a Converged miss
     ("pole_alpha-0.7_seed1", lambda x: abs(x - 0.8403273027848961) ** -0.7,
      0.0, 1.0, 1e-6 * 5.086249605639786, 10_000),
+    # bounds that are not Python floats: the run is that of their float
+    # values, and q and eps are floats
+    ("exp_float32", np.exp, np.float32(0.1), np.float32(0.7), 1e-12, 10_000),
 )
 
 
@@ -112,8 +117,10 @@ def dump(checkout, seeds):
         for i, alg, integrator, config in Plan(cases).calls:
             case = cases[i]
             r = integrator(case.integrand, case.a, case.b, case.tau, config)
-            print(seed, workload, f"{i}:{case.label}", alg, r.q.hex(),
-                  r.eps.hex(), r.neval, r.status.value, sep="\t")
+            # float(): a checkout may return q and eps in the bounds' type
+            print(seed, workload, f"{i}:{case.label}", alg,
+                  float(r.q).hex(), float(r.eps).hex(), r.neval,
+                  r.status.value, sep="\t")
 
     # no reference value and no pass rule: only the bits are compared
     rows("-", "edges", [Case(label, integrand, a, b, tau, None, "",
