@@ -184,7 +184,6 @@ def _drive(fn: CountedFunction, a: float, b: float, tau: float,
     state = AdaptiveState()
     state.push(root)
     status = None
-    nonnumeric = False
     while (state.excess_eps <= tau and state.heap_eps_exceeds(tau)
            and (max_neval is None or fn.count < max_neval)):
         rec = select_worst(state)
@@ -195,7 +194,7 @@ def _drive(fn: CountedFunction, a: float, b: float, tau: float,
             refine(fn, state, rec)
         except TooManyNonNumeric:
             accumulate_excess(state, rec)
-            nonnumeric = True
+            status = Status.TOLERANCE_NOT_MET
             continue
         except DivergentIntegral:
             accumulate_excess(state, rec)
@@ -204,8 +203,7 @@ def _drive(fn: CountedFunction, a: float, b: float, tau: float,
         enforce_heap_cap(state, HEAP_CAP)
     q, eps = state.totals()
     if status is None:
-        status = (Status.CONVERGED if eps <= tau and not nonnumeric
-                  else Status.TOLERANCE_NOT_MET)
+        status = Status.CONVERGED if eps <= tau else Status.TOLERANCE_NOT_MET
     return q, eps, status
 
 
@@ -361,9 +359,10 @@ def _simpson(fn: CountedFunction, a: float, b: float, tau: float,
 
     s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     q, eps = recurse(a, b, fa, fm, fb, s1, tau, 0)
-    status = (Status.CONVERGED if not capped and np.isfinite(q) and eps <= tau
+    status = (Status.CONVERGED
+              if not capped and math.isfinite(q) and eps <= tau
               else Status.TOLERANCE_NOT_MET)
-    return float(q), float(eps), status
+    return q, eps, status
 
 
 def int_simpson_baseline(integrand, a: float, b: float, tau: float,

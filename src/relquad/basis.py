@@ -154,13 +154,9 @@ class RuleStencil:
     """Precomputed apparatus of one fixed-degree interpolation rule.
 
     nodes        Chebyshev points, descending (nodes[0]=1, nodes[n]=-1).
-    all_nodes    nodes as a tuple of floats, the nodes a start-up evaluates.
-    inner_nodes  nodes[1:-1] likewise, the nodes a bisection half evaluates.
-    odd_nodes    nodes[1::2] likewise, the nodes a degree doubling evaluates.
+    all_nodes    nodes as a tuple of floats, for the scalar hot paths.
     P, P_inv     P_ij = p_j(nodes[i]) and its inverse (values <-> coefficients).
     cond         kappa_inf(P), used in the numerical-floor drop rule.
-    edge_nodes   (nodes[0], nodes[1], nodes[-2], nodes[-1]) as floats, for
-                 the node-collision drop rule.
     b            Newton polynomial coefficients, length n+2 (degree n+1).
     p_newton     (n+1)x(n+2) evaluation matrix p_j(nodes) including j = n+1,
                  for evaluating transferred Newton polynomials at the nodes.
@@ -184,12 +180,9 @@ class RuleStencil:
     n: int
     nodes: np.ndarray
     all_nodes: tuple[float, ...]
-    inner_nodes: tuple[float, ...]
-    odd_nodes: tuple[float, ...]
     P: np.ndarray
     P_inv: np.ndarray
     cond: float
-    edge_nodes: tuple[float, float, float, float]
     b: np.ndarray
     p_newton: np.ndarray
     t: tuple[np.ndarray, np.ndarray]
@@ -217,15 +210,12 @@ def build_stencil(n: int) -> RuleStencil:
     t_full = tuple(_bisection_transform(n + 2, sign) for sign in (-1.0, 1.0))
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
     terms = [newton_terms(tf, p_newton, b, b, n) for tf in t_full]
-    all_nodes = tuple(nodes.tolist())
     # stencils are shared by every run, and fits hand out b itself
     for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full):
         arr.setflags(write=False)
     return RuleStencil(
-        n=n, nodes=nodes, all_nodes=all_nodes, inner_nodes=all_nodes[1:-1],
-        odd_nodes=all_nodes[1::2], P=P, P_inv=P_inv, cond=cond,
-        edge_nodes=(*all_nodes[:2], *all_nodes[-2:]), b=b, p_newton=p_newton,
-        t=t, t_full=t_full,
+        n=n, nodes=nodes, all_nodes=tuple(nodes.tolist()), P=P, P_inv=P_inv,
+        cond=cond, b=b, p_newton=p_newton, t=t, t_full=t_full,
         abs_pi_xfer=tuple(tuple(abs_pi) for abs_pi, _, _ in terms),
         newton_dist=tuple(denom for _, denom, _ in terms), b_norm=terms[0][2])
 

@@ -199,9 +199,9 @@ def should_drop(rec: IntervalRecord) -> bool:
         return True
     mid = 0.5 * (rec.a + rec.b)
     half = 0.5 * (rec.b - rec.a)
-    x0, x1, x_2, x_1 = stencil.edge_nodes
-    first_gap = (mid + half * x0) - (mid + half * x1)
-    last_gap = (mid + half * x_2) - (mid + half * x_1)
+    x = stencil.all_nodes
+    first_gap = (mid + half * x[0]) - (mid + half * x[1])
+    last_gap = (mid + half * x[-2]) - (mid + half * x[-1])
     return first_gap == 0.0 or last_gap == 0.0
 
 

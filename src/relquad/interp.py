@@ -98,8 +98,8 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     - n/2 + 1 values, at the even-indexed nodes: a degree doubling, whose
       even nodes are the lower rule's nodes (Chebyshev nesting).
 
-    For n = 2 the two are the same nodes.  Only the other nodes, the
-    stencil's ``inner_nodes`` or ``odd_nodes``, are mapped onto [a, b] and
+    For n = 2 the two are the same nodes.  Only the other nodes,
+    ``all_nodes[1:-1]`` or ``all_nodes[1::2]``, are mapped onto [a, b] and
     evaluated, in ascending index order; reused nodes do not increment the
     evaluation counter.  The integrand is a ``CountedFunction``: its count
     grows once per call, and its wrapped function is called directly.
@@ -114,14 +114,14 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     half = float(0.5 * (b - a))
     fn = integrand.fn
     f64 = np.float64
+    nodes = stencil.all_nodes
     if not reuse:
-        fresh = values = [float(fn(f64(mid + half * x)))
-                          for x in stencil.all_nodes]
+        fresh = values = [float(fn(f64(mid + half * x))) for x in nodes]
     elif len(reuse) == 2:
-        fresh = [float(fn(f64(mid + half * x))) for x in stencil.inner_nodes]
+        fresh = [float(fn(f64(mid + half * x))) for x in nodes[1:-1]]
         values = [reuse[0], *fresh, reuse[1]]
     else:
-        fresh = [float(fn(f64(mid + half * x))) for x in stencil.odd_nodes]
+        fresh = [float(fn(f64(mid + half * x))) for x in nodes[1::2]]
         values = [0.0] * (stencil.n + 1)
         values[::2] = reuse
         values[1::2] = fresh
@@ -155,7 +155,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
     m = n
     b = stencil.b
     for j in sorted(mask):
-        b = downdate_newton(b, float(stencil.nodes[j]))
+        b = downdate_newton(b, stencil.all_nodes[j])
         c[: m + 1] -= (c[m] / b[m]) * b[: m + 1]
         c[m] = 0.0
         m -= 1

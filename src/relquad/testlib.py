@@ -63,7 +63,6 @@ class LKFamily:
     id: int
     name: str
     domain: tuple[float, float]
-    lambda_range: tuple[float, float]
     alpha_range: tuple[float, float]
     n_lambda: int
     make_integrand: Callable
@@ -156,17 +155,17 @@ def _oscillatory_exact(lam, alpha):
 
 #: In id order: family k is LK_FAMILIES[k - 1].
 LK_FAMILIES: tuple[LKFamily, ...] = (
-    LKFamily(1, "abs_power", (0.0, 1.0), (0.0, 1.0), (-0.5, 0.0), 1,
+    LKFamily(1, "abs_power", (0.0, 1.0), (-0.5, 0.0), 1,
              _abs_power_integrand, _abs_power_exact),
-    LKFamily(2, "step_exp", (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), 1,
+    LKFamily(2, "step_exp", (0.0, 1.0), (0.0, 1.0), 1,
              _step_exp_integrand, _step_exp_exact),
-    LKFamily(3, "kink_exp", (0.0, 1.0), (0.0, 1.0), (0.0, 4.0), 1,
+    LKFamily(3, "kink_exp", (0.0, 1.0), (0.0, 4.0), 1,
              _kink_exp_integrand, _kink_exp_exact),
-    LKFamily(4, "single_peak", (1.0, 2.0), (1.0, 2.0), (-6.0, -3.0), 1,
+    LKFamily(4, "single_peak", (1.0, 2.0), (-6.0, -3.0), 1,
              _single_peak_integrand, _single_peak_exact),
-    LKFamily(5, "four_peaks", (1.0, 2.0), (1.0, 2.0), (-5.0, -3.0), 4,
+    LKFamily(5, "four_peaks", (1.0, 2.0), (-5.0, -3.0), 4,
              _four_peaks_integrand, _four_peaks_exact),
-    LKFamily(6, "oscillatory", (0.0, 1.0), (0.0, 1.0), (1.8, 2.0), 1,
+    LKFamily(6, "oscillatory", (0.0, 1.0), (1.8, 2.0), 1,
              _oscillatory_integrand, _oscillatory_exact),
 )
 
@@ -174,11 +173,11 @@ LK_FAMILIES: tuple[LKFamily, ...] = (
 def lk_draw(family: LKFamily, seed: int, index: int = 0):
     """Draw one realization: returns (integrand, exact_value).
 
-    All location parameters are drawn first, then the shape parameter,
-    each uniform over the family's range.
+    All location parameters are drawn first, uniform over ``domain``, then
+    the shape parameter, uniform over ``alpha_range``.
     """
     rng = stream_rng(seed, family.id, index)
-    lam = rng.uniform(*family.lambda_range, size=family.n_lambda)
+    lam = rng.uniform(*family.domain, size=family.n_lambda)
     alpha = float(rng.uniform(*family.alpha_range))
     return family.make_integrand(lam, alpha), float(family.exact(lam, alpha))
 

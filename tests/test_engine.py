@@ -390,7 +390,6 @@ def test_should_drop_matches_float64_nodes(n):
     # random intervals from 1 to 4000 ulps wide, where the mapped end nodes
     # collide or not, and every width within 3 ulps of where that flips
     st = get_stencil(n)
-    assert st.edge_nodes == tuple(float(st.nodes[i]) for i in (0, 1, -2, -1))
     rng = np.random.default_rng(900 + n)
     seen = set()
     for draw in range(2000):

@@ -138,7 +138,7 @@ def test_lk_exact_matches_oracle(fid):
     fam = LK_FAMILIES[fid - 1]
     for idx in range(10):
         rng = stream_rng(SEED, fid, idx)
-        lam = rng.uniform(*fam.lambda_range, size=fam.n_lambda)
+        lam = rng.uniform(*fam.domain, size=fam.n_lambda)
         alpha = float(rng.uniform(*fam.alpha_range))
         fn, exact = lk_draw(fam, SEED, idx)
         assert exact == float(fam.exact(lam, alpha))

@@ -11,8 +11,9 @@
 seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
 first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
 (non-numeric and overflowing values, a pole, reversed, empty and float32
-bounds, runs stopped by a small budget, an lk draw at a tolerance below its
-noise floor, and a singular draw whose status hangs on the loop's test),
+bounds, a smooth integrand dropped at its noise floor, runs stopped by a
+small budget, an lk draw at a tolerance below its noise floor, and a
+singular draw whose status hangs on the loop's test),
 each at its own tau and budget, which the benchmark cases never reach.
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
@@ -73,6 +74,10 @@ EDGES = (
     ("pole", lambda x: 1.0 / x if x else math.inf, 0.0, 1.0, 1e-6, 10_000),
     ("exp_reversed", math.exp, 1.0, 0.0, 1e-6, 10_000),
     ("exp_empty", math.exp, 0.5, 0.5, 1e-6, 10_000),
+    # a tau below the noise floor: should_drop's floor test retires the
+    # start-up interval of int_naive at its first step, and an interval of
+    # int_refined after three splits; both end ToleranceNotMet
+    ("exp_floor", math.exp, 0.0, 1.0, 1e-16, 10_000),
     ("sin_inverse", lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0, 1e-6,
      10_000),
     # a fit that overflows in the middle of a run
