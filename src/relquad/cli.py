@@ -31,6 +31,7 @@ import csv
 import io
 import sys
 from dataclasses import dataclass
+from itertools import product
 
 from relquad.algorithms import (
     NaiveConfig,
@@ -106,9 +107,8 @@ class RunSpec:
 def _integrate(alg: str, fn, a: float, b: float, tau: float,
                budget: int | None):
     if alg == "simpson":
-        return int_simpson_baseline(
-            fn, a, b, tau,
-            max_neval=budget if budget is not None else 100_000)
+        kw = {} if budget is None else {"max_neval": budget}
+        return int_simpson_baseline(fn, a, b, tau, **kw)
     engine = (EngineConfig(tau=1.0, max_neval=budget)
               if budget is not None else None)
     if alg == "naive":
@@ -116,41 +116,41 @@ def _integrate(alg: str, fn, a: float, b: float, tau: float,
     return int_refined(fn, a, b, tau, config=RefinedConfig(engine=engine))
 
 
-def _row(spec: RunSpec, family: str, alg: str, tol: float, correct: str,
-         incorrect: str, warned: str, mean_neval: str) -> dict:
-    return {
-        "mode": spec.mode,
-        "family": family,
-        "algorithm": alg,
-        "tolerance": "%g" % tol,
-        "correct": correct,
-        "incorrect": incorrect,
-        "warned": warned,
-        "mean_neval": mean_neval,
-        "seed": str(spec.seed),
-    }
+def _tally(alg: str, runs, budget: int | None) -> tuple[int, int, int, int]:
+    """Integrate each ``(integrand, a, b, tau, reference)`` of runs with alg
+    under budget, and return four counts: the runs whose q is within tau of
+    the reference (none whose reference is None), the runs that end
+    ToleranceNotMet, the runs that end Divergent, and the evaluations."""
+    correct = not_met = divergent = neval = 0
+    for fn, a, b, tau, reference in runs:
+        r = _integrate(alg, fn, a, b, tau, budget)
+        correct += reference is not None and abs(r.q - reference) <= tau
+        not_met += r.status is Status.TOLERANCE_NOT_MET
+        divergent += r.status is Status.DIVERGENT
+        neval += r.neval
+    return correct, not_met, divergent, neval
+
+
+def _row(spec: RunSpec, *cells) -> dict:
+    """One table row keyed by CSV_HEADER: the mode, then cells (family to
+    mean_neval), then the seed, each as its str()."""
+    return dict(zip(CSV_HEADER, map(str, (spec.mode, *cells, spec.seed)),
+                    strict=True))
 
 
 def run_lk(spec: RunSpec) -> list:
     """Random-parameter family table: correct / incorrect / warned counts
     and mean evaluation count per family x algorithm x tolerance cell."""
     rows = []
-    for fam in LK_FAMILIES:
-        a, b = fam.domain
-        for alg in spec.algorithms:
-            for tol in spec.tolerances:
-                n_ok = n_warn = total = 0
-                for i in range(spec.realizations):
-                    fn, exact = lk_draw(fam, spec.seed, i)
-                    tau = tol * abs(exact)
-                    r = _integrate(alg, fn, a, b, tau, spec.budget)
-                    n_ok += abs(r.q - exact) <= tau
-                    n_warn += r.status is not Status.CONVERGED
-                    total += r.neval
-                rows.append(_row(
-                    spec, fam.name, alg, tol, str(n_ok),
-                    str(spec.realizations - n_ok), str(n_warn),
-                    "%.2f" % (total / spec.realizations)))
+    for fam, alg, tol in product(LK_FAMILIES, spec.algorithms,
+                                 spec.tolerances):
+        draws = (lk_draw(fam, spec.seed, i) for i in range(spec.realizations))
+        ok, err, div, neval = _tally(
+            alg, ((fn, *fam.domain, tol * abs(exact), exact)
+                  for fn, exact in draws), spec.budget)
+        rows.append(_row(spec, fam.name, alg, "%g" % tol, ok,
+                         spec.realizations - ok, err + div,
+                         "%.2f" % (neval / spec.realizations)))
     return rows
 
 
@@ -158,19 +158,15 @@ def run_battery(spec: RunSpec) -> list:
     """Fixed-integral table: one deterministic run per cell, so 'correct'
     stays empty and 'incorrect'/'warned' are 0/1 flags."""
     rows = []
-    for bf in BATTERY:
-        a, b = bf.domain
-        for alg in spec.algorithms:
-            for tol in spec.tolerances:
-                tau = tol * abs(bf.reference_value)
-                if bf.id in ABSOLUTE_FLOOR_IDS:
-                    tau = max(tau, tol)
-                r = _integrate(alg, bf.integrand, a, b, tau, spec.budget)
-                failed = not abs(r.q - bf.reference_value) <= tau
-                rows.append(_row(
-                    spec, "f%d" % bf.id, alg, tol, "", str(int(failed)),
-                    str(int(r.status is not Status.CONVERGED)),
-                    str(r.neval)))
+    for bf, alg, tol in product(BATTERY, spec.algorithms, spec.tolerances):
+        tau = tol * abs(bf.reference_value)
+        if bf.id in ABSOLUTE_FLOOR_IDS:
+            tau = max(tau, tol)
+        ok, err, div, neval = _tally(
+            alg, [(bf.integrand, *bf.domain, tau, bf.reference_value)],
+            spec.budget)
+        rows.append(_row(spec, "f%d" % bf.id, alg, "%g" % tol, "", 1 - ok,
+                         err + div, neval))
     return rows
 
 
@@ -179,24 +175,16 @@ def run_divergence(spec: RunSpec) -> list:
     "err/div": how many runs ended ToleranceNotMet and how many Divergent."""
     budget = spec.budget if spec.budget is not None else DIVERGENCE_BUDGET
     rows = []
-    for alpha in ALPHA_GRID:
-        for alg in spec.algorithms:
-            for tol in spec.tolerances:
-                n_ok = n_err = n_div = total = 0
-                for i in range(spec.realizations):
-                    fn, exact = divergence_draw(alpha, spec.seed, i)
-                    tau = tol * abs(exact) if exact is not None else tol
-                    r = _integrate(alg, fn, 0.0, 1.0, tau, budget)
-                    if exact is not None:
-                        n_ok += abs(r.q - exact) <= tau
-                    n_err += r.status is Status.TOLERANCE_NOT_MET
-                    n_div += r.status is Status.DIVERGENT
-                    total += r.neval
-                rows.append(_row(
-                    spec, "%.1f" % alpha, alg, tol, str(n_ok),
-                    str(spec.realizations - n_ok),
-                    "%d/%d" % (n_err, n_div),
-                    "%.2f" % (total / spec.realizations)))
+    for alpha, alg, tol in product(ALPHA_GRID, spec.algorithms,
+                                   spec.tolerances):
+        draws = (divergence_draw(alpha, spec.seed, i)
+                 for i in range(spec.realizations))
+        ok, err, div, neval = _tally(
+            alg, ((fn, 0.0, 1.0, tol if exact is None else tol * abs(exact),
+                   exact) for fn, exact in draws), budget)
+        rows.append(_row(spec, "%.1f" % alpha, alg, "%g" % tol, ok,
+                         spec.realizations - ok, "%d/%d" % (err, div),
+                         "%.2f" % (neval / spec.realizations)))
     return rows
 
 

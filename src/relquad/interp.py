@@ -46,7 +46,9 @@ class CountedFunction:
 
     The counter is the budget and reporting currency of every integration
     run; reused values must never be counted.  ``sample`` adds its new
-    nodes to ``count`` once per call and calls ``fn`` itself.
+    nodes to ``count`` once per call and calls ``fn`` itself.  A call, the
+    Simpson baseline's only evaluation path, passes ``fn`` its node as an
+    ``np.float64``, as ``sample`` does.
     """
 
     __slots__ = ("fn", "count")
@@ -57,7 +59,7 @@ class CountedFunction:
 
     def __call__(self, x: float) -> float:
         self.count += 1
-        return float(self.fn(x))
+        return float(self.fn(np.float64(x)))
 
 
 # SampleVector and CoeffVector are made several times per interval step:

@@ -605,6 +605,23 @@ def test_integrand_exceptions_propagate(alg, integrand, error):
     assert len(calls) > 1 and calls[-1] == 0.0
 
 
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
+def test_every_integrator_passes_its_nodes_as_float64(alg):
+    # on Python floats x ** -0.5 raises ZeroDivisionError at 0.0, and the
+    # Simpson baseline used to evaluate its nodes as Python floats; on
+    # np.float64 it is inf there, which int_naive and int_refined mask and
+    # which makes Simpson, masking nothing, end ToleranceNotMet with q = nan
+    types = set()
+    r = alg(lambda x: types.add(type(x)) or x ** -0.5, 0.0, 1.0, 1e-3)
+    assert types == {np.float64}
+    if alg is int_simpson_baseline:
+        assert r.status is Status.TOLERANCE_NOT_MET
+        assert not math.isfinite(r.q)
+    else:
+        assert r.status is Status.CONVERGED
+        assert abs(r.q - 2.0) <= 1e-3
+
+
 @pytest.mark.parametrize("alg, budget", [
     (int_naive,
      lambda n: {"config": NaiveConfig(engine=EngineConfig(1.0, max_neval=n))}),

@@ -84,6 +84,7 @@ def test_battery_rows_padding_and_flags():
     assert len(rows) == 25
     assert rows[0]["family"] == "f1"
     for r in rows:
+        assert tuple(r.keys()) == CSV_HEADER
         assert r["correct"] == ""  # no counts for a single deterministic run
         assert r["incorrect"] in ("0", "1")
         assert r["warned"] in ("0", "1")
@@ -95,6 +96,9 @@ def test_divergence_rows_flag_pair():
                    tolerances=(1e-3,), realizations=5, seed=1)
     rows = run_divergence(spec)
     assert [r["family"] for r in rows] == ["%.1f" % a for a in ALPHA_GRID]
+    for r in rows:
+        assert tuple(r.keys()) == CSV_HEADER
+        assert int(r["correct"]) + int(r["incorrect"]) == 5
     by_alpha = {r["family"]: r for r in rows}
     assert by_alpha["-0.1"]["correct"] == "5"
     assert by_alpha["-0.1"]["warned"] == "0/0"

@@ -19,7 +19,8 @@ each at its own tau and budget, which the benchmark cases never reach.
 integrator and the two statuses; it exits 1 if any row differs.
 
 ``cli`` runs ``relquad-bench --mode M`` for each of the four modes, at
-default flags and with ``--alg all``, as ``python -m relquad.cli`` with
+default flags, with ``--alg all`` and with ``--format md`` (and ``--runs
+5`` in the modes that read it), as ``python -m relquad.cli`` with
 ``PYTHONPATH=CHECKOUT/src``, and prints one line per run: the command and
 the sha256 of its standard output.  A plain ``diff`` of two such dumps
 then checks that the CLI's bytes are unchanged.
@@ -140,7 +141,9 @@ def cli(checkout):
     root = Path(checkout).resolve()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for mode in CLI_MODES:
-        for extra in ((), ("--alg", "all")):
+        # battery and probe do not read --runs
+        runs = ("--runs", "5") if mode in ("lk", "divergence") else ()
+        for extra in ((), ("--alg", "all"), ("--format", "md", *runs)):
             args = ("--mode", mode, *extra)
             out = subprocess.run(
                 [sys.executable, "-m", "relquad.cli", *args], cwd=root,
