@@ -8,10 +8,9 @@ from relquad.algorithms import (
     int_refined,
     int_simpson_baseline,
 )
-from relquad.engine import DivergentIntegral, EngineConfig, QuadResult, Status
+from relquad.engine import EngineConfig, QuadResult, Status
 
 __all__ = [
-    "DivergentIntegral",
     "QuadResult",
     "Status",
     "int_naive",

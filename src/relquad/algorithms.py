@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Complex, Real
 
 import numpy as np
 
@@ -110,8 +111,10 @@ def _check_usable(q: float, eps: float) -> None:
 
 
 def _as_float(x) -> float:
-    """x as a Python float, infinite if too large for one; not a string."""
-    if isinstance(x, (str, bytes, bytearray)):
+    """x as a Python float, infinite if too large for one; not a string,
+    nor a complex number, whose imaginary part float() would drop."""
+    if isinstance(x, (str, bytes, bytearray)) or (
+            isinstance(x, Complex) and not isinstance(x, Real)):
         raise TypeError(f"expected a real number, got {x!r}")
     try:
         return float(x)
@@ -126,8 +129,9 @@ def _call(integrand, a, b, tau, run, *args) -> QuadResult:
     positive, then a non-finite bound or width, raises ValueError before
     any evaluation.  tau, a and b are converted to Python floats, so bounds
     of any real type give the result of their float values, and one too
-    large for a float is not finite.  [a, a] integrates to 0 exactly, at no
-    cost; a > b integrates over [b, a] and negates q."""
+    large for a float is not finite; a string or complex one raises
+    TypeError.  [a, a] integrates to 0 exactly, at no cost; a > b
+    integrates over [b, a] and negates q."""
     check_tau(tau)
     tau, a, b = _as_float(tau), _as_float(a), _as_float(b)
     # b - a is NaN or infinite if a bound is, and infinite if it overflows

@@ -44,17 +44,14 @@ __all__ = [
 
 SQRT2 = float(np.sqrt(2.0))
 
-#: Largest basis degree the recurrence supports; the Newton vector of a
-#: degree-n rule needs coefficients to n+1, so rules go up to degree 39.
-_MAX_DEGREE = 40
+#: Largest degree n a ``RuleStencil`` can be built for.  The Newton vector
+#: of a degree-n rule needs basis coefficients up to degree n+1.
+MAX_RULE_DEGREE = 39
 
-#: Largest degree n a ``RuleStencil`` can be built for.
-MAX_RULE_DEGREE = _MAX_DEGREE - 1
-
-# alpha_k and gamma_k of the recurrence above, k = 0.._MAX_DEGREE.
-_K = np.arange(_MAX_DEGREE + 1, dtype=float)
+# alpha_k and gamma_k of the recurrence above, k = 0..MAX_RULE_DEGREE + 1.
+_K = np.arange(MAX_RULE_DEGREE + 2, dtype=float)
 ALPHA = (_K + 1.0) / np.sqrt((2.0 * _K + 1.0) * (2.0 * _K + 3.0))
-GAMMA = np.zeros(_MAX_DEGREE + 1)
+GAMMA = np.zeros(MAX_RULE_DEGREE + 2)
 GAMMA[1:] = _K[1:] / np.sqrt((2.0 * _K[1:] - 1.0) * (2.0 * _K[1:] + 1.0))
 ALPHA.setflags(write=False)
 GAMMA.setflags(write=False)
@@ -88,7 +85,7 @@ def _multiply_by_x(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _newton_vector(nodes: np.ndarray) -> np.ndarray:
+def _newton_vector(nodes: tuple[float, ...]) -> np.ndarray:
     """Coefficients of the monic Newton polynomial prod_i (x - x_i).
 
     Nodes are consumed outside-in (x_0, x_n, x_1, x_{n-1}, ...) so that the
@@ -109,21 +106,21 @@ def _newton_vector(nodes: np.ndarray) -> np.ndarray:
     v = np.array([SQRT2])  # the constant polynomial 1
     for t in order:
         w = _multiply_by_x(v)  # (x - t) * poly(v)
-        w[: len(v)] -= float(t) * v
+        w[: len(v)] -= t * v
         v = w
     return v
 
 
-def _chebyshev_nodes(n: int) -> np.ndarray:
+def _chebyshev_nodes(n: int) -> tuple[float, ...]:
     """cos(pi*i/n), i = 0..n, descending, with exact antisymmetry."""
-    x = np.empty(n + 1)
+    x = [0.0] * (n + 1)
     for i in range(n // 2 + 1):
         v = float(np.cos(np.pi * i / n))
         x[i] = v
         x[n - i] = -v
     if n % 2 == 0:
         x[n // 2] = 0.0
-    return x
+    return tuple(x)
 
 
 def _bisection_transform(size: int, sign: float) -> np.ndarray:
@@ -153,8 +150,8 @@ def _bisection_transform(size: int, sign: float) -> np.ndarray:
 class RuleStencil:
     """Precomputed apparatus of one fixed-degree interpolation rule.
 
-    nodes        Chebyshev points, descending (nodes[0]=1, nodes[n]=-1).
-    all_nodes    nodes as a tuple of floats, for the scalar hot paths.
+    nodes        Chebyshev points, descending (nodes[0]=1, nodes[n]=-1), as
+                 a tuple of floats: the hot paths read them one by one.
     P, P_inv     P_ij = p_j(nodes[i]) and its inverse (values <-> coefficients).
     cond         kappa_inf(P), used in the numerical-floor drop rule.
     b            Newton polynomial coefficients, length n+2 (degree n+1).
@@ -169,17 +166,14 @@ class RuleStencil:
     t_full       The same transforms at size (n+2), needed to transfer the
                  degree-(n+1) Newton vector during error estimation.
 
-    The refined error estimate's ``newton_terms`` of a child and a parent
-    that are both unmasked, whose Newton vectors are both b:
-
-    abs_pi_xfer  abs_pi per side, as a tuple of floats.
-    newton_dist  denom per side.
-    b_norm       b_norm.
+    newton_xfer  ``newton_terms(t_full[side], p_newton, b, b, n)``: the
+                 refined error estimate's (abs_pi, denom, b_norm) of a child
+                 and a parent that are both unmasked, whose Newton vectors
+                 are both b.
     """
 
     n: int
-    nodes: np.ndarray
-    all_nodes: tuple[float, ...]
+    nodes: tuple[float, ...]
     P: np.ndarray
     P_inv: np.ndarray
     cond: float
@@ -187,9 +181,7 @@ class RuleStencil:
     p_newton: np.ndarray
     t: tuple[np.ndarray, np.ndarray]
     t_full: tuple[np.ndarray, np.ndarray]
-    abs_pi_xfer: tuple[tuple[float, ...], tuple[float, ...]]
-    newton_dist: tuple[float, float]
-    b_norm: float
+    newton_xfer: tuple[tuple[tuple[float, ...], float, float], ...]
 
 
 def build_stencil(n: int) -> RuleStencil:
@@ -209,20 +201,19 @@ def build_stencil(n: int) -> RuleStencil:
     b = _newton_vector(nodes)
     t_full = tuple(_bisection_transform(n + 2, sign) for sign in (-1.0, 1.0))
     t = tuple(np.ascontiguousarray(tf[: n + 1, : n + 1]) for tf in t_full)
-    terms = [newton_terms(tf, p_newton, b, b, n) for tf in t_full]
     # stencils are shared by every run, and fits hand out b itself
-    for arr in (nodes, P, P_inv, b, p_newton, *t, *t_full):
+    for arr in (P, P_inv, b, p_newton, *t, *t_full):
         arr.setflags(write=False)
     return RuleStencil(
-        n=n, nodes=nodes, all_nodes=tuple(nodes.tolist()), P=P, P_inv=P_inv,
-        cond=cond, b=b, p_newton=p_newton, t=t, t_full=t_full,
-        abs_pi_xfer=tuple(tuple(abs_pi) for abs_pi, _, _ in terms),
-        newton_dist=tuple(denom for _, denom, _ in terms), b_norm=terms[0][2])
+        n=n, nodes=nodes, P=P, P_inv=P_inv, cond=cond, b=b, p_newton=p_newton,
+        t=t, t_full=t_full,
+        newton_xfer=tuple(newton_terms(tf, p_newton, b, b, n)
+                          for tf in t_full))
 
 
 def newton_terms(t_full: np.ndarray, p_newton: np.ndarray,
                  b_child: np.ndarray, b_parent: np.ndarray,
-                 deg_parent: int) -> tuple[list[float], float, float]:
+                 deg_parent: int) -> tuple[tuple[float, ...], float, float]:
     """The Newton terms of the refined error estimate: (abs_pi, denom,
     b_norm) of a child with Newton vector b_child, of a parent of degree
     deg_parent with Newton vector b_parent, on the side whose size-(n+2)
@@ -230,14 +221,14 @@ def newton_terms(t_full: np.ndarray, p_newton: np.ndarray,
 
     b_xfer = 2^(deg_parent+1) * t_full.dot(b_parent) is the parent's Newton
     polynomial moved onto the child, monic in child coordinates like the
-    child's own.  abs_pi lists that polynomial's absolute values at the
-    nodes (p_newton's rows), denom is the 2-norm of b_child - b_xfer and
-    b_norm that of b_child.
+    child's own.  abs_pi is the tuple of that polynomial's absolute values
+    at the nodes (p_newton's rows), denom is the 2-norm of b_child - b_xfer
+    and b_norm that of b_child.
     """
     b_xfer = 2.0 ** (deg_parent + 1) * t_full.dot(b_parent)
     d = b_child - b_xfer
-    return (np.abs(p_newton.dot(b_xfer)).tolist(), math.sqrt(d.dot(d)),
-            math.sqrt(b_child.dot(b_child)))
+    return (tuple(np.abs(p_newton.dot(b_xfer)).tolist()),
+            math.sqrt(d.dot(d)), math.sqrt(b_child.dot(b_child)))
 
 
 def downdate_newton(b_vec: np.ndarray, x_j: float) -> np.ndarray:

@@ -94,6 +94,10 @@ class RunSpec:
         if not self.tolerances or not all(0.0 < t < 1.0
                                           for t in self.tolerances):
             raise ValueError("tolerances must lie strictly in (0, 1)")
+        for name, items in (("algorithm", self.algorithms),
+                            ("tolerance", self.tolerances)):
+            if len(set(items)) < len(items):
+                raise ValueError(f"repeated {name} in {items!r}")
         if self.realizations < 1:
             raise ValueError("realizations must be at least 1")
         if not 0 <= self.seed < 2 ** 64:

@@ -199,7 +199,7 @@ def should_drop(rec: IntervalRecord) -> bool:
         return True
     mid = 0.5 * (rec.a + rec.b)
     half = 0.5 * (rec.b - rec.a)
-    x = stencil.all_nodes
+    x = stencil.nodes
     first_gap = (mid + half * x[0]) - (mid + half * x[1])
     last_gap = (mid + half * x[-2]) - (mid + half * x[-1])
     return first_gap == 0.0 or last_gap == 0.0

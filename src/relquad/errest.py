@@ -108,9 +108,7 @@ def refined_error(
     diff_norm = norm(c_child.c - c_parent_xfer)
     if b_child is stencil.b and parent.eff_degree == stencil.n:
         # both unmasked: the Newton terms are the stencil's own
-        abs_pi = stencil.abs_pi_xfer[side]
-        denom = stencil.newton_dist[side]
-        b_norm = stencil.b_norm
+        abs_pi, denom, b_norm = stencil.newton_xfer[side]
     else:
         abs_pi, denom, b_norm = newton_terms(
             stencil.t_full[side], stencil.p_newton, b_child, parent.newton,

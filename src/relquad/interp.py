@@ -101,7 +101,7 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
       even nodes are the lower rule's nodes (Chebyshev nesting).
 
     For n = 2 the two are the same nodes.  Only the other nodes,
-    ``all_nodes[1:-1]`` or ``all_nodes[1::2]``, are mapped onto [a, b] and
+    ``nodes[1:-1]`` or ``nodes[1::2]``, are mapped onto [a, b] and
     evaluated, in ascending index order; reused nodes do not increment the
     evaluation counter.  The integrand is a ``CountedFunction``: its count
     grows once per call, and its wrapped function is called directly.
@@ -111,12 +111,13 @@ def sample(integrand, a: float, b: float, stencil: RuleStencil,
     caller owns the floating-point error state: the integrators ignore
     numpy's warnings for the whole run, so sample does not set it.
     """
-    # floats: mid + half * x rounds as (mid + half * stencil.nodes)[i] does
+    # floats: mid + half * x rounds as element i of the float64 array
+    # mid + half * np.array(stencil.nodes) does
     mid = float(0.5 * (a + b))
     half = float(0.5 * (b - a))
     fn = integrand.fn
     f64 = np.float64
-    nodes = stencil.all_nodes
+    nodes = stencil.nodes
     if not reuse:
         fresh = values = [float(fn(f64(mid + half * x))) for x in nodes]
     elif len(reuse) == 2:
@@ -157,7 +158,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
     m = n
     b = stencil.b
     for j in sorted(mask):
-        b = downdate_newton(b, stencil.all_nodes[j])
+        b = downdate_newton(b, stencil.nodes[j])
         c[: m + 1] -= (c[m] / b[m]) * b[: m + 1]
         c[m] = 0.0
         m -= 1

@@ -139,18 +139,19 @@ def test_criterion_2_interpolation_exactness(verdict):
 def test_criterion_3_node_removal_interpolation(verdict):
     with verdict(3, "single-node removal keeps interpolation at remaining nodes"):
         st = get_stencil(10)
+        nodes = np.array(st.nodes)
         rng = np.random.default_rng(31)
 
         def check(fn, j):
             def masked(x):
-                return float("nan") if x == st.nodes[j] else fn(x)
+                return float("nan") if x == nodes[j] else fn(x)
 
             sv = sample(CountedFunction(masked), -1.0, 1.0, st)
             assert sorted(sv.nan_mask) == [j]
             cv = fit(sv, st)
             keep = [i for i in range(11) if i != j]
-            got = eval_series(cv.c, st.nodes[keep])
-            want = np.array([fn(x) for x in st.nodes[keep]])
+            got = eval_series(cv.c, nodes[keep])
+            want = np.array([fn(x) for x in nodes[keep]])
             tol = 1e-10 * max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= tol
 

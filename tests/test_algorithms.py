@@ -467,9 +467,14 @@ def test_nonfinite_bounds_rejected_before_any_evaluation(alg, a, b):
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 @pytest.mark.parametrize("a, b", [("0", "1"), (0.0, "1"), (b"0", b"1"),
-                                  (bytearray(b"0"), 1.0)], ids=repr)
+                                  (bytearray(b"0"), 1.0),
+                                  (np.complex128(1j), 1.0),
+                                  (0.0, np.complex64(1.0)), (0.0, 1 + 0j)],
+                         ids=repr)
 def test_string_bounds_rejected_before_any_evaluation(alg, a, b):
-    # float() parses a string, but a bound is a number
+    # float() parses a string, but a bound is a number; it drops the
+    # imaginary part of an np.complex128 with only a warning, but a bound
+    # is a real number
     calls = []
     with pytest.raises(TypeError, match="real number"):
         alg(lambda x: calls.append(x) or 1.0, a, b, 1e-6)
@@ -501,10 +506,14 @@ def test_tau_is_checked_before_the_bounds(alg):
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 def test_tau_is_checked_then_converted(alg):
     # a string tau fails the check against 0.0, before float() could parse
-    # it; a tau of another real type gives the result of its float value
+    # it, and a complex one passes that check but is not converted; a tau
+    # of another real type gives the result of its float value
     with pytest.raises(TypeError):
         alg(lambda x: pytest.fail("the integrand was called"), 0.0, 1.0,
             "1e-6")
+    with pytest.raises(TypeError, match="real number"):
+        alg(lambda x: pytest.fail("the integrand was called"), 0.0, 1.0,
+            np.complex128(1e-6 + 5j))
     tau = np.float32(1e-6)
     assert alg(np.exp, 0.0, 1.0, tau) == alg(np.exp, 0.0, 1.0, float(tau))
 

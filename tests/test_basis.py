@@ -7,12 +7,14 @@ from numpy.polynomial import legendre as npleg
 from relquad.basis import (
     ALPHA,
     GAMMA,
+    MAX_RULE_DEGREE,
     SQRT2,
     StencilBuildError,
     build_stencil,
     downdate_newton,
     get_stencil,
     legendre_values,
+    newton_terms,
 )
 from relquad.interp import CountedFunction, SampleVector, fit, integral, sample
 
@@ -74,7 +76,7 @@ def test_measured_condition_numbers():
 
 @pytest.mark.parametrize("n", RULE_DEGREES)
 def test_nodes_descending_antisymmetric(n):
-    x = get_stencil(n).nodes
+    x = np.array(get_stencil(n).nodes)
     assert x[0] == 1.0 and x[-1] == -1.0
     assert (np.diff(x) < 0).all()
     # exact antisymmetry, not merely approximate
@@ -211,25 +213,36 @@ def test_refined_error_norm_fields_are_the_runtime_expressions(n):
         # moves it when a fit is masked
         b_xfer = 2.0 ** (n + 1) * st.t_full[side].dot(newton)
         want = np.abs(st.p_newton.dot(b_xfer)).tolist()
-        assert type(st.abs_pi_xfer[side]) is tuple
-        assert [x.hex() for x in st.abs_pi_xfer[side]] == \
-            [x.hex() for x in want]
+        abs_pi, denom, b_norm = st.newton_xfer[side]
+        assert type(abs_pi) is tuple
+        assert [x.hex() for x in abs_pi] == [x.hex() for x in want]
         d = newton - b_xfer
-        assert type(st.newton_dist[side]) is float
-        assert st.newton_dist[side].hex() == math.sqrt(d.dot(d)).hex()
-    assert type(st.b_norm) is float
-    assert st.b_norm.hex() == math.sqrt(newton.dot(newton)).hex()
+        assert type(denom) is float
+        assert denom.hex() == math.sqrt(d.dot(d)).hex()
+        assert type(b_norm) is float
+        assert b_norm.hex() == math.sqrt(newton.dot(newton)).hex()
+
+
+def test_newton_xfer_is_newton_terms_of_b():
+    # refined_error reads newton_xfer when neither fit is masked and calls
+    # newton_terms when one is: on unmasked Newton vectors the two agree
+    for n in range(1, MAX_RULE_DEGREE + 1):
+        st = get_stencil(n)
+        for side in (0, 1):
+            assert st.newton_xfer[side] == newton_terms(
+                st.t_full[side], st.p_newton, st.b, st.b, n)
 
 
 @pytest.mark.parametrize("n", (2, 3, *RULE_DEGREES))
 def test_fresh_node_arrays_are_contiguous_slices(n):
     # sample maps slices of these, one float at a time, and should_drop and
-    # fit read them one by one: an immutable tuple of Python floats with the
-    # bytes of the array (test_sample_node_contract pins the slices)
+    # fit read them one by one: an immutable tuple of Python floats, the
+    # Chebyshev points (test_sample_node_contract pins the slices)
     st = build_stencil(n)
-    assert type(st.all_nodes) is tuple
-    assert all(type(x) is float for x in st.all_nodes)
-    assert np.array(st.all_nodes).tobytes() == st.nodes.tobytes()
+    assert type(st.nodes) is tuple
+    assert all(type(x) is float for x in st.nodes)
+    np.testing.assert_allclose(st.nodes, np.cos(np.pi * np.arange(n + 1) / n),
+                               rtol=0, atol=1e-15)
 
 
 def test_p_newton_extends_p():
@@ -255,12 +268,19 @@ def test_build_stencil_degree_bounds():
         build_stencil(0)
     with pytest.raises(ValueError):
         build_stencil(len(ALPHA) - 1)  # needs coefficients up to degree n+1
+    assert len(ALPHA) - 1 == MAX_RULE_DEGREE + 1
+    # the largest rule builds, well inside the build's cond < 1000 check
+    np.testing.assert_allclose(get_stencil(MAX_RULE_DEGREE).cond, 238.6,
+                               rtol=5e-3)
+    with pytest.raises(TypeError):
+        get_stencil(10.0)  # a degree is an integer, not a float
 
 
 def test_stencil_arrays_are_read_only():
     # every run shares a stencil, and unmasked fits hand out its b itself
     st = build_stencil(10)
-    arrays = [st.nodes, st.P, st.P_inv, st.b, st.p_newton]
+    assert type(st.nodes) is tuple
+    arrays = [st.P, st.P_inv, st.b, st.p_newton]
     for pair in (st.t, st.t_full):
         arrays.extend(pair)
     assert not any(arr.flags.writeable for arr in arrays)

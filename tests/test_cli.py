@@ -41,6 +41,11 @@ def test_runspec_validation():
         RunSpec(mode="lk", output_format="yaml")
     with pytest.raises(ValueError):
         RunSpec(mode="lk", budget=0)
+    # a repeated entry would print its rows twice
+    with pytest.raises(ValueError, match="repeated algorithm"):
+        RunSpec(mode="battery", algorithms=("naive", "naive"))
+    with pytest.raises(ValueError, match="repeated tolerance"):
+        RunSpec(mode="lk", tolerances=(1e-3, 1e-6, 1e-3))
 
 
 def test_lk_rows_partition_and_header():

@@ -102,7 +102,7 @@ def test_refined_zero_for_low_degree_polynomial():
     fn = lambda x: float(legendre_values(7, np.array([x]))[0] @ c_true)
     est = _split_estimate(fn, -1.0, 1.0, 0)
     # on the model path eps = h * deriv * ||b||: the extracted derivative
-    assert est.eps / (1.0 * ST.b_norm) < 1e-11
+    assert est.eps / (1.0 * np.linalg.norm(ST.b)) < 1e-11
     assert est.eps < 1e-12
 
 
@@ -116,8 +116,8 @@ def test_refined_constant_high_derivative_both_children():
     np.testing.assert_allclose(left.eps, right.eps, rtol=1e-10)
     # the proxy measures the derivative in child reference coordinates:
     # d^11/dt^11 of ((t-1)/2)^11 / 11! = 2^-11
-    np.testing.assert_allclose(left.eps / (1.0 * ST.b_norm), 2.0 ** -11,
-                               rtol=1e-9)
+    np.testing.assert_allclose(left.eps / (1.0 * np.linalg.norm(ST.b)),
+                               2.0 ** -11, rtol=1e-9)
 
 
 def test_refined_step_triggers_fallback():

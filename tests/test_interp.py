@@ -138,7 +138,7 @@ def test_fit_single_downdate_matches_direct_subfit():
         assert cv.c[10] == 0.0
         keep = [i for i in range(11) if i != j]
         direct = np.linalg.solve(
-            legendre_values(9, st.nodes[keep]), f[keep])
+            legendre_values(9, np.array(st.nodes)[keep]), f[keep])
         np.testing.assert_allclose(cv.c[:10], direct, rtol=0, atol=1e-10)
 
 
@@ -249,7 +249,7 @@ def test_transfer_preserves_padding_and_degree():
     f = np.random.default_rng(5).standard_normal(11)
     f[[2, 5, 9]] = np.nan
     with np.errstate(all="ignore"):  # as the integrators run sample
-        sv = sample(CountedFunction(dict(zip(st.nodes.tolist(), f)).get),
+        sv = sample(CountedFunction(dict(zip(st.nodes, f)).get),
                     -1.0, 1.0, st)
     cv = fit(sv, st)
     assert cv.eff_degree == 7
@@ -363,12 +363,13 @@ _CONTRACT_INTERVALS = (
 def test_sample_node_contract(n):
     # for each reuse shape (none, an end pair, the even nodes) the integrand
     # gets a new np.float64 per fresh node, in ascending index order, equal
-    # bit for bit to that element of the array (mid + half * stencil.nodes)
+    # bit for bit to that element of the float64 array
+    # mid + half * np.array(stencil.nodes)
     st = get_stencil(n)
     shapes = ((None, range(n + 1)), ((1.0, 2.0), range(1, n)),
               ([1.0] * (n // 2 + 1), range(1, n, 2)))
     for a, b in _CONTRACT_INTERVALS:
-        xs = (0.5 * (a + b) + 0.5 * (b - a) * st.nodes)
+        xs = (0.5 * (a + b) + 0.5 * (b - a) * np.array(st.nodes))
         assert xs.dtype == np.float64
         for reuse, fresh in shapes:
             seen = []
@@ -399,7 +400,7 @@ def test_sample_pole_at_a_fresh_node_is_masked(n):
 def test_sample_end_pair_is_the_even_nodes_at_degree_two():
     # at n = 2 the two reuse shapes name the same nodes, 0 and 2
     st = get_stencil(2)
-    assert st.all_nodes[1:-1] == st.all_nodes[1::2]
+    assert st.nodes[1:-1] == st.nodes[1::2]
     seen = []
     fn = CountedFunction(lambda x: seen.append(x) or 3.0)
     sv = sample(fn, 0.0, 1.0, st, reuse=[1.0, math.nan])
@@ -422,7 +423,7 @@ def test_sample_finite_values_whose_sum_overflows_stay_unmasked():
     # 1e308 + 1e308 overflows to inf although both terms are finite: the
     # exact per-node test must clear the mask again
     st = get_stencil(4)
-    xs = (0.5 + 0.5 * st.nodes).tolist()
+    xs = (0.5 + 0.5 * np.array(st.nodes)).tolist()
     big = {xs[1]: 1e308, xs[3]: 1e308}
     fn = CountedFunction(lambda x: big.get(x, 1.0))
     sv = sample(fn, 0.0, 1.0, st)
@@ -435,7 +436,7 @@ def test_sample_finite_values_whose_sum_overflows_stay_unmasked():
 def test_sample_masks_both_infinities():
     # inf + (-inf) sums to nan, not inf: both nodes are still masked
     st = get_stencil(4)
-    xs = (0.5 + 0.5 * st.nodes).tolist()
+    xs = (0.5 + 0.5 * np.array(st.nodes)).tolist()
     inf = {xs[0]: math.inf, xs[2]: -math.inf}
     sv = sample(CountedFunction(lambda x: inf.get(x, 1.0)), 0.0, 1.0, st)
     assert sv.nan_mask == (0, 2)

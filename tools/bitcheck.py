@@ -47,13 +47,13 @@ CLI_MODES = ("lk", "battery", "divergence", "probe")
 # lk family 1 (abs_power), seed 0, draw 0: lk_draw(LK_FAMILIES[0], 0, 0)[0]
 ABS_POWER = lambda x: abs(x - 0.8897387912781343) ** -0.22143097489688685
 
-# -0.5 + 0.5 * get_stencil(8).nodes[1::2]: the nodes a degree-8 raise of
-# [-1, 0] adds
+# -0.5 + 0.5 * x for x in get_stencil(8).nodes[1::2]: the nodes a degree-8
+# raise of [-1, 0] adds
 RAISE_NODES = (-0.03806023374435663, -0.3086582838174551, -0.6913417161825449,
                -0.9619397662556434)
 
-# 0.5 + 0.5 * get_stencil(32).nodes[1::2]: the odd nodes of int_naive's
-# start-up rule on [0, 1]
+# 0.5 + 0.5 * x for x in get_stencil(32).nodes[1::2]: the odd nodes of
+# int_naive's start-up rule on [0, 1]
 ODD_NODES = (0.9975923633360985, 0.9784701678661044, 0.9409606321741775,
              0.8865052266813684, 0.8171966420818227, 0.735698368412999,
              0.6451423386272311, 0.5490085701647804, 0.4509914298352196,
