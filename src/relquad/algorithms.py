@@ -125,15 +125,16 @@ def _as_float(x) -> float:
 def _call(integrand, a, b, tau, run, *args) -> QuadResult:
     """The call contract of all three integrators around one run,
     ``run(fn, lo, hi, tau, *args) -> (q, eps, status)`` over lo < hi, with
-    fn the integrand wrapped in a CountedFunction.  A tau that is not
-    positive, then a non-finite bound or width, raises ValueError before
-    any evaluation.  tau, a and b are converted to Python floats, so bounds
-    of any real type give the result of their float values, and one too
-    large for a float is not finite; a string or complex one raises
-    TypeError.  [a, a] integrates to 0 exactly, at no cost; a > b
+    fn the integrand wrapped in a CountedFunction.  tau is converted to a
+    Python float and checked, then a and b are converted and checked, all
+    before any evaluation: numbers of any real type give the result of
+    their float values, and one too large for a float is not finite; a
+    string or complex one raises TypeError, and a tau that is not positive,
+    or a non-finite bound or width, ValueError.  [a, a] integrates to 0 exactly, at no cost; a > b
     integrates over [b, a] and negates q."""
+    tau = _as_float(tau)
     check_tau(tau)
-    tau, a, b = _as_float(tau), _as_float(a), _as_float(b)
+    a, b = _as_float(a), _as_float(b)
     # b - a is NaN or infinite if a bound is, and infinite if it overflows
     if not math.isfinite(b - a):
         raise ValueError(f"b - a must be finite, got a={a!r}, b={b!r}")
@@ -338,15 +339,13 @@ def _simpson(fn: CountedFunction, a: float, b: float, tau: float,
     fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
     fm = fn(m)
-    capped = False
 
     def recurse(x0, x2, f0, f1, f2, s1, tol, depth):
-        # s1 = Simpson estimate over [x0, x2] with midpoint f1
-        nonlocal capped
+        # s1 = Simpson estimate over [x0, x2] with midpoint f1; a piece the
+        # budget leaves unrefined has no error estimate
         xm = 0.5 * (x0 + x2)
         if fn.count + 2 > max_neval:
-            capped = True
-            return s1, 0.0
+            return s1, math.inf
         xl = 0.5 * (x0 + xm)
         xr = 0.5 * (xm + x2)
         fl, fr = fn(xl), fn(xr)
@@ -363,8 +362,7 @@ def _simpson(fn: CountedFunction, a: float, b: float, tau: float,
 
     s1 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     q, eps = recurse(a, b, fa, fm, fb, s1, tau, 0)
-    status = (Status.CONVERGED
-              if not capped and math.isfinite(q) and eps <= tau
+    status = (Status.CONVERGED if math.isfinite(q) and eps <= tau
               else Status.TOLERANCE_NOT_MET)
     return q, eps, status
 
@@ -373,8 +371,9 @@ def int_simpson_baseline(integrand, a: float, b: float, tau: float,
                          max_neval: int = 100_000) -> QuadResult:
     """Recursive adaptive Simpson with tolerance halving and the |S2-S1|/15
     accept test; no floors, no non-numeric handling, no divergence guard.
-    A budget that ``check_budget`` rejects raises ValueError before any
-    evaluation; tau and the bounds are ``_call``'s, as for int_naive."""
+    A run stopped by the budget returns eps = inf.  A budget that
+    ``check_budget`` rejects raises ValueError before any evaluation; tau
+    and the bounds are ``_call``'s, as for int_naive."""
     check_budget(max_neval)
     return _call(integrand, a, b, tau, _simpson, max_neval)
 

@@ -54,10 +54,10 @@ def stream_rng(seed: int, tag: int, index: int) -> np.random.Generator:
 class LKFamily:
     """One random-parameter integrand family.
 
-    ``make_integrand(lam, alpha)`` builds the integrand for one parameter
-    draw and ``exact(lam, alpha)`` its closed-form integral over ``domain``.
-    ``lam`` holds ``n_lambda`` location parameters (one for every family
-    except four_peaks, which draws four).
+    ``draw(lam, alpha)`` returns the integrand of one parameter draw and its
+    closed-form integral over ``domain``; each family's docstring gives its
+    integrand.  ``lam`` holds ``n_lambda`` location parameters (one for
+    every family except four_peaks, which draws four).
     """
 
     id: int
@@ -65,108 +65,73 @@ class LKFamily:
     domain: tuple[float, float]
     alpha_range: tuple[float, float]
     n_lambda: int
-    make_integrand: Callable
-    exact: Callable
+    draw: Callable
 
 
 def _lam0(lam) -> float:
     return float(np.atleast_1d(np.asarray(lam, dtype=float))[0])
 
 
-def _abs_power_integrand(lam, alpha):
+def _abs_power(lam, alpha):
+    """|x - l|^a; its integral is None for a <= -1, where it diverges."""
     l0 = _lam0(lam)
-    return lambda x: np.abs(x - l0) ** alpha
-
-
-def _abs_power_exact(lam, alpha):
+    f = lambda x: np.abs(x - l0) ** alpha
+    if alpha <= -1.0:
+        return f, None
     # antiderivative of |x - l|^a is sign(x - l) |x - l|^(a+1) / (a+1)
+    a1 = alpha + 1.0
+    return f, (l0 ** a1 + (1.0 - l0) ** a1) / a1
+
+
+def _step_exp(lam, alpha):
+    """(x > l) e^(a x)."""
     l0 = _lam0(lam)
-    return (l0 ** (alpha + 1.0) + (1.0 - l0) ** (alpha + 1.0)) / (alpha + 1.0)
-
-
-def _step_exp_integrand(lam, alpha):
-    l0 = _lam0(lam)
-    return lambda x: (x > l0) * np.exp(alpha * x)
-
-
-def _step_exp_exact(lam, alpha):
-    l0 = _lam0(lam)
-    if alpha == 0.0:
-        return 1.0 - l0
+    f = lambda x: (x > l0) * np.exp(alpha * x)
     # e^a - e^(a l) written via expm1 so the limit a -> 0 stays accurate
-    return (math.expm1(alpha) - math.expm1(alpha * l0)) / alpha
+    return f, ((math.expm1(alpha) - math.expm1(alpha * l0)) / alpha
+               if alpha else 1.0 - l0)
 
 
-def _kink_exp_integrand(lam, alpha):
+def _kink_exp(lam, alpha):
+    """e^(-a |x - l|)."""
     l0 = _lam0(lam)
-    return lambda x: np.exp(-alpha * np.abs(x - l0))
+    f = lambda x: np.exp(-alpha * np.abs(x - l0))
+    return f, ((-math.expm1(-alpha * l0) - math.expm1(-alpha * (1.0 - l0)))
+               / alpha if alpha else 1.0)
 
 
-def _kink_exp_exact(lam, alpha):
+def _single_peak(lam, alpha):
+    """p / ((x - l)^2 + p) with p = 10^a."""
     l0 = _lam0(lam)
-    if alpha == 0.0:
-        return 1.0
-    return (-math.expm1(-alpha * l0) - math.expm1(-alpha * (1.0 - l0))) / alpha
+    p, s = 10.0 ** alpha, 10.0 ** (0.5 * alpha)
+    return (lambda x: p / ((x - l0) ** 2 + p),
+            s * (math.atan((2.0 - l0) / s) - math.atan((1.0 - l0) / s)))
 
 
-def _single_peak_integrand(lam, alpha):
-    l0 = _lam0(lam)
-    p = 10.0 ** alpha
-    return lambda x: p / ((x - l0) ** 2 + p)
-
-
-def _single_peak_exact(lam, alpha):
-    l0 = _lam0(lam)
-    s = 10.0 ** (0.5 * alpha)
-    return s * (math.atan((2.0 - l0) / s) - math.atan((1.0 - l0) / s))
-
-
-def _four_peaks_integrand(lam, alpha):
+def _four_peaks(lam, alpha):
+    """single_peak's integrand summed over the four l."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    p = 10.0 ** alpha
-    return lambda x: np.sum(p / ((x - lams) ** 2 + p))
+    p, s = 10.0 ** alpha, 10.0 ** (0.5 * alpha)
+    return lambda x: np.sum(p / ((x - lams) ** 2 + p)), s * float(
+        sum(math.atan((2.0 - l) / s) - math.atan((1.0 - l) / s) for l in lams))
 
 
-def _four_peaks_exact(lam, alpha):
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    s = 10.0 ** (0.5 * alpha)
-    return s * float(
-        sum(math.atan((2.0 - l) / s) - math.atan((1.0 - l) / s) for l in lams)
-    )
-
-
-def _oscillatory_beta(lam, alpha) -> float:
+def _oscillatory(lam, alpha):
+    """The derivative of sin(b (x - l)^2), b = 10^a / max(l^2, (1 - l)^2)."""
     l0 = _lam0(lam)
-    return 10.0 ** alpha / max(l0 ** 2, (1.0 - l0) ** 2)
-
-
-def _oscillatory_integrand(lam, alpha):
-    l0 = _lam0(lam)
-    beta = _oscillatory_beta(lam, alpha)
-    return lambda x: 2.0 * beta * (x - l0) * np.cos(beta * (x - l0) ** 2)
-
-
-def _oscillatory_exact(lam, alpha):
-    # the integrand is the derivative of sin(beta (x - l)^2)
-    l0 = _lam0(lam)
-    beta = _oscillatory_beta(lam, alpha)
-    return math.sin(beta * (1.0 - l0) ** 2) - math.sin(beta * l0 ** 2)
+    beta = 10.0 ** alpha / max(l0 ** 2, (1.0 - l0) ** 2)
+    return (lambda x: 2.0 * beta * (x - l0) * np.cos(beta * (x - l0) ** 2),
+            math.sin(beta * (1.0 - l0) ** 2) - math.sin(beta * l0 ** 2))
 
 
 #: In id order: family k is LK_FAMILIES[k - 1].
 LK_FAMILIES: tuple[LKFamily, ...] = (
-    LKFamily(1, "abs_power", (0.0, 1.0), (-0.5, 0.0), 1,
-             _abs_power_integrand, _abs_power_exact),
-    LKFamily(2, "step_exp", (0.0, 1.0), (0.0, 1.0), 1,
-             _step_exp_integrand, _step_exp_exact),
-    LKFamily(3, "kink_exp", (0.0, 1.0), (0.0, 4.0), 1,
-             _kink_exp_integrand, _kink_exp_exact),
-    LKFamily(4, "single_peak", (1.0, 2.0), (-6.0, -3.0), 1,
-             _single_peak_integrand, _single_peak_exact),
-    LKFamily(5, "four_peaks", (1.0, 2.0), (-5.0, -3.0), 4,
-             _four_peaks_integrand, _four_peaks_exact),
-    LKFamily(6, "oscillatory", (0.0, 1.0), (1.8, 2.0), 1,
-             _oscillatory_integrand, _oscillatory_exact),
+    LKFamily(1, "abs_power", (0.0, 1.0), (-0.5, 0.0), 1, _abs_power),
+    LKFamily(2, "step_exp", (0.0, 1.0), (0.0, 1.0), 1, _step_exp),
+    LKFamily(3, "kink_exp", (0.0, 1.0), (0.0, 4.0), 1, _kink_exp),
+    LKFamily(4, "single_peak", (1.0, 2.0), (-6.0, -3.0), 1, _single_peak),
+    LKFamily(5, "four_peaks", (1.0, 2.0), (-5.0, -3.0), 4, _four_peaks),
+    LKFamily(6, "oscillatory", (0.0, 1.0), (1.8, 2.0), 1, _oscillatory),
 )
 
 
@@ -179,7 +144,8 @@ def lk_draw(family: LKFamily, seed: int, index: int = 0):
     rng = stream_rng(seed, family.id, index)
     lam = rng.uniform(*family.domain, size=family.n_lambda)
     alpha = float(rng.uniform(*family.alpha_range))
-    return family.make_integrand(lam, alpha), float(family.exact(lam, alpha))
+    integrand, exact = family.draw(lam, alpha)
+    return integrand, float(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +271,4 @@ def divergence_draw(alpha: float, seed: int, index: int = 0):
     if not 1 <= k <= 20 or abs(alpha + k / 10.0) > 1e-9:
         raise ValueError(f"alpha must be -0.1, -0.2, ..., -2.0, got {alpha}")
     rng = stream_rng(seed, _DIVERGENCE_TAG_BASE + k, index)
-    lam = rng.uniform(0.0, 1.0)
-    integrand = _abs_power_integrand(lam, alpha)
-    exact = float(_abs_power_exact(lam, alpha)) if alpha > -1.0 else None
-    return integrand, exact
+    return _abs_power(rng.uniform(0.0, 1.0), alpha)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -66,8 +67,7 @@ def test_simpson_exact_on_quadratic():
 
 def test_integrand_scaling_equivariance():
     fam = LK_FAMILIES[3 - 1]
-    fn = fam.make_integrand(0.3, 2.0)
-    exact = fam.exact(0.3, 2.0)
+    fn, exact = fam.draw(0.3, 2.0)
     base = int_refined(fn, 0.0, 1.0, 1e-8)
     scaled = int_refined(lambda x: 64.0 * fn(x), 0.0, 1.0, 64.0 * 1e-8)
     assert scaled.neval == base.neval
@@ -98,8 +98,7 @@ def test_heap_cap_keeps_estimates_honest(monkeypatch):
     # with a 2-interval heap almost everything is evicted into the excess;
     # the result may honestly miss the tolerance but must not lie about it
     fam = LK_FAMILIES[3 - 1]
-    fn = fam.make_integrand(1.0 / 3.0, 4.0)
-    exact = fam.exact(1.0 / 3.0, 4.0)
+    fn, exact = fam.draw(1.0 / 3.0, 4.0)
     tau = 1e-6 * exact
     for alg in (int_refined, int_naive):
         free = alg(fn, 0.0, 1.0, tau)
@@ -435,6 +434,15 @@ def test_simpson_reversed_is_the_negated_forward_run():
     assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
 
 
+@pytest.mark.parametrize("budget", (0, 4, 100))
+def test_simpson_stopped_by_its_budget_has_no_error_bound(budget):
+    # a piece the budget leaves unrefined used to be charged eps = 0.0, so
+    # at budget 4 the run returned eps 0 with its error near 1e-3
+    res = int_simpson_baseline(math.exp, 0.0, 1.0, 1e-12, max_neval=budget)
+    assert res.eps == math.inf
+    assert res.status is Status.TOLERANCE_NOT_MET
+
+
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 def test_empty_interval_is_exactly_zero(alg):
     # refined used to return eps = 1.8e308 and ToleranceNotMet here, and
@@ -482,10 +490,11 @@ def test_string_bounds_rejected_before_any_evaluation(alg, a, b):
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
-@pytest.mark.parametrize("tau", (-1.0, 0.0, math.nan))
+@pytest.mark.parametrize("tau", (-1.0, 0.0, math.nan, Decimal("NaN")))
 def test_tau_not_positive_rejected_before_any_evaluation(alg, tau):
     # int_simpson_baseline used to run: to its budget at -1.0 and NaN, and
-    # to Converged after 22,053 evaluations at 0.0
+    # to Converged after 22,053 evaluations at 0.0; a Decimal NaN used to
+    # raise decimal.InvalidOperation from the comparison with 0.0
     def integrand(x):
         pytest.fail("the integrand was called")
 
@@ -504,16 +513,14 @@ def test_tau_is_checked_before_the_bounds(alg):
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
-def test_tau_is_checked_then_converted(alg):
-    # a string tau fails the check against 0.0, before float() could parse
-    # it, and a complex one passes that check but is not converted; a tau
-    # of another real type gives the result of its float value
-    with pytest.raises(TypeError):
-        alg(lambda x: pytest.fail("the integrand was called"), 0.0, 1.0,
-            "1e-6")
-    with pytest.raises(TypeError, match="real number"):
-        alg(lambda x: pytest.fail("the integrand was called"), 0.0, 1.0,
-            np.complex128(1e-6 + 5j))
+def test_tau_is_converted_then_checked(alg):
+    # a string or complex tau is not converted, whatever its value, so a
+    # complex one whose real part is not above 0 raises TypeError too; a
+    # tau of another real type gives the result of its float value
+    for tau in ("1e-6", np.complex128(1e-6 + 5j), np.complex128(-1.0)):
+        with pytest.raises(TypeError, match="real number"):
+            alg(lambda x: pytest.fail("the integrand was called"), 0.0, 1.0,
+                tau)
     tau = np.float32(1e-6)
     assert alg(np.exp, 0.0, 1.0, tau) == alg(np.exp, 0.0, 1.0, float(tau))
 

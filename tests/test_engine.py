@@ -379,7 +379,7 @@ def _drop_by_float64(rec, stencil):
     as it was written before the stencil held them as floats."""
     mid = 0.5 * (rec.a + rec.b)
     half = 0.5 * (rec.b - rec.a)
-    x = stencil.nodes
+    x = np.array(stencil.nodes)
     first_gap = (mid + half * x[0]) - (mid + half * x[1])
     last_gap = (mid + half * x[-2]) - (mid + half * x[-1])
     return bool(first_gap == 0.0 or last_gap == 0.0)

@@ -82,20 +82,19 @@ def test_family_table_layout():
 def test_abs_power_closed_form_example():
     # singularity dead center at half strength: 2 * sqrt(2)
     fam = LK_FAMILIES[1 - 1]
-    np.testing.assert_allclose(fam.exact(0.5, -0.5), 2.0 * math.sqrt(2.0),
-                               rtol=1e-15)
-    fn = fam.make_integrand(0.5, -0.5)
+    fn, exact = fam.draw(0.5, -0.5)
+    np.testing.assert_allclose(exact, 2.0 * math.sqrt(2.0), rtol=1e-15)
     np.testing.assert_allclose(fn(0.75), 2.0, rtol=1e-15)
 
 
 def test_step_exp_boundary_parameter():
     # step at the right endpoint leaves nothing to integrate
     fam = LK_FAMILIES[2 - 1]
-    assert fam.exact(1.0, 0.37) == 0.0
-    fn = fam.make_integrand(1.0, 0.37)
+    fn, exact = fam.draw(1.0, 0.37)
+    assert exact == 0.0
     assert fn(0.999) == 0.0
     # the indicator multiplies, not gates: value at 0.5 for lam=0.25 is e^(a/2)
-    fn2 = fam.make_integrand(0.25, 0.8)
+    fn2, _ = fam.draw(0.25, 0.8)
     np.testing.assert_allclose(fn2(0.5), math.exp(0.4), rtol=1e-15)
 
 
@@ -104,8 +103,8 @@ def test_oscillatory_shape_parameter_wiring():
     for lam, alpha in ((0.3, 1.8), (0.9, 2.0), (0.5, 1.9)):
         beta = 10.0 ** alpha / max(lam ** 2, (1.0 - lam) ** 2)
         want = math.sin(beta * (1.0 - lam) ** 2) - math.sin(beta * lam ** 2)
-        np.testing.assert_allclose(fam.exact(lam, alpha), want, rtol=1e-14)
-        fn = fam.make_integrand(lam, alpha)
+        fn, exact = fam.draw(lam, alpha)
+        np.testing.assert_allclose(exact, want, rtol=1e-14)
         x = 0.625
         want_f = 2.0 * beta * (x - lam) * math.cos(beta * (x - lam) ** 2)
         np.testing.assert_allclose(fn(x), want_f, rtol=1e-13)
@@ -117,7 +116,7 @@ def _lk_oracle(fam, lam, alpha, n):
     if fam.id == 1:
         return _mp_singular_quad(float(lams[0]), alpha, dps=25 if n == 24 else 35)
     if fam.id in (2, 3, 4):
-        return _panel_quad(fam.make_integrand(lam, alpha),
+        return _panel_quad(fam.draw(lam, alpha)[0],
                            _graded_edges(a, b, float(lams[0])), n)
     if fam.id == 5:
         # integrate peak by peak: each term gets edges graded at its center
@@ -127,7 +126,7 @@ def _lk_oracle(fam, lam, alpha, n):
             term = lambda x, l=l: p / ((x - l) ** 2 + p)
             total += _panel_quad(term, _graded_edges(a, b, float(l)), n)
         return total
-    return _panel_quad(fam.make_integrand(lam, alpha),
+    return _panel_quad(fam.draw(lam, alpha)[0],
                        np.linspace(a, b, 601), n)
 
 
@@ -141,11 +140,11 @@ def test_lk_exact_matches_oracle(fid):
         lam = rng.uniform(*fam.domain, size=fam.n_lambda)
         alpha = float(rng.uniform(*fam.alpha_range))
         fn, exact = lk_draw(fam, SEED, idx)
-        assert exact == float(fam.exact(lam, alpha))
+        fn_lam, exact_lam = fam.draw(lam, alpha)
+        assert exact == float(exact_lam)
         with np.errstate(all="ignore"):
             np.testing.assert_allclose(fn(0.5 * sum(fam.domain) + 0.1),
-                                       fam.make_integrand(lam, alpha)(
-                                           0.5 * sum(fam.domain) + 0.1))
+                                       fn_lam(0.5 * sum(fam.domain) + 0.1))
         o24 = _lk_oracle(fam, lam, alpha, 24)
         o40 = _lk_oracle(fam, lam, alpha, 40)
         scale = max(1.0, abs(exact))

@@ -14,7 +14,9 @@ first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
 bounds, a smooth integrand dropped at its noise floor, runs stopped by a
 small budget, an lk draw at a tolerance below its noise floor, and a
 singular draw whose status hangs on the loop's test),
-each at its own tau and budget, which the benchmark cases never reach.
+each at its own tau and budget, which the benchmark cases never reach,
+and then once more through int_simpson_baseline, at the same tau and
+with ``max_neval`` the same budget (integrator ``simpson``).
 ``diff`` prints the rows that differ and counts them by workload,
 integrator and the two statuses; it exits 1 if any row differs.
 
@@ -116,22 +118,28 @@ EDGES = (
 def dump(checkout, seeds):
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
+    from relquad.algorithms import int_simpson_baseline
     from run import Plan
     from workloads import WORKLOADS, Case
+
+    def row(seed, workload, case, alg, r):
+        # float(): a checkout may return q and eps in the bounds' type
+        print(seed, workload, case, alg, float(r.q).hex(), float(r.eps).hex(),
+              r.neval, r.status.value, sep="\t")
 
     def rows(seed, workload, cases):
         for i, alg, integrator, config in Plan(cases).calls:
             case = cases[i]
-            r = integrator(case.integrand, case.a, case.b, case.tau, config)
-            # float(): a checkout may return q and eps in the bounds' type
-            print(seed, workload, f"{i}:{case.label}", alg,
-                  float(r.q).hex(), float(r.eps).hex(), r.neval,
-                  r.status.value, sep="\t")
+            row(seed, workload, f"{i}:{case.label}", alg,
+                integrator(case.integrand, case.a, case.b, case.tau, config))
 
     # no reference value and no pass rule: only the bits are compared
     rows("-", "edges", [Case(label, integrand, a, b, tau, None, "",
                              budget=budget)
                         for label, integrand, a, b, tau, budget in EDGES])
+    for i, (label, integrand, a, b, tau, budget) in enumerate(EDGES):
+        row("-", "edges", f"{i}:{label}", "simpson",
+            int_simpson_baseline(integrand, a, b, tau, max_neval=budget))
     for seed in seeds:
         for workload, cases in WORKLOADS.items():
             rows(seed, workload, cases(seed))
