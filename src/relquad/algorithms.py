@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Complex, Real
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from relquad.engine import (
     IntervalRecord,
     QuadResult,
     Status,
+    _as_float,
     accumulate_excess,
     check_budget,
     check_tau,
@@ -110,30 +110,18 @@ def _check_usable(q: float, eps: float) -> None:
         raise TooManyNonNumeric(f"fit overflows: q = {q!r}, eps = {eps!r}")
 
 
-def _as_float(x) -> float:
-    """x as a Python float, infinite if too large for one; not a string,
-    nor a complex number, whose imaginary part float() would drop."""
-    if isinstance(x, (str, bytes, bytearray)) or (
-            isinstance(x, Complex) and not isinstance(x, Real)):
-        raise TypeError(f"expected a real number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:  # an int or Fraction beyond the largest float
-        return math.inf if x > 0 else -math.inf
-
-
 def _call(integrand, a, b, tau, run, *args) -> QuadResult:
     """The call contract of all three integrators around one run,
     ``run(fn, lo, hi, tau, *args) -> (q, eps, status)`` over lo < hi, with
     fn the integrand wrapped in a CountedFunction.  tau is converted to a
-    Python float and checked, then a and b are converted and checked, all
-    before any evaluation: numbers of any real type give the result of
-    their float values, and one too large for a float is not finite; a
-    string or complex one raises TypeError, and a tau that is not positive,
-    or a non-finite bound or width, ValueError.  [a, a] integrates to 0 exactly, at no cost; a > b
-    integrates over [b, a] and negates q."""
-    tau = _as_float(tau)
-    check_tau(tau)
+    Python float and checked (``check_tau``), then a and b are converted
+    and checked, all before any evaluation: numbers of any real type give
+    the result of their float values, and one too large for a float is not
+    finite; a string or complex one raises TypeError, and a tau that is not
+    positive, or a non-finite bound or width, ValueError.  [a, a]
+    integrates to 0 exactly, at no cost; a > b integrates over [b, a] and
+    negates q."""
+    tau = check_tau(tau)
     a, b = _as_float(a), _as_float(b)
     # b - a is NaN or infinite if a bound is, and infinite if it overflows
     if not math.isfinite(b - a):

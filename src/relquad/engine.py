@@ -28,9 +28,10 @@ retired whole, so that its totals still cover the domain.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -80,8 +81,9 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """The evaluation budget.  tau is checked but not read: the integrators
-    take their tolerance as an argument."""
+    """The evaluation budget.  tau is converted and checked as the
+    integrators' tau is, but not read: the integrators take their tolerance
+    as an argument."""
 
     tau: float
     max_neval: int | None = None
@@ -92,9 +94,24 @@ class EngineConfig:
             check_budget(self.max_neval)
 
 
-def check_tau(tau: float) -> None:
+def _as_float(x) -> float:
+    """x as a Python float, infinite if too large for one; not a string,
+    nor a complex number, whose imaginary part float() would drop."""
+    if isinstance(x, (str, bytes, bytearray)) or (
+            isinstance(x, Complex) and not isinstance(x, Real)):
+        raise TypeError(f"expected a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # an int or Fraction beyond the largest float
+        return math.inf if x > 0 else -math.inf
+
+
+def check_tau(tau) -> float:
+    """tau as a Python float (``_as_float``), which must be above 0."""
+    tau = _as_float(tau)
     if not tau > 0.0:
         raise ValueError("tau must be positive")
+    return tau
 
 
 def check_budget(max_neval: int) -> None:

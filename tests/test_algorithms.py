@@ -33,6 +33,7 @@ from relquad.interp import (
     sample,
 )
 from relquad.testlib import BATTERY, LK_FAMILIES, lk_draw
+from budget import budget, most_evaluations
 from staircase import waldvogel_family_draw
 
 
@@ -181,28 +182,13 @@ def test_an_overflowing_ladder_raise_leaves_the_interval_as_it_was():
     assert (r.neval, r.status) == (43, Status.TOLERANCE_NOT_MET)
 
 
-# The budget is checked before each step, so a run stopped by it makes at
-# most budget - 1 evaluations plus one step's fresh ones: int_naive's raise
-# from degree 16 to 32 (16) and then a split at degree 4 (6), int_refined's
-# split at degree 10 (18).  The start-up ignores the budget.  Per integrator:
-# (the largest overrun, the start-up's evaluations).
-OVERRUN = {int_naive: (21, 33), int_refined: (17, 11)}
-CONFIG = {int_naive: NaiveConfig, int_refined: RefinedConfig}
-
-
-def _budget_bound(alg, budget):
-    step, startup = OVERRUN[alg]
-    return max(budget + step, startup)
-
-
 def test_budget_stops_promptly_with_honest_status():
     f13 = BATTERY[13 - 1]
     for alg in (int_refined, int_naive):
-        for budget in (200, 500):
-            cfg = CONFIG[alg](engine=EngineConfig(tau=1.0, max_neval=budget))
-            r = alg(f13.integrand, 0.0, 1.0, 1e-9, config=cfg)
+        for n in (200, 500):
+            r = alg(f13.integrand, 0.0, 1.0, 1e-9, **budget(alg, n))
             assert r.status is Status.TOLERANCE_NOT_MET
-            assert budget < r.neval <= _budget_bound(alg, budget)
+            assert n < r.neval <= most_evaluations(alg, n)
 
 
 # |x - 0.88974|^-0.22143 on [0, 1] at 1e-14: unbudgeted, a run ends
@@ -211,31 +197,26 @@ def test_budget_stops_promptly_with_honest_status():
 ABS_POWER = lk_draw(LK_FAMILIES[0], 0, 0)[0]
 
 
-def _abs_power_with_budget(alg, a, b, budget):
-    cfg = CONFIG[alg](engine=EngineConfig(tau=1.0, max_neval=budget))
-    return alg(ABS_POWER, a, b, 1e-14, cfg)
-
-
 # budgets at which a step takes the draw's run to the bound: evaluations
 AT_BOUND = {int_naive: {70: 91}, int_refined: {12: 29, 30: 47, 48: 65}}
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined))
 def test_budget_overrun_is_bounded_and_reached(alg):
-    for budget in range(0, 121):
-        r = _abs_power_with_budget(alg, 0.0, 1.0, budget)
+    for n in range(0, 121):
+        r = alg(ABS_POWER, 0.0, 1.0, 1e-14, **budget(alg, n))
         assert r.status is Status.TOLERANCE_NOT_MET
-        bound = _budget_bound(alg, budget)
-        assert max(budget, 1) <= r.neval <= bound
-        if budget in AT_BOUND[alg]:
-            assert r.neval == AT_BOUND[alg][budget] == bound
+        bound = most_evaluations(alg, n)
+        assert max(n, 1) <= r.neval <= bound
+        if n in AT_BOUND[alg]:
+            assert r.neval == AT_BOUND[alg][n] == bound
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined))
 def test_reversed_bounds_with_a_budget_negate(alg):
     # the budget is read once, for the run over [0, 1] that [1, 0] makes
-    fwd = _abs_power_with_budget(alg, 0.0, 1.0, 70)
-    rev = _abs_power_with_budget(alg, 1.0, 0.0, 70)
+    fwd = alg(ABS_POWER, 0.0, 1.0, 1e-14, **budget(alg, 70))
+    rev = alg(ABS_POWER, 1.0, 0.0, 1e-14, **budget(alg, 70))
     assert rev.q.hex() == (-fwd.q).hex()
     assert (rev.eps.hex(), rev.neval, rev.status) == (
         fwd.eps.hex(), fwd.neval, fwd.status)
@@ -310,14 +291,6 @@ def test_probe_input_validation():
         divergence_ratio_probe(0.5)
     with pytest.raises(ValueError):
         divergence_ratio_probe(-2.5)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(tau=-1.0)
-    # the heap cap is the engine constant HEAP_CAP, not a config field
-    with pytest.raises(TypeError):
-        EngineConfig(tau=1.0, heap_cap=0)
 
 
 def test_ladder_reuse_of_inf_or_nan_gives_the_same_fit():
@@ -454,6 +427,19 @@ def test_empty_interval_is_exactly_zero(alg):
     assert calls == []
 
 
+TAU = (ValueError, "tau must be positive")
+
+
+def _assert_rejected(alg, a, b, tau, error, match, n=None):
+    """alg(f, a, b, tau), with a budget of n unless n is None, raises error,
+    matching match, before it evaluates f."""
+    calls = []
+    with pytest.raises(error, match=match):
+        alg(lambda x: calls.append(x) or 1.0, a, b, tau,
+            **({} if n is None else budget(alg, n)))
+    assert calls == []
+
+
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
                                   (math.inf, 0.0), (math.nan, 1.0),
@@ -467,10 +453,7 @@ def test_empty_interval_is_exactly_zero(alg):
                                                id="Fraction(10**400)-1")])
 def test_nonfinite_bounds_rejected_before_any_evaluation(alg, a, b):
     # a bound too large for a float used to raise OverflowError
-    calls = []
-    with pytest.raises(ValueError, match="finite"):
-        alg(lambda x: calls.append(x) or 1.0, a, b, 1e-6)
-    assert calls == []
+    _assert_rejected(alg, a, b, 1e-6, ValueError, "finite")
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
@@ -483,10 +466,7 @@ def test_string_bounds_rejected_before_any_evaluation(alg, a, b):
     # float() parses a string, but a bound is a number; it drops the
     # imaginary part of an np.complex128 with only a warning, but a bound
     # is a real number
-    calls = []
-    with pytest.raises(TypeError, match="real number"):
-        alg(lambda x: calls.append(x) or 1.0, a, b, 1e-6)
-    assert calls == []
+    _assert_rejected(alg, a, b, 1e-6, TypeError, "real number")
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
@@ -495,21 +475,13 @@ def test_tau_not_positive_rejected_before_any_evaluation(alg, tau):
     # int_simpson_baseline used to run: to its budget at -1.0 and NaN, and
     # to Converged after 22,053 evaluations at 0.0; a Decimal NaN used to
     # raise decimal.InvalidOperation from the comparison with 0.0
-    def integrand(x):
-        pytest.fail("the integrand was called")
-
-    with pytest.raises(ValueError, match="tau must be positive"):
-        alg(integrand, 0.0, 1.0, tau)
+    _assert_rejected(alg, 0.0, 1.0, tau, *TAU)
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 def test_tau_is_checked_before_the_bounds(alg):
-    # both are wrong: the tau error is raised, before any evaluation
-    def integrand(x):
-        pytest.fail("the integrand was called")
-
-    with pytest.raises(ValueError, match="tau must be positive"):
-        alg(integrand, math.nan, math.nan, math.nan)
+    # both are wrong: the tau error is raised
+    _assert_rejected(alg, math.nan, math.nan, math.nan, *TAU)
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
@@ -518,11 +490,19 @@ def test_tau_is_converted_then_checked(alg):
     # complex one whose real part is not above 0 raises TypeError too; a
     # tau of another real type gives the result of its float value
     for tau in ("1e-6", np.complex128(1e-6 + 5j), np.complex128(-1.0)):
-        with pytest.raises(TypeError, match="real number"):
-            alg(lambda x: pytest.fail("the integrand was called"), 0.0, 1.0,
-                tau)
+        _assert_rejected(alg, 0.0, 1.0, tau, TypeError, "real number")
     tau = np.float32(1e-6)
     assert alg(np.exp, 0.0, 1.0, tau) == alg(np.exp, 0.0, 1.0, float(tau))
+
+
+@pytest.mark.parametrize("n", (math.nan, math.inf, -5, 2.5, 100.0, True,
+                               False, np.True_), ids=repr)
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
+def test_bad_budget_raises_before_any_evaluation(alg, n):
+    # NaN, negative, non-integer and bool budgets: a NaN one used to turn
+    # Simpson's budget off (on 1/x: 103,741 evaluations and q = nan), and
+    # True was a budget of 1
+    _assert_rejected(alg, 0.0, 1.0, 1e-6, ValueError, "max_neval", n)
 
 
 @pytest.mark.parametrize("alg, neval", [(int_naive, 17), (int_refined, 11)])
@@ -638,14 +618,8 @@ def test_every_integrator_passes_its_nodes_as_float64(alg):
         assert abs(r.q - 2.0) <= 1e-3
 
 
-@pytest.mark.parametrize("alg, budget", [
-    (int_naive,
-     lambda n: {"config": NaiveConfig(engine=EngineConfig(1.0, max_neval=n))}),
-    (int_refined,
-     lambda n: {"config": RefinedConfig(engine=EngineConfig(1.0, max_neval=n))}),
-    (int_simpson_baseline, lambda n: {"max_neval": n}),
-], ids=("int_naive", "int_refined", "int_simpson_baseline"))
-def test_neval_counts_only_this_call(alg, budget):
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
+def test_neval_counts_only_this_call(alg):
     # a CountedFunction passed in keeps counting across calls; each result
     # used to report that running count and be charged for it by the budget
     fresh = alg(_peak, 0.0, 1.0, 1e-8)
@@ -655,46 +629,16 @@ def test_neval_counts_only_this_call(alg, budget):
     assert first.neval == second.neval == fresh.neval
     assert fn.count == 2 * fresh.neval
     # a budget the call fits in is not spent by the counter's earlier calls
-    capped = alg(fn, 0.0, 1.0, 1e-8, **budget(fresh.neval))
+    capped = alg(fn, 0.0, 1.0, 1e-8, **budget(alg, fresh.neval))
     assert (capped.q, capped.eps, capped.neval, capped.status) == (
         fresh.q, fresh.eps, fresh.neval, fresh.status)
 
 
-# an integrator run with the budget n, on [0, 1] at 1e-6
-WITH_BUDGET = {
-    "int_naive": lambda f, n: int_naive(
-        f, 0.0, 1.0, 1e-6, NaiveConfig(engine=EngineConfig(1.0, max_neval=n))),
-    "int_refined": lambda f, n: int_refined(
-        f, 0.0, 1.0, 1e-6,
-        RefinedConfig(engine=EngineConfig(1.0, max_neval=n))),
-    "int_simpson_baseline": lambda f, n: int_simpson_baseline(
-        f, 0.0, 1.0, 1e-6, max_neval=n),
-}
-
-
-@pytest.mark.parametrize("budget", (math.nan, math.inf, -5, 2.5, 100.0,
-                                    True, False, np.True_), ids=repr)
-@pytest.mark.parametrize("alg", tuple(WITH_BUDGET))
-def test_bad_budget_raises_before_any_evaluation(alg, budget):
-    # NaN, negative, non-integer and bool budgets: a NaN one used to turn
-    # Simpson's budget off (on 1/x: 103,741 evaluations and q = nan), and
-    # True was a budget of 1
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return 1.0 / x if x else math.inf
-
-    with pytest.raises(ValueError, match="max_neval"):
-        WITH_BUDGET[alg](f, budget)
-    assert calls == []
-
-
-@pytest.mark.parametrize("alg", tuple(WITH_BUDGET))
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 def test_integer_budgets_are_accepted(alg):
     # a numpy integer budget stops the run as the same int does
-    want = WITH_BUDGET[alg](_peak, 40)
-    assert WITH_BUDGET[alg](_peak, np.int64(40)) == want
+    want = alg(_peak, 0.0, 1.0, 1e-6, **budget(alg, 40))
+    assert alg(_peak, 0.0, 1.0, 1e-6, **budget(alg, np.int64(40))) == want
     assert want.status is Status.TOLERANCE_NOT_MET
 
 
@@ -814,11 +758,9 @@ def test_sample_reuse_shapes_are_what_the_tracer_counts(monkeypatch, alg):
     assert (raises > 0) == (alg is int_naive)
 
 
-def _pole(alpha, lam=0.48302788072533803):
-    """|x - lam|^alpha on [0, 1] and its integral; lam is a draw of the
-    benchmark's singular workload."""
-    ref = (lam ** (1.0 + alpha) + (1.0 - lam) ** (1.0 + alpha)) / (1.0 + alpha)
-    return (lambda x: np.abs(x - lam) ** alpha), ref
+# the pole of |x - LAM|^alpha (lk family abs_power) in a draw of the
+# benchmark's singular workload
+LAM = 0.48302788072533803
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined))
@@ -830,8 +772,8 @@ def test_refinement_stops_once_the_excess_rules_out_convergence(
     # within tau and the heap's error above it, and a run that ends
     # ToleranceNotMet below its budget stops at the retirement that carried
     # the excess past tau
-    f, ref = _pole(alpha)
-    tau, budget = 1e-6 * ref, 10_000
+    f, ref = LK_FAMILIES[0].draw(LAM, alpha)
+    tau, n = 1e-6 * ref, 10_000
     pops = []
 
     def wrapper(state, _real=algorithms.select_worst):
@@ -839,12 +781,10 @@ def test_refinement_stops_once_the_excess_rules_out_convergence(
         return _real(state)
 
     monkeypatch.setattr(algorithms, "select_worst", wrapper)
-    config = (NaiveConfig if alg is int_naive else RefinedConfig)(
-        engine=EngineConfig(1.0, max_neval=budget))
-    r = alg(f, 0.0, 1.0, tau, config)
+    r = alg(f, 0.0, 1.0, tau, **budget(alg, n))
     assert pops
     assert all(excess <= tau < heap for _, heap, excess in pops)
-    if r.status is Status.TOLERANCE_NOT_MET and r.neval < budget:
+    if r.status is Status.TOLERANCE_NOT_MET and r.neval < n:
         assert pops[-1][0].excess_eps > tau
     assert (r.status is Status.CONVERGED) == (alpha == -0.3)
 
@@ -853,9 +793,8 @@ def test_a_run_that_cannot_converge_stops_well_under_its_budget():
     # at alpha = -0.9 the error retired around the pole passes tau long
     # before the budget: int_refined used to spend all 10,000 evaluations
     # (10,001) refining elsewhere, and ended ToleranceNotMet all the same
-    f, ref = _pole(-0.9)
-    config = RefinedConfig(engine=EngineConfig(1.0, max_neval=10_000))
-    r = int_refined(f, 0.0, 1.0, 1e-6 * ref, config)
+    f, ref = LK_FAMILIES[0].draw(LAM, -0.9)
+    r = int_refined(f, 0.0, 1.0, 1e-6 * ref, **budget(int_refined, 10_000))
     assert r.status is Status.TOLERANCE_NOT_MET
     assert r.neval < 5_000
     assert r.eps > 1e-6 * ref and math.isfinite(r.q)
@@ -867,7 +806,7 @@ def test_eps_covers_the_error_once_the_excess_passes_tau():
     # shrinks the open error while the true one, the mass retired around
     # the pole, stays: refining on to 1,187 evaluations left eps 2.61e-3
     # against an error of 3.82e-3
-    f, ref = _pole(-0.8, 0.220031817875281)
+    f, ref = LK_FAMILIES[0].draw(0.220031817875281, -0.8)
     r = int_naive(f, 0.0, 1.0, 1e-6 * ref)
     assert r.status is Status.TOLERANCE_NOT_MET
     assert r.eps >= abs(r.q - ref)
@@ -881,10 +820,9 @@ def test_the_open_error_is_tested_against_tau_not_tau_minus_the_excess():
     # error 17.6 tau.  Refining on until heap + excess is within tau would
     # return Converged after 2,945 evaluations with the same error: the
     # excess misses the mass retired around the pole
-    f, ref = _pole(-0.7, 0.8403273027848961)
+    f, ref = LK_FAMILIES[0].draw(0.8403273027848961, -0.7)
     tau = 1e-6 * ref
-    config = RefinedConfig(engine=EngineConfig(1.0, max_neval=10_000))
-    r = int_refined(f, 0.0, 1.0, tau, config)
+    r = int_refined(f, 0.0, 1.0, tau, **budget(int_refined, 10_000))
     assert r.status is not Status.CONVERGED or abs(r.q - ref) <= tau
 
 

@@ -42,12 +42,13 @@ def test_recurrence_first_coefficients():
 def test_values_match_scaled_classical_legendre():
     # p_k(x) = sqrt((2k+1)/2) * P_k(x) with P_k the classical polynomials
     x = np.linspace(-1.0, 1.0, 57)
-    vals = legendre_values(12, x)
-    for k in range(13):
-        ck = np.zeros(k + 1)
-        ck[k] = np.sqrt((2.0 * k + 1.0) / 2.0)
-        np.testing.assert_allclose(vals[:, k], npleg.legval(x, ck),
-                                   rtol=0, atol=1e-13)
+    for degree in (1, 12):
+        vals = legendre_values(degree, x)
+        for k in range(degree + 1):
+            ck = np.zeros(k + 1)
+            ck[k] = np.sqrt((2.0 * k + 1.0) / 2.0)
+            np.testing.assert_allclose(vals[:, k], npleg.legval(x, ck),
+                                       rtol=0, atol=1e-13)
 
 
 def test_orthonormality_under_quadrature_oracle():
@@ -137,7 +138,7 @@ def test_newton_vector_norm_frozen():
                                1.595e-3, rtol=1e-3)
 
 
-@pytest.mark.parametrize("n", (4, 10))
+@pytest.mark.parametrize("n", (1, 4, 10))
 def test_downdate_removes_exactly_one_root(n):
     st = get_stencil(n)
     for j in range(n + 1):

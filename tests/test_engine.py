@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -145,6 +146,9 @@ def test_divergence_update_requires_both_conditions():
     # more than half the depth but count below the threshold: no signal
     shallow_parent = _rec(q=0.5, nr_div=3, nr_rec=3)
     assert divergence_update(1.0, shallow_parent) == 4
+    # count exceeded at exactly half the depth: no signal
+    half_parent = _rec(q=0.5, nr_div=NR_DIVMAX, nr_rec=2 * NR_DIVMAX + 1)
+    assert divergence_update(1.0, half_parent) == NR_DIVMAX + 1
 
 
 def test_enforce_heap_cap_evicts_smallest():
@@ -170,19 +174,15 @@ def test_enforce_heap_cap_never_removes_current_max():
     assert max(r.eps for r in st.heap) == 5.0
 
 
-def test_engine_config_validation():
-    for tau in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            EngineConfig(tau=tau)
-
-
 @pytest.mark.parametrize("field, value", [
-    ("tau", math.nan),
+    ("tau", 0.0), ("tau", -1.0), ("tau", math.nan),
+    # used to raise decimal.InvalidOperation: tau was checked unconverted
+    pytest.param("tau", Decimal("NaN"), id="tau-Decimal('NaN')"),
+    # a NaN max_neval used to turn the budget off
     ("max_neval", math.nan), ("max_neval", -5), ("max_neval", 100.0),
     ("max_neval", math.inf),
 ])
 def test_engine_config_rejects_nan_and_non_integer_limits(field, value):
-    # a NaN max_neval used to turn the budget off
     with pytest.raises(ValueError, match=field):
         EngineConfig(**{"tau": 1.0, field: value})
 
@@ -220,14 +220,14 @@ def test_status_values():
     assert Status.DIVERGENT.value == "Divergent"
 
 
-def _select_scan(heap, order):
-    """The record-attribute scan select_worst replaced; `order` gives each
-    record's insertion number."""
+def _select_scan(heap):
+    """The record-attribute scan select_worst replaced, on records whose q
+    is their insertion number."""
     best = 0
     for i in range(1, len(heap)):
         r = heap[i]
         if r.eps > heap[best].eps or (r.eps == heap[best].eps
-                                      and order[id(r)] < order[id(heap[best])]):
+                                      and r.q < heap[best].q):
             best = i
     return heap.pop(best)
 
@@ -240,33 +240,43 @@ def _cap_scan(heap, cap):
     return evicted
 
 
-def test_heap_upkeep_matches_list_scans():
-    # eps drawn from a handful of values, so ties (0.0 against -0.0 too)
-    # are the rule; pushes, selections and evictions interleave at random,
-    # and a selection, as in _drive, needs a record
-    rng = np.random.default_rng(3)
-    pool = (0.0, -0.0, 1.0, 1.0, 2.0, 3.0)
-    for _ in range(200):
+@pytest.mark.parametrize("seed, pool, share, caps, steps, push, select", [
+    # short runs at caps 2-5 with eps drawn from a handful of values, so
+    # that ties (0.0 against -0.0 too) are the rule
+    (3, (0.0, -0.0, 1.0, 1.0, 2.0, 3.0), 1.0, (2, 3, 4, 5) * 50, 40, 0.6,
+     0.85),
+    # caps up to the default 200 and long runs; eps mixes continuous draws
+    # with a pool of ties, signed zeros and inf
+    (11, (0.0, -0.0, 1.0, 2.0, 2.0, math.inf), 0.3, (2, 7, 50, 200), 2000,
+     0.55, 0.9),
+], ids=("small", "full"))
+def test_heap_oracle_matches_list_scans(seed, pool, share, caps, steps, push,
+                                        select):
+    # pushes, selections and evictions interleave at random, and a
+    # selection, as in _drive, needs a record
+    rng = np.random.default_rng(seed)
+    for cap in caps:
         st = AdaptiveState()
-        ref, order = [], {}
-        cap = int(rng.integers(2, 6))
-        for k in range(40):
+        ref = []
+        for k in range(steps):
             op = rng.random()
-            if op < 0.6 or not ref:
-                r = _rec(q=float(k), eps=pool[rng.integers(len(pool))])
-                order[id(r)] = k
+            if op < push or not ref:
+                eps = (pool[rng.integers(len(pool))] if rng.random() < share
+                       else float(rng.exponential()))
+                r = _rec(q=float(k), eps=eps)
                 st.push(r)
                 ref.append(r)
-            elif op < 0.85:
-                assert select_worst(st) is _select_scan(ref, order)
+            elif op < select:
+                assert select_worst(st) is _select_scan(ref)
             else:
-                before = st.excess_eps
-                evicted = _cap_scan(ref, cap)
+                want_q, want_eps = st.excess_q, st.excess_eps
+                for r in _cap_scan(ref, cap):
+                    want_q += r.q
+                    want_eps += r.eps
                 enforce_heap_cap(st, cap)
-                want = before
-                for r in evicted:
-                    want += r.eps
-                assert st.excess_eps == want
+                # evicted in the same order: the same float sums
+                assert st.excess_q == want_q
+                assert st.excess_eps == want_eps
             assert [id(r) for r in st.heap] == [id(r) for r in ref]
             assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
 
@@ -314,38 +324,6 @@ def test_heap_eps_exceeds_matches_the_sum():
                 seen.add("largest" if top > tau
                          else "sum" if want else "within")
     assert seen == {"largest", "sum", "within"}
-
-
-def test_heap_matches_list_scans_at_full_scale():
-    # caps up to the default 200 and long runs of mixed operations; eps
-    # mixes continuous draws with a pool of ties, signed zeros and inf
-    rng = np.random.default_rng(11)
-    pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"))
-    for cap in (2, 7, 50, 200):
-        st = AdaptiveState()
-        ref, order = [], {}
-        for k in range(2000):
-            op = rng.random()
-            if op < 0.55 or not ref:
-                eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
-                       else float(rng.exponential()))
-                r = _rec(q=float(k), eps=eps)
-                order[id(r)] = k
-                st.push(r)
-                ref.append(r)
-            elif op < 0.9:
-                assert select_worst(st) is _select_scan(ref, order)
-            else:
-                want_q, want_eps = st.excess_q, st.excess_eps
-                for r in _cap_scan(ref, cap):
-                    want_q += r.q
-                    want_eps += r.eps
-                enforce_heap_cap(st, cap)
-                # evicted in the same order: the same float sums
-                assert st.excess_q == want_q
-                assert st.excess_eps == want_eps
-            assert [id(r) for r in st.heap] == [id(r) for r in ref]
-            assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
 
 
 def test_order_holds_exactly_the_live_numeric_records_sorted():

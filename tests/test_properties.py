@@ -10,15 +10,10 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as hs
 
 from relquad import algorithms
-from relquad.algorithms import (
-    NaiveConfig,
-    RefinedConfig,
-    int_naive,
-    int_refined,
-    int_simpson_baseline,
-)
-from relquad.engine import EngineConfig, Status
+from relquad.algorithms import int_naive, int_refined, int_simpson_baseline
+from relquad.engine import Status
 from relquad.testlib import LK_FAMILIES, divergence_draw, lk_draw
+from budget import budget, most_evaluations
 
 INTEGRATORS = (int_naive, int_refined)
 
@@ -47,13 +42,12 @@ def test_power_of_two_scaling_is_exact(alg, case, k):
     assert (scaled.neval, scaled.status) == (base.neval, base.status)
 
 
-@pytest.mark.parametrize("alg, config", [(int_naive, NaiveConfig),
-                                          (int_refined, RefinedConfig)])
-def test_power_of_two_scaling_is_exact_far_from_one(alg, config):
+@pytest.mark.parametrize("alg", INTEGRATORS)
+def test_power_of_two_scaling_is_exact_far_from_one(alg):
     # at |k| >= 560 the squares of the scaled coefficients overflow or
     # underflow, and a plain norm turns eps into inf or 0; the budget makes
     # a run that never converges fail quickly
-    cfg = config(engine=EngineConfig(tau=1.0, max_neval=100_000))
+    cap = budget(alg, 100_000)
     for fid in range(1, 7):
         fam = LK_FAMILIES[fid - 1]
         a, b = fam.domain
@@ -61,10 +55,10 @@ def test_power_of_two_scaling_is_exact_far_from_one(alg, config):
             fn, exact = lk_draw(fam, seed)
             for tol in (1e-3, 1e-6):
                 tau = tol * abs(exact)
-                base = alg(fn, a, b, tau, cfg)
+                base = alg(fn, a, b, tau, **cap)
                 for k in (-700, -600, -560, 560, 600, 700):
                     s = 2.0 ** k
-                    r = alg(lambda x: s * fn(x), a, b, s * tau, cfg)
+                    r = alg(lambda x: s * fn(x), a, b, s * tau, **cap)
                     assert (r.q, r.eps, r.neval, r.status) == (
                         s * base.q, s * base.eps, base.neval, base.status)
 
@@ -112,11 +106,11 @@ def test_bounds_of_any_real_type_give_the_result_of_their_floats(alg, a, b):
         want.q.hex(), want.eps.hex(), want.neval, want.status)
 
 
-def _assert_sign_equivariant(alg, fn, a, b, tau, config=None):
+def _assert_sign_equivariant(alg, fn, a, b, tau, **cap):
     # negation is exact and rounding is symmetric in sign, so every step
     # on -f mirrors the one on f: q flips, the norms behind eps do not
-    pos = alg(fn, a, b, tau, config)
-    neg = alg(lambda x: -fn(x), a, b, tau, config)
+    pos = alg(fn, a, b, tau, **cap)
+    neg = alg(lambda x: -fn(x), a, b, tau, **cap)
     assert neg.q == -pos.q
     assert (neg.eps, neg.neval, neg.status) == (pos.eps, pos.neval, pos.status)
 
@@ -239,18 +233,15 @@ def test_shift_moves_q_within_the_reported_errors(alg, case, s):
     assert abs(moved.q - base.q) <= base.eps + moved.eps
 
 
-@pytest.mark.parametrize("alg, config", [
-    (int_naive, NaiveConfig(engine=EngineConfig(tau=1.0, max_neval=10_000))),
-    (int_refined, RefinedConfig(engine=EngineConfig(tau=1.0, max_neval=10_000))),
-])
+@pytest.mark.parametrize("alg", INTEGRATORS)
 @settings(max_examples=25, deadline=None)
 @given(k=hs.integers(1, 20), seed=hs.integers(0, 10 ** 6))
-def test_negated_singular_integrand_negates_q(alg, config, k, seed):
+def test_negated_singular_integrand_negates_q(alg, k, seed):
     # |x - lam|^alpha, alpha = -0.1 ... -2.0: masked nodes, floors, budget
     # stops and Divergent verdicts mirror too
     fn, exact = divergence_draw(-k / 10.0, seed)
     tau = 1e-6 * abs(exact) if exact is not None else 1e-6
-    _assert_sign_equivariant(alg, fn, 0.0, 1.0, tau, config)
+    _assert_sign_equivariant(alg, fn, 0.0, 1.0, tau, **budget(alg, 10_000))
 
 
 @pytest.mark.parametrize("alg, max_degree, neval", [
@@ -305,12 +296,6 @@ def _part(kind, s, c, p, lo, hi, x):
     return s * np.exp(p * (x - lo) / (hi - lo))  # "exp"
 
 
-#: a run stopped by its budget makes at most max(budget + step, start-up)
-#: evaluations
-BUDGET_BOUND = {int_naive: (21, 33), int_refined: (17, 11)}
-CONFIG = {int_naive: NaiveConfig, int_refined: RefinedConfig}
-
-
 @hs.composite
 def contract_cases(draw):
     lo = draw(hs.floats(-10.0, 10.0))
@@ -333,9 +318,9 @@ def contract_cases(draw):
     parts = draw(hs.lists(hs.tuples(part, hs.sampled_from((1.0, -1.0)),
                                     exponent), min_size=1, max_size=3))
     tol = 10.0 ** draw(hs.floats(-14.0, 0.0))
-    budget = draw(hs.sampled_from((None, 50, 500, 5_000)))
+    n = draw(hs.sampled_from((None, 50, 500, 5_000)))
     return ([(kind, sign * 10.0 ** e, c, p)
-             for (kind, c, p), sign, e in parts], lo, hi, tol, budget)
+             for (kind, c, p), sign, e in parts], lo, hi, tol, n)
 
 
 @pytest.mark.parametrize("alg", INTEGRATORS)
@@ -346,21 +331,19 @@ def test_the_contract_holds_on_random_sums_of_hard_parts(alg, case):
     # a finite q, eps >= 0, Converged only within tau, the budget's bound
     # and exact negation under reversed bounds; tau is relative to the
     # largest scale
-    parts, lo, hi, tol, budget = case
+    parts, lo, hi, tol, n = case
 
     def f(x):
         x = np.float64(x)
         return sum(_part(*part, lo, hi, x) for part in parts)
 
     tau = tol * max(abs(s) for _, s, _, _ in parts)
-    cfg = (None if budget is None
-           else CONFIG[alg](engine=EngineConfig(tau=1.0, max_neval=budget)))
-    fwd = alg(f, lo, hi, tau, cfg)
-    rev = alg(f, hi, lo, tau, cfg)
+    cap = {} if n is None else budget(alg, n)
+    fwd = alg(f, lo, hi, tau, **cap)
+    rev = alg(f, hi, lo, tau, **cap)
     assert math.isfinite(fwd.q) and fwd.eps >= 0.0
     assert fwd.status is not Status.CONVERGED or fwd.eps <= tau
-    if budget is not None:
-        step, startup = BUDGET_BOUND[alg]
-        assert fwd.neval <= max(budget + step, startup)
+    if n is not None:
+        assert fwd.neval <= most_evaluations(alg, n)
     assert rev.q == -fwd.q
     assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
