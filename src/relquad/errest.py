@@ -27,11 +27,6 @@ from relquad.interp import CoeffVector, SampleVector
 
 __all__ = ["RefinedEstimate", "norm", "naive_error", "refined_error"]
 
-# Below this, the Newton-vector difference in the denominator of the
-# derivative extraction is not divided by.  No run seen gets here, but the
-# Python float division diff_norm / 0.0 would raise out of the run.
-_DEGENERATE_DENOM = 1e-300
-
 # A finite sum of squares at least this large has no term that underflowed
 # enough to move its rounding, and its square root is the norm as it stands.
 _SQUARES_IN_RANGE = 2.0 ** -900
@@ -113,7 +108,10 @@ def refined_error(
         abs_pi, denom, b_norm = newton_terms(
             stencil.t_full[side], stencil.p_newton, b_child, parent.newton,
             parent.eff_degree)
-    if denom < _DEGENERATE_DENOM:
+    # denom is sqrt(d.dot(d)): 0.0 or at least sqrt(5e-324), unless NaN.  No
+    # run seen makes it 0.0, but the Python float division diff_norm / 0.0
+    # would raise out of the run.
+    if denom == 0.0:
         return RefinedEstimate(halfwidth * diff_norm, True)
     deriv = diff_norm / denom
 

@@ -202,10 +202,11 @@ def test_full_transform_moves_newton_vector():
                                rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", RULE_DEGREES)
+@pytest.mark.parametrize("n", range(1, MAX_RULE_DEGREE + 1))
 def test_refined_error_norm_fields_are_the_runtime_expressions(n):
     # bit for bit what refined_error computes for an unmasked child and
-    # parent, whose Newton vectors are both exactly b
+    # parent, whose Newton vectors are both exactly b, and what the
+    # newton_terms it calls when a fit is masked gives on those vectors
     st = build_stencil(n)
     newton = fit(sample(CountedFunction(np.exp), 0.0, 1.0, st), st).newton
     assert newton is st.b
@@ -222,16 +223,8 @@ def test_refined_error_norm_fields_are_the_runtime_expressions(n):
         assert denom.hex() == math.sqrt(d.dot(d)).hex()
         assert type(b_norm) is float
         assert b_norm.hex() == math.sqrt(newton.dot(newton)).hex()
-
-
-def test_newton_xfer_is_newton_terms_of_b():
-    # refined_error reads newton_xfer when neither fit is masked and calls
-    # newton_terms when one is: on unmasked Newton vectors the two agree
-    for n in range(1, MAX_RULE_DEGREE + 1):
-        st = get_stencil(n)
-        for side in (0, 1):
-            assert st.newton_xfer[side] == newton_terms(
-                st.t_full[side], st.p_newton, st.b, st.b, n)
+        assert st.newton_xfer[side] == newton_terms(
+            st.t_full[side], st.p_newton, newton, newton, n)
 
 
 @pytest.mark.parametrize("n", (2, 3, *RULE_DEGREES))

@@ -63,6 +63,11 @@ def test_should_drop_numerical_floor():
     assert should_drop(_rec(q=1.0, eps=0.0))
     # 1e-3 is far above 1 * eps_mach * cond(P) ~ 7.7e-15
     assert not should_drop(_rec(q=1.0, eps=1e-3))
+    # the floor itself is kept, and so is 1.5 times it; just below it drops
+    floor = 1.0 * np.finfo(float).eps * get_stencil(10).cond
+    assert not should_drop(_rec(q=1.0, eps=floor))
+    assert not should_drop(_rec(q=1.0, eps=1.5 * floor))
+    assert should_drop(_rec(q=1.0, eps=math.nextafter(floor, 0.0)))
 
 
 def test_should_drop_collapsed_interval():

@@ -501,8 +501,6 @@ def test_dot_products_equal_matmul_expressions(n):
         f[list(mask)] = 0.0
         sv = SampleVector(f=f, nan_mask=mask, values=f.tolist())
         cv = fit(sv, st)
-        # fit: P_inv.dot(f) is the first step of the reference's P_inv @ f
-        assert cv.c.tobytes() == _fit_by_downdate(sv, st)[0].tobytes()
         for side in (0, 1):
             c_xfer = transfer_to_child(cv, side)
             assert c_xfer.tobytes() == (st.t[side] @ cv.c).tobytes()

@@ -6,7 +6,10 @@ takes two positional arguments, ``divergence_update`` any).  A signature the
 tracer cannot absorb would otherwise show only in a traced benchmark run,
 and a wrapped name the library stops calling only as a ZeroDivisionError in
 ``benchmarks/run.py``'s ``per_layer``.
-The tracer is imported from ``benchmarks/`` as it is and not changed.
+The tracer is imported from ``benchmarks/`` as it is and not changed, and
+the wrapped names are read from its ``LAYER``: no test lists them again.
+``layer_calls`` is the one wrapper of those names; the bisection tests in
+``test_algorithms.py`` read the calls of whole runs through it.
 """
 
 import importlib
@@ -14,6 +17,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from relquad import algorithms, engine
 from relquad.algorithms import int_naive, int_refined
@@ -33,13 +37,21 @@ CASES = {
 }
 
 
+def _import_tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return importlib.import_module("tracing")
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return _import_tracing(monkeypatch)
+
+
 def _outcome(r):
     return r.q.hex(), r.eps.hex(), r.neval, r.status
 
 
-def test_traced_runs_match_untraced_runs(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCHMARKS))
-    tracing = importlib.import_module("tracing")
+def test_traced_runs_match_untraced_runs(tracing):
     want = {(alg, label): _outcome(integrate(f, a, b, tau))
             for alg, integrate in INTEGRATORS.items()
             for label, (f, a, b, tau, _) in CASES.items()}
@@ -72,3 +84,28 @@ def test_traced_runs_match_untraced_runs(monkeypatch):
     assert set(tracing.LAYER) <= spanned, set(tracing.LAYER) - spanned
     assert algorithms.enforce_heap_cap is engine.enforce_heap_cap
     assert algorithms.divergence_update is engine.divergence_update
+
+
+def layer_calls(monkeypatch, integrate, f, a, b, tau):
+    """(args, kwargs) of every call the run makes to each name the tracer
+    wraps, looked up, as the tracer looks it up, in relquad.algorithms."""
+    calls = {name: [] for name in _import_tracing(monkeypatch).LAYER}
+    for name, log in calls.items():
+        def wrapper(*args, _real=getattr(algorithms, name), _log=log, **kw):
+            _log.append((args, kw))
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(algorithms, name, wrapper)
+    integrate(f, a, b, tau)
+    return calls
+
+
+def test_one_bisection_calls_each_traced_layer_once_per_half(monkeypatch):
+    # e^x: the root fit and one forced split into two halves
+    calls = layer_calls(monkeypatch, int_refined, np.exp, 0.0, 1.0, 1e-10)
+    reuse = [len(kw.get("reuse") or ()) for _, kw in calls["sample"]]
+    assert reuse == [0, 2, 2]
+    for name in ("refined_error", "divergence_update", "transfer_to_child"):
+        assert len(calls[name]) == 2
+    assert len(calls["fit"]) == len(calls["integral"]) == 3
+
