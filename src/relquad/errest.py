@@ -76,7 +76,7 @@ def naive_error(hi: np.ndarray, lo: np.ndarray, halfwidth: float) -> float:
         d[: len(lo)] -= lo
     else:
         d = hi - lo[: len(hi)]
-    return float(halfwidth * norm(d))
+    return halfwidth * norm(d)
 
 
 def refined_error(

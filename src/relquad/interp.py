@@ -68,7 +68,8 @@ class CountedFunction:
 
 class SampleVector(NamedTuple):
     """Integrand values at stencil nodes: f with masked entries stored as 0,
-    and values, the list f was made from, with inf and NaN as evaluated."""
+    nan_mask the indices of those entries in ascending order, and values,
+    the list f was made from, with inf and NaN as evaluated."""
 
     f: np.ndarray
     nan_mask: tuple[int, ...]
@@ -157,7 +158,7 @@ def fit(samples: SampleVector, stencil: RuleStencil) -> CoeffVector:
         raise TooManyNonNumeric(f"{len(mask)} of {n + 1} nodes non-numeric")
     m = n
     b = stencil.b
-    for j in sorted(mask):
+    for j in mask:
         b = downdate_newton(b, stencil.nodes[j])
         c[: m + 1] -= (c[m] / b[m]) * b[: m + 1]
         c[m] = 0.0

@@ -71,33 +71,12 @@ def test_simpson_exact_on_quadratic():
     assert int_simpson_baseline(abs, -1.0, 1.0, 5e-324).neval == 9
 
 
-def test_integrand_scaling_equivariance():
-    fam = LK_FAMILIES[3 - 1]
-    fn, exact = fam.draw(0.3, 2.0)
-    base = int_refined(fn, 0.0, 1.0, 1e-8)
-    scaled = int_refined(lambda x: 64.0 * fn(x), 0.0, 1.0, 64.0 * 1e-8)
-    assert scaled.neval == base.neval
-    np.testing.assert_allclose(scaled.q, 64.0 * base.q, rtol=1e-15)
-    np.testing.assert_allclose(base.q, exact, rtol=1e-7)
-
-
 def test_divergent_integrand_is_flagged():
     fn = lambda x: x ** -1.5 if x > 0.0 else float("inf")
     for alg in (int_naive, int_refined):
         r = alg(fn, 0.0, 1.0, 1e-3)
         assert r.status is Status.DIVERGENT
         assert r.neval < 10_000
-
-
-def test_divergence_flag_sign_equivariant():
-    fn = lambda x: x ** -1.5 if x > 0.0 else float("inf")
-    neg = lambda x: -fn(x)
-    for alg in (int_naive, int_refined):
-        rp, rm = alg(fn, 0.0, 1.0, 1e-3), alg(neg, 0.0, 1.0, 1e-3)
-        assert rp.status is Status.DIVERGENT
-        assert rm.status is Status.DIVERGENT
-        assert rp.neval == rm.neval
-        np.testing.assert_allclose(rm.q, -rp.q, rtol=1e-15)
 
 
 def test_heap_cap_keeps_estimates_honest(monkeypatch):
@@ -385,28 +364,22 @@ PEAK_REF = 0.02 * math.atan(50.0)  # integral of _peak over [0, 1]
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
 def test_reversed_interval_negates(alg):
     # over [1, 0] int_naive and int_refined used to stop after the first fit
-    # with a negative eps and a wrong Converged (naive -0.05522, refined
-    # -0.03011)
-    fwd = alg(_peak, 0.0, 1.0, 1e-8)
-    rev = alg(_peak, 1.0, 0.0, 1e-8)
-    assert rev.q == -fwd.q
-    assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
+    # of the peak with a negative eps and a wrong Converged (naive -0.05522,
+    # refined -0.03011); Simpson used to recurse with negative widths, and
+    # on the kink_exp draw its eps differed from the forward run's in the
+    # last bits
+    fam = LK_FAMILIES[3 - 1]
+    kink, exact = lk_draw(fam, 0, 0)
+    for fn, (a, b), tau in ((kink, fam.domain, 1e-6 * abs(exact)),
+                            (_peak, (0.0, 1.0), 1e-8)):
+        fwd = alg(fn, a, b, tau)
+        rev = alg(fn, b, a, tau)
+        assert rev.q == -fwd.q
+        assert (rev.eps, rev.neval, rev.status) == (
+            fwd.eps, fwd.neval, fwd.status)
     assert rev.status is Status.CONVERGED
     assert 0.0 <= rev.eps <= 1e-8
     assert abs(rev.q + PEAK_REF) <= 1e-8
-
-
-def test_simpson_reversed_is_the_negated_forward_run():
-    # Simpson used to recurse over [1, 0] with negative widths, and on this
-    # kink_exp draw its eps differed from the forward run's in the last bits
-    fam = LK_FAMILIES[3 - 1]
-    fn, exact = lk_draw(fam, 0, 0)
-    a, b = fam.domain
-    tau = 1e-6 * abs(exact)
-    fwd = int_simpson_baseline(fn, a, b, tau)
-    rev = int_simpson_baseline(fn, b, a, tau)
-    assert rev.q == -fwd.q
-    assert (rev.eps, rev.neval, rev.status) == (fwd.eps, fwd.neval, fwd.status)
 
 
 @pytest.mark.parametrize("budget", (0, 4, 100))
@@ -416,6 +389,7 @@ def test_simpson_stopped_by_its_budget_has_no_error_bound(budget):
     res = int_simpson_baseline(math.exp, 0.0, 1.0, 1e-12, max_neval=budget)
     assert res.eps == math.inf
     assert res.status is Status.TOLERANCE_NOT_MET
+    assert res.neval <= most_evaluations(int_simpson_baseline, budget)
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
@@ -681,7 +655,6 @@ def test_split_pushes_both_halves_or_neither(side, neval, refined, n_par, n):
             _split(state, fn, rec, st, refined)
         assert len(state.heap) == 0 and len(state.eps) == 0
         assert fn.count == neval
-
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined))

@@ -225,9 +225,36 @@ def test_status_values():
     assert Status.DIVERGENT.value == "Divergent"
 
 
+def _walk(rng, cap, steps, pool, share, push, select=0.85, decades=0):
+    """A random walk of steps heap operations from an empty heap, each
+    (op, *args), made on a state as op(state, *args): a push of a new
+    record with probability push, else select_worst with probability
+    select - push, else enforce_heap_cap at cap; as in _drive, a selection
+    only of a live record.  A record's q is its push number; its eps is
+    drawn from pool with probability share, else from an exponential times
+    10^j, j uniform in -decades ... decades."""
+    live = pushes = 0
+    for _ in range(steps):
+        op = rng.random()
+        if op < push or not live:
+            scale = (10.0 ** int(rng.integers(-decades, decades + 1))
+                     if decades else 1.0)
+            eps = (pool[rng.integers(len(pool))] if rng.random() < share
+                   else float(rng.exponential()) * scale)
+            yield AdaptiveState.push, _rec(q=float(pushes), eps=eps)
+            pushes += 1
+            live += 1
+        elif op < select:
+            live -= 1
+            yield (select_worst,)
+        else:
+            live = min(live, cap)
+            yield enforce_heap_cap, cap
+
+
 def _select_scan(heap):
     """The record-attribute scan select_worst replaced, on records whose q
-    is their insertion number."""
+    is their push number."""
     best = 0
     for i in range(1, len(heap)):
         r = heap[i]
@@ -257,23 +284,14 @@ def _cap_scan(heap, cap):
 ], ids=("small", "full"))
 def test_heap_oracle_matches_list_scans(seed, pool, share, caps, steps, push,
                                         select):
-    # pushes, selections and evictions interleave at random, and a
-    # selection, as in _drive, needs a record
     rng = np.random.default_rng(seed)
     for cap in caps:
         st = AdaptiveState()
         ref = []
-        for k in range(steps):
-            op = rng.random()
-            if op < push or not ref:
-                eps = (pool[rng.integers(len(pool))] if rng.random() < share
-                       else float(rng.exponential()))
-                r = _rec(q=float(k), eps=eps)
-                st.push(r)
-                ref.append(r)
-            elif op < select:
+        for op, *args in _walk(rng, cap, steps, pool, share, push, select):
+            if op is select_worst:
                 assert select_worst(st) is _select_scan(ref)
-            else:
+            elif op is enforce_heap_cap:
                 want_q, want_eps = st.excess_q, st.excess_eps
                 for r in _cap_scan(ref, cap):
                     want_q += r.q
@@ -282,6 +300,9 @@ def test_heap_oracle_matches_list_scans(seed, pool, share, caps, steps, push,
                 # evicted in the same order: the same float sums
                 assert st.excess_q == want_q
                 assert st.excess_eps == want_eps
+            else:
+                st.push(*args)
+                ref.extend(args)
             assert [id(r) for r in st.heap] == [id(r) for r in ref]
             assert [id(e) for e in st.eps] == [id(r.eps) for r in ref]
 
@@ -305,20 +326,9 @@ def test_heap_eps_exceeds_matches_the_sum():
     seen = set()
     for cap in (2, 7, 50, 200):
         st, twin = AdaptiveState(), AdaptiveState()
-        for k in range(1500):
-            op = rng.random()
-            if op < 0.55 or not st.eps:
-                scale = 10.0 ** int(rng.integers(-3, 4))
-                eps = (pool[rng.integers(len(pool))] if rng.random() < 0.3
-                       else float(rng.exponential()) * scale)
-                st.push(_rec(q=float(k), eps=eps))
-                twin.push(_rec(q=float(k), eps=eps))
-            elif op < 0.85:
-                assert select_worst(st).q == select_worst(twin).q
-            else:
-                enforce_heap_cap(st, cap)
-                enforce_heap_cap(twin, cap)
-            assert [r.q for r in st.heap] == [r.q for r in twin.heap]
+        for op, *args in _walk(rng, cap, 1500, pool, 0.3, 0.55, decades=3):
+            assert op(st, *args) is op(twin, *args)
+            assert [id(r) for r in st.heap] == [id(r) for r in twin.heap]
             total = st.heap_eps()
             top = max(st.eps, default=0.0)
             taus = [float(t) for v in (total, top) if 0.0 < v < math.inf
@@ -339,19 +349,8 @@ def test_order_holds_exactly_the_live_numeric_records_sorted():
     pool = (0.0, -0.0, 1.0, 2.0, 2.0, float("inf"))
     for cap in (2, 3, 7, 50, 200):
         st = AdaptiveState()
-        pushes = 0
-        for _ in range(2000):
-            op = rng.random()
-            if op < 0.6 or not st.eps:
-                eps = (pool[rng.integers(len(pool))] if rng.random() < 0.4
-                       else float(rng.exponential()))
-                # each record carries its push number as its q
-                st.push(_rec(q=float(pushes), eps=eps))
-                pushes += 1
-            elif op < 0.85:
-                select_worst(st)
-            else:
-                enforce_heap_cap(st, cap)
+        for op, *args in _walk(rng, cap, 2000, pool, 0.4, 0.6):
+            op(st, *args)
             want = sorted((r.eps, -int(r.q)) for r in st.heap)
             assert ([(e.hex(), k) for e, k in st._order]
                     == [(e.hex(), k) for e, k in want])

@@ -12,8 +12,9 @@ seed, workload, case, integrator, q.hex(), eps.hex(), neval, status.  It
 first prints the ``edges`` rows, seed ``-``, once: the cases of ``EDGES``
 (non-numeric and overflowing values, a pole, reversed, empty and float32
 bounds, a smooth integrand dropped at its noise floor, runs stopped by a
-small budget, an lk draw at a tolerance below its noise floor, and a
-singular draw whose status hangs on the loop's test),
+small budget, an lk draw at a tolerance below its noise floor, a
+singular draw whose status hangs on the loop's test, and an interval 16
+ulps wide),
 each at its own tau and budget, which the benchmark cases never reach,
 and then once more through int_simpson_baseline, at the same tau and
 with ``max_neval`` the same budget (integrator ``simpson``).
@@ -112,6 +113,11 @@ EDGES = (
     # bounds that are not Python floats: the run is that of their float
     # values, and q and eps are floats
     ("exp_float32", np.exp, np.float32(0.1), np.float32(0.7), 1e-12, 10_000),
+    # [1, 1 + 16 ulps]: should_drop retires int_refined's start-up record,
+    # whose degree-10 nodes collide, while it still carries the largest
+    # float, so the run ends ToleranceNotMet after 11 evaluations;
+    # int_naive converges after 33
+    ("exp_16ulp", np.exp, 1.0, 1.0 + 16 * 2.0 ** -52, 1e-12, 10_000),
 )
 
 
