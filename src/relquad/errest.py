@@ -10,9 +10,9 @@ error — and that constant times the Newton polynomial's norm is a direct
 model of the actual error.  Because the extraction assumes an (n+1)-times
 differentiable integrand, a pointwise test checks that the parent's
 interpolant really does predict the sampled child values to within
-theta1 * deriv * |pi_parent|; where it does not (kinks, jumps, noise), the
-refined model is abandoned for the plain difference norm and the estimate is
-flagged as a fallback.
+theta1 * deriv * |pi_parent|.  The first node where it does not (kinks,
+jumps, noise, or a residual or slack that is NaN) abandons the refined model
+for the plain difference norm, and the estimate is flagged as a fallback.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ def norm(v: np.ndarray) -> float:
     overflows nor comes near underflow.  Otherwise the same is computed on
     v scaled by the power of two that brings its largest entry into
     [0.5, 1), which rounds nothing, and scaled back.  A zero vector, or one
-    with an inf or NaN entry, gives 0, inf or NaN as the plain dot does.
+    with an inf or NaN entry, has a largest entry whose math.frexp exponent
+    is 0, so its scaled path is the plain root: 0, inf or NaN.
     """
     s = v.dot(v)
     if _SQUARES_IN_RANGE <= s < math.inf:
         return math.sqrt(s)
-    m = float(np.abs(v).max())
-    if not 0.0 < m < math.inf:
-        return math.sqrt(s)
-    e = math.frexp(m)[1]
+    e = math.frexp(float(np.abs(v).max()))[1]
     w = np.ldexp(v, -e)
     # two factors, so that neither power of two overflows: only the last
     # product can round, and only when the norm itself is out of range
@@ -96,7 +94,9 @@ def refined_error(
     c_parent_xfer the coefficients of that fit moved onto the child
     (``interp.transfer_to_child``).  The Newton terms are
     ``basis.newton_terms`` of the two fits' Newton vectors; when neither fit
-    is masked they depend on no data, and the stencil holds them.
+    is masked they depend on no data, and the stencil holds them.  The first
+    unmasked interior node whose residual is not within its slack, NaN
+    included, makes the estimate the fallback.
     """
     stencil = c_child.stencil
     b_child = c_child.newton
@@ -115,8 +115,8 @@ def refined_error(
         return RefinedEstimate(halfwidth * diff_norm, True)
     deriv = diff_norm / denom
 
-    # The margin |P c_xfer - f| - theta1 * deriv * |pi| node by node, in
-    # floats; the matrix product stays in numpy, whose BLAS fixes its bits.
+    # |P c_xfer - f| against theta1 * deriv * |pi| node by node, in floats;
+    # the matrix product stays in numpy, whose BLAS fixes its bits.
     pred = stencil.P.dot(c_parent_xfer).tolist()
     f = samples.values
     slack = theta1 * deriv
@@ -125,20 +125,10 @@ def refined_error(
     # and midpoint of the parent interval), where the parent interpolant
     # reproduces the reused sample values identically and its Newton
     # polynomial vanishes: residual and slack are both exactly zero there in
-    # exact arithmetic, so including them would make the > 0 comparison a
-    # coin flip between rounding residues.  Skip them along with any masked
+    # exact arithmetic, so including them would make the comparison a coin
+    # flip between rounding residues.  Skip them along with any masked
     # (non-numeric) nodes, which carry no value to disagree with.
-    fallback = False
     for i in range(1, len(f) - 1):
-        if i in mask:
-            continue
-        margin = abs(pred[i] - f[i]) - slack * abs_pi[i]
-        if margin > 0.0:
-            fallback = True
-        elif margin != margin:
-            # the verdict of the largest margin, which a NaN makes NaN
-            fallback = False
-            break
-    if fallback:
-        return RefinedEstimate(halfwidth * diff_norm, True)
+        if i not in mask and not (abs(pred[i] - f[i]) <= slack * abs_pi[i]):
+            return RefinedEstimate(halfwidth * diff_norm, True)
     return RefinedEstimate(halfwidth * deriv * b_norm, False)

@@ -69,6 +69,10 @@ def test_simpson_exact_on_quadratic():
     assert r.neval == 205
     # the halves of |x| are exact, err = 0, at a tol halved to 0.0
     assert int_simpson_baseline(abs, -1.0, 1.0, 5e-324).neval == 9
+    # an eps exactly at tau converges: e^x after one step, at its own eps
+    r = int_simpson_baseline(np.exp, 0.0, 1.0, 1e-3)
+    assert (r.status, r.neval) == (Status.CONVERGED, 5)
+    assert int_simpson_baseline(np.exp, 0.0, 1.0, r.eps) == r
 
 
 def test_divergent_integrand_is_flagged():

@@ -242,8 +242,6 @@ def test_degenerate_denominator_falls_back():
 def test_masked_nodes_excluded_from_pointwise_test():
     # a value at a masked node is not a function value: a residual of 5.0
     # there must not trip the fallback when every real node is fine
-    from relquad.interp import SampleVector
-
     c_child = parent = _zero_fit()
     c_xfer = transfer_to_child(parent, 0)
     f = np.zeros(11)
@@ -255,14 +253,20 @@ def test_masked_nodes_excluded_from_pointwise_test():
     sv2 = SampleVector(f=f, nan_mask=(), values=f.tolist())
     est2 = refined_error(c_child, c_xfer, sv2, parent, 0, THETA1, 0.5)
     assert est2.used_fallback
+    # and so does an unmasked NaN, whose residual is not within its slack
+    f[3] = math.nan
+    sv3 = SampleVector(f=f, nan_mask=(), values=f.tolist())
+    est3 = refined_error(c_child, c_xfer, sv3, parent, 0, THETA1, 0.5)
+    assert est3.used_fallback
 
 
 def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
                                          parent, side, stencil, theta1,
                                          halfwidth):
     """refined_error as it was written before the stencil held |pi_xfer|,
-    the Newton distance and ||b||, with .max() as the margin test: the
-    reference for its fast path.  Returns (eps, fallback)."""
+    the Newton distance and ||b||, with one vector comparison as the
+    pointwise test: the reference for its fast path.  Returns (eps,
+    fallback)."""
     if parent.eff_degree < stencil.n:
         b_xfer = 2.0 ** (parent.eff_degree + 1) * (
             stencil.t_full[side] @ parent.newton)
@@ -279,14 +283,8 @@ def _refined_error_without_stencil_norms(c_child, c_parent_xfer, samples,
     deriv = diff_norm / denom
     resid = np.abs(stencil.P @ c_parent_xfer - samples.f)
     slack = theta1 * deriv * np.abs(pi_xfer)
-    margin = resid - slack
-    if samples.nan_mask:
-        skip = set(samples.nan_mask)
-        skip.update((0, margin.size - 1))
-        margin = np.delete(margin, sorted(skip))
-    else:
-        margin = margin[1:-1]
-    if margin.size and margin.max() > 0.0:
+    skip = sorted({0, resid.size - 1, *samples.nan_mask})
+    if not (np.delete(resid, skip) <= np.delete(slack, skip)).all():
         return (halfwidth * diff_norm, True)
     eps = halfwidth * deriv * math.sqrt(b_child.dot(b_child))
     return (eps, False)
