@@ -2,10 +2,10 @@
 
 ``_call`` owns the call contract of all three (tau and bounds checks, one
 number type, empty and reversed bounds, evaluation count).  ``int_naive``
-and ``int_refined`` are each a start-up, which fits [a, b] once, and a
-step, which refines the worst interval; ``_drive`` is the loop that runs
-both (heap, floors, cap, budget, divergence count).  Both bisect with
-``_split``.
+and ``int_refined`` are each a start-up, which pushes the first records of
+[a, b], and a step, which refines the worst interval; ``_drive`` is the
+loop that runs both (heap, floors, cap, budget, divergence count).  Both
+bisect with ``_split``.
 
 ``int_naive`` is doubly adaptive: its step raises the worst interval one
 rung of the ladder 4/8/16/32 (``_raise``), reusing nested node values, and
@@ -139,9 +139,9 @@ def _drive(fn: CountedFunction, a: float, b: float, tau: float,
            config: NaiveConfig | RefinedConfig | None, start,
            refine) -> tuple[float, float, Status]:
     """The adaptive loop of both integrators over a < b, returning q, eps
-    and the status; the two differ only in ``start(fn, a, b)``, returning
-    the start-up record of [a, b], and ``refine(fn, state, rec)``, pushing
-    the refinement of the popped record rec.
+    and the status; the two differ only in ``start(fn, state, a, b)``,
+    pushing the start-up records of [a, b], and ``refine(fn, state, rec)``,
+    pushing the refinement of the popped record rec.
 
     The loop refines the worst interval while the heap's error is above tau
     and the error retired into excess is not, until the budget,
@@ -149,7 +149,7 @@ def _drive(fn: CountedFunction, a: float, b: float, tau: float,
     is checked before each step, so a run makes at most max_neval - 1 plus
     one step's fresh evaluations, or the start-up's if more: max(max_neval
     + 21, 33) for int_naive (a raise from 16 to 32, then a split at degree
-    4) and max(max_neval + 17, 11) for int_refined (a split at degree 10).
+    4) and max(max_neval + 17, 29) for int_refined (a split at degree 10).
 
     The returned eps is excess + heap, so once the excess alone is above
     tau no further step can make the run Converged: the run stops at the
@@ -161,21 +161,19 @@ def _drive(fn: CountedFunction, a: float, b: float, tau: float,
     those steps.
 
     A fit is unusable if it has too few numeric values or its q or eps is
-    not finite (``_check_usable``).  An unusable start-up fit ends the run
-    at once with q = 0, eps = inf and ToleranceNotMet.  A refinement that
-    meets one, or a divergence verdict, pushes nothing; rec is then retired
-    into excess with its own q and eps, which are finite.  The run then
-    cannot return Converged, and on a verdict it stops at once with
-    Divergent."""
+    not finite (``_check_usable``).  An unusable start-up fit, int_refined's
+    first halves included, ends the run at once with q = 0, eps = inf and
+    ToleranceNotMet.  A refinement that meets one, or a divergence verdict,
+    pushes nothing; rec is then retired into excess with its own q and eps,
+    which are finite.  The run then cannot return Converged, and on a
+    verdict it stops at once with Divergent."""
     engine = None if config is None else config.engine
     max_neval = None if engine is None else engine.max_neval
+    state = AdaptiveState()
     try:
-        root = start(fn, a, b)
-        _check_usable(root.q, root.eps)
+        start(fn, state, a, b)
     except TooManyNonNumeric:
         return 0.0, math.inf, Status.TOLERANCE_NOT_MET
-    state = AdaptiveState()
-    state.push(root)
     status = None
     while (state.excess_eps <= tau and state.heap_eps_exceeds(tau)
            and (max_neval is None or fn.count < max_neval)):
@@ -262,14 +260,15 @@ def _raise(fn: CountedFunction, rec: IntervalRecord) -> float:
     return diff
 
 
-def _naive_start(fn: CountedFunction, a: float, b: float) -> IntervalRecord:
-    """A degree-16 fit raised once; its q, eps and q_base are the raise's."""
+def _naive_start(fn: CountedFunction, state: AdaptiveState, a: float,
+                 b: float) -> None:
+    """Push a degree-16 fit raised once; q, eps and q_base are the raise's."""
     st = get_stencil(N_TOP // 2)
     sv = sample(fn, a, b, st)
     rec = IntervalRecord(a, b, sv, fit(sv, st), q=0.0, eps=0.0, q_base=0.0)
     _raise(fn, rec)
     rec.q_base = rec.q
-    return rec
+    state.push(rec)
 
 
 def _naive_refine(fn: CountedFunction, state: AdaptiveState,
@@ -294,15 +293,18 @@ def int_naive(integrand, a: float, b: float, tau: float,
 # refined integrator (fixed degree, derivative-extracting estimate)
 # ---------------------------------------------------------------------------
 
-def _refined_start(fn: CountedFunction, a: float, b: float) -> IntervalRecord:
-    """One fit at degree N_REFINED, charged the largest float: the record
-    has no estimate of its own, and must be split."""
+def _refined_start(fn: CountedFunction, state: AdaptiveState, a: float,
+                   b: float) -> None:
+    """Fit [a, b] at degree N_REFINED, check its q, and push its two halves:
+    a half's estimate is made from its parent's fit, so [a, b] has none of
+    its own and is never pushed."""
     st = get_stencil(N_REFINED)
     sv = sample(fn, a, b, st)
     cv = fit(sv, st)
     q0 = integral(cv, a, b)
-    return IntervalRecord(a=a, b=b, samples=sv, coeffs=cv, q=q0, q_base=q0,
-                          eps=float(np.finfo(float).max))
+    _check_usable(q0, 0.0)
+    _split(state, fn, IntervalRecord(a, b, sv, cv, q=q0, eps=math.nan,
+                                     q_base=q0), st, True)
 
 
 def _refined_refine(fn: CountedFunction, state: AdaptiveState,
@@ -386,7 +388,7 @@ def divergence_ratio_probe(alpha: float) -> tuple[float, float]:
     def left_child_estimate(a0: float, b0: float) -> tuple[float, float]:
         fn = CountedFunction(lambda x: np.power(x, alpha))
         state = AdaptiveState()
-        _refined_refine(fn, state, _refined_start(fn, a0, b0))
+        _refined_start(fn, state, a0, b0)
         left = next(iter(state.heap))
         return left.eps, left.q
 

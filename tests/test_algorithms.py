@@ -35,13 +35,12 @@ from relquad.interp import (
 from relquad.testlib import BATTERY, LK_FAMILIES, lk_draw
 from budget import budget, most_evaluations
 from staircase import waldvogel_family_draw
-from test_tracing import layer_calls
 
 
 def test_exp_costs_match_the_rule_sizes():
-    # e^x converges straight from the initial fits: the doubly adaptive
+    # e^x converges straight from the start-up: the doubly adaptive
     # integrator spends exactly its 33 startup samples, the bisecting one
-    # its 11 startup samples plus one precautionary split (2 x 9 fresh)
+    # its 11 startup samples plus its first split's (2 x 9 fresh)
     for alg, neval, rtol in ((int_naive, 33, 1e-14), (int_refined, 29, 1e-13)):
         r = alg(np.exp, 0.0, 1.0, 1e-10)
         assert r.status is Status.CONVERGED
@@ -100,8 +99,8 @@ def test_heap_cap_keeps_estimates_honest(monkeypatch):
         assert abs(capped.q - free.q) <= capped.eps + free.eps
 
 
-# values near the largest float overflow the fit: the step's start-up fit
-# for int_naive and its first split for int_refined; the spike's in the
+# values near the largest float overflow the fit: the step's at the
+# start-up (for int_refined, a half of its first split); the spike's in the
 # middle of a run at cap 200, and not at all at caps 2 and 3
 OVERFLOWING = {
     "step": lambda x: 1.7e308 if x > 0.5 else -1.7e308,
@@ -133,22 +132,54 @@ def test_a_nan_estimate_is_never_popped_and_ends_the_run(monkeypatch, label,
 
 
 def test_an_overflowing_start_up_fit_ends_the_run():
-    # int_naive's degree-32 start-up fit of the step overflows (its eps is
-    # NaN): the run ends as for a start-up fit with too few numeric values
-    r = int_naive(OVERFLOWING["step"], 0.0, 1.0, 1e-6)
-    assert (r.q, r.eps, r.neval, r.status) == (
-        0.0, math.inf, 33, Status.TOLERANCE_NOT_MET)
+    # on the step, int_naive's degree-32 start-up fit overflows (its eps is
+    # NaN), and so does the left half of int_refined's first split, whose
+    # right half is never sampled (11 + 9 evaluations): the run ends as for
+    # a start-up fit with too few numeric values.  1e306 on [0, 300] has an
+    # integral of 3e308 while each half's is finite: int_refined's fit of
+    # [a, b] overflows before its first split (11 evaluations), where
+    # pushing both halves would return q = inf
+    for alg, f, b, neval in ((int_naive, OVERFLOWING["step"], 1.0, 33),
+                             (int_refined, OVERFLOWING["step"], 1.0, 20),
+                             (int_naive, lambda x: 1e306, 300.0, 33),
+                             (int_refined, lambda x: 1e306, 300.0, 11)):
+        r = alg(f, 0.0, b, 1e-6)
+        assert (r.q, r.eps, r.neval, r.status) == (
+            0.0, math.inf, neval, Status.TOLERANCE_NOT_MET)
 
 
-def test_an_overflowing_half_retires_the_interval_being_split():
-    # int_refined's start-up fit of the step is finite and its left half's
-    # overflows: neither half is pushed, the right half is never sampled
-    # (11 + 9 evaluations), and [0, 1] is retired with its start-up q and
-    # its charge of the largest float
-    r = int_refined(OVERFLOWING["step"], 0.0, 1.0, 1e-6)
-    assert math.isfinite(r.q)
-    assert (r.eps, r.neval, r.status) == (
-        float(np.finfo(float).max), 20, Status.TOLERANCE_NOT_MET)
+def test_an_overflowing_half_retires_the_interval_being_split(monkeypatch):
+    # int_refined meets the spike after its start-up: a half of the interval
+    # being split overflows, neither half is pushed, and that interval is
+    # retired once with its own finite q and eps, which put the excess past
+    # tau and end the run
+    retired = []
+
+    def accumulate(state, rec, _real=algorithms.accumulate_excess):
+        retired.append(rec)
+        _real(state, rec)
+
+    monkeypatch.setattr(algorithms, "accumulate_excess", accumulate)
+    r = int_refined(OVERFLOWING["spike"], 0.0, 1.0, 1e-6)
+    (rec,) = retired
+    assert rec.a < 0.31 and rec.b > 0.3
+    assert math.isfinite(rec.q) and 1e-6 < rec.eps < math.inf
+    assert math.isfinite(r.q) and rec.eps <= r.eps < math.inf
+    assert (r.neval, r.status) == (119, Status.TOLERANCE_NOT_MET)
+
+
+def test_an_interval_a_few_ulps_wide_converges():
+    # e^x on [1, 1 + k ulps]: int_refined used to push its fit of the whole
+    # interval with no estimate of its own, which should_drop retired (its
+    # nodes collide), and end ToleranceNotMet after 11 evaluations; the
+    # halves its start-up pushes carry their own, far within tau
+    tau = 1e-12
+    for k in (1, 2, 4, 8, 16):
+        b = 1.0 + k * 2.0 ** -52
+        for alg, neval in ((int_naive, 33), (int_refined, 29)):
+            r = alg(np.exp, 1.0, b, tau)
+            assert (r.neval, r.status) == (neval, Status.CONVERGED)
+            assert abs(r.q - math.e * math.expm1(b - 1.0)) <= tau
 
 
 def test_an_overflowing_ladder_raise_leaves_the_interval_as_it_was():
@@ -185,7 +216,8 @@ def test_budget_stops_promptly_with_honest_status():
 ABS_POWER = lk_draw(LK_FAMILIES[0], 0, 0)[0]
 
 
-# budgets at which a step takes the draw's run to the bound: evaluations
+# budgets at which a step, or int_refined's start-up at 12, takes the
+# draw's run to the bound: evaluations
 AT_BOUND = {int_naive: {70: 91}, int_refined: {12: 29, 30: 47, 48: 65}}
 
 
@@ -501,6 +533,15 @@ def test_startup_fit_that_cannot_be_made_returns(alg, neval, integrand):
         0.0, math.inf, neval, Status.TOLERANCE_NOT_MET)
 
 
+def test_startup_half_that_cannot_be_fitted_returns():
+    # int_refined's start-up ends with its first split: every node right of
+    # 0.5 is NaN, the right half cannot be fitted, and the run ends as for
+    # a start-up fit that cannot be made, after 11 + 2 x 9 evaluations
+    res = int_refined(lambda x: math.nan if x > 0.5 else x, 0.0, 1.0, 1e-6)
+    assert (res.q, res.eps, res.neval, res.status) == (
+        0.0, math.inf, 29, Status.TOLERANCE_NOT_MET)
+
+
 def test_startup_lower_fit_that_cannot_be_made_returns():
     # numeric at odd nodes of the 33-point rule only: the degree-32 fit could
     # be made, the degree-16 fit on the even nodes cannot, and the run ends
@@ -659,46 +700,6 @@ def test_split_pushes_both_halves_or_neither(side, neval, refined, n_par, n):
             _split(state, fn, rec, st, refined)
         assert len(state.heap) == 0 and len(state.eps) == 0
         assert fn.count == neval
-
-
-@pytest.mark.parametrize("alg", (int_naive, int_refined))
-def test_every_bisection_goes_through_the_traced_names(monkeypatch, alg):
-    # a sample call with two reused values is one half of a bisection; each
-    # half also passes divergence_update and transfer_to_child, and a
-    # refined half refined_error.  Other sample calls are the start-up fit
-    # (no reuse) and int_naive's degree raises (more than two reused).
-    calls = layer_calls(monkeypatch, alg, _peak, 0.0, 1.0, 1e-8)
-    reuse = [len(kw.get("reuse") or ()) for _, kw in calls["sample"]]
-    halves = reuse.count(2)
-    assert halves > 0 and halves % 2 == 0
-    assert all(n == 0 or n == 2 or n > 4 for n in reuse)
-    assert len(calls["divergence_update"]) == halves
-    assert len(calls["transfer_to_child"]) == halves
-    refined = halves if alg is int_refined else 0
-    assert len(calls["refined_error"]) == refined
-    assert all(log for name, log in calls.items() if name != "refined_error")
-
-
-@pytest.mark.parametrize("alg", (int_naive, int_refined))
-def test_sample_reuse_shapes_are_what_the_tracer_counts(monkeypatch, alg):
-    # benchmarks/tracing.py counts a sample call with 2 reused values as a
-    # bisection half and one with more as a ladder raise, by len(reuse) and
-    # the truth of reuse (which an ndarray would not give)
-    calls = layer_calls(monkeypatch, alg, _peak, 0.0, 1.0, 1e-8)
-    halves = raises = 0
-    for args, kw in calls["sample"]:
-        reuse = kw.get("reuse")
-        if reuse is None:
-            continue
-        assert type(reuse) in (list, tuple)
-        assert all(type(v) is float for v in reuse)
-        if len(reuse) == 2:
-            halves += 1
-        else:
-            assert len(reuse) == args[3].n // 2 + 1 > 2
-            raises += 1
-    assert halves > 0 and halves % 2 == 0
-    assert (raises > 0) == (alg is int_naive)
 
 
 # the pole of |x - LAM|^alpha (lk family abs_power) in a draw of the

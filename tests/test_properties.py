@@ -178,14 +178,24 @@ def _assert_retired_exactly(r, intervals, a, b,
     assert r.status is status
 
 
+# every node right of c is NaN: a half there cannot be fitted, which used
+# to raise TooManyNonNumeric out of both integrators.  int_refined meets
+# c = 0.5 in its start-up's split (test_algorithms.py's
+# test_startup_half_that_cannot_be_fitted_returns), and c = 0.75 once it
+# splits [0.5, 1]
+NAN_RIGHT_OF = {
+    int_naive: (lambda x: math.nan if x > 0.5 else x, 39),
+    int_refined: (lambda x: math.nan if x > 0.75 else 1.0 / (1.0 + 25 * x * x),
+                  47),
+}
+
+
 @pytest.mark.parametrize("alg", INTEGRATORS)
 def test_nan_on_a_subinterval_is_retired_not_raised(monkeypatch, alg):
-    # every node right of 0.5 is NaN: a half there cannot be fitted, which
-    # used to raise TooManyNonNumeric out of both integrators
-    r, intervals = _final_intervals(
-        monkeypatch, alg, lambda x: math.nan if x > 0.5 else x, 0.0, 1.0,
-        1e-6)
+    fn, neval = NAN_RIGHT_OF[alg]
+    r, intervals = _final_intervals(monkeypatch, alg, fn, 0.0, 1.0, 1e-6)
     _assert_retired_exactly(r, intervals, 0.0, 1.0)
+    assert r.neval == neval
 
 
 @pytest.mark.parametrize("tol", (1e-3, 1e-6))
@@ -241,7 +251,7 @@ def test_negated_singular_integrand_negates_q(alg, k, seed):
 
 @pytest.mark.parametrize("alg, max_degree, neval", [
     (int_naive, 16, 33),   # the degree-32 and degree-16 startup fits agree
-    (int_refined, 10, 29),  # 11 startup nodes, one forced split (2 x 9 new)
+    (int_refined, 10, 29),  # 11 startup nodes, its first split (2 x 9 new)
 ])
 @settings(max_examples=100, deadline=None)
 @given(data=hs.data(), a=hs.floats(-5.0, 5.0), width=hs.floats(0.125, 8.0))

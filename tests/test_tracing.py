@@ -8,8 +8,7 @@ and a wrapped name the library stops calling only as a ZeroDivisionError in
 ``benchmarks/run.py``'s ``per_layer``.
 The tracer is imported from ``benchmarks/`` as it is and not changed, and
 the wrapped names are read from its ``LAYER``: no test lists them again.
-``layer_calls`` is the one wrapper of those names; the bisection tests in
-``test_algorithms.py`` read the calls of whole runs through it.
+``layer_calls`` is the one wrapper of those names.
 """
 
 import importlib
@@ -101,7 +100,7 @@ def layer_calls(monkeypatch, integrate, f, a, b, tau):
 
 
 def test_one_bisection_calls_each_traced_layer_once_per_half(monkeypatch):
-    # e^x: the root fit and one forced split into two halves
+    # e^x: the start-up, a fit of [0, 1] and its split into two halves
     calls = layer_calls(monkeypatch, int_refined, np.exp, 0.0, 1.0, 1e-10)
     reuse = [len(kw.get("reuse") or ()) for _, kw in calls["sample"]]
     assert reuse == [0, 2, 2]
@@ -109,3 +108,34 @@ def test_one_bisection_calls_each_traced_layer_once_per_half(monkeypatch):
         assert len(calls[name]) == 2
     assert len(calls["fit"]) == len(calls["integral"]) == 3
 
+
+@pytest.mark.parametrize("alg", (int_naive, int_refined))
+def test_every_bisection_goes_through_the_traced_names(monkeypatch, alg):
+    # one traced run on a 1e-4-wide peak.  The tracer counts a sample call
+    # with 2 reused values as a bisection half and one with more as a
+    # ladder raise, by len(reuse) and the truth of reuse (which an ndarray
+    # would not give); a start-up fit reuses none.  Each half also passes
+    # divergence_update and transfer_to_child, and a refined half
+    # refined_error.
+    calls = layer_calls(monkeypatch, alg,
+                        lambda x: 1e-4 / ((x - 0.5) ** 2 + 1e-4), 0.0, 1.0,
+                        1e-8)
+    halves = raises = 0
+    for args, kw in calls["sample"]:
+        reuse = kw.get("reuse")
+        if reuse is None:
+            continue
+        assert type(reuse) in (list, tuple)
+        assert all(type(v) is float for v in reuse)
+        if len(reuse) == 2:
+            halves += 1
+        else:
+            assert len(reuse) == args[3].n // 2 + 1 > 4
+            raises += 1
+    assert halves > 0 and halves % 2 == 0
+    assert (raises > 0) == (alg is int_naive)
+    assert len(calls["divergence_update"]) == halves
+    assert len(calls["transfer_to_child"]) == halves
+    refined = halves if alg is int_refined else 0
+    assert len(calls["refined_error"]) == refined
+    assert all(log for name, log in calls.items() if name != "refined_error")

@@ -95,9 +95,11 @@ EDGES = (
                                   else 1.0 / (1.0 + 25.0 * x * x)), -1.0, 1.0,
      1e-6, 10_000),
     # stopped by the budget at the largest overrun a step can make: int_naive
-    # at 70 (91 evaluations), int_refined at 12 (29); and over [1, 0]
+    # at 70 (91 evaluations), int_refined at 12 (29, its start-up alone);
+    # below both start-ups (33 and 29 evaluations) at 5; and over [1, 0]
     ("abs_power_budget70", ABS_POWER, 0.0, 1.0, 1e-14, 70),
     ("abs_power_budget12", ABS_POWER, 0.0, 1.0, 1e-14, 12),
+    ("abs_power_budget5", ABS_POWER, 0.0, 1.0, 1e-14, 5),
     ("abs_power_reversed_budget70", ABS_POWER, 1.0, 0.0, 1e-14, 70),
     # lk abs_power, seed 0, draw 1, at relative 1e-12: both integrators stop
     # once the retired error passes tau, well under the budget
@@ -113,10 +115,9 @@ EDGES = (
     # bounds that are not Python floats: the run is that of their float
     # values, and q and eps are floats
     ("exp_float32", np.exp, np.float32(0.1), np.float32(0.7), 1e-12, 10_000),
-    # [1, 1 + 16 ulps]: should_drop retires int_refined's start-up record,
-    # whose degree-10 nodes collide, while it still carries the largest
-    # float, so the run ends ToleranceNotMet after 11 evaluations;
-    # int_naive converges after 33
+    # [1, 1 + 16 ulps]: the halves of int_refined's start-up split carry
+    # their own estimates, far within tau, so it converges after 29
+    # evaluations, and int_naive after 33
     ("exp_16ulp", np.exp, 1.0, 1.0 + 16 * 2.0 ** -52, 1e-12, 10_000),
 )
 
