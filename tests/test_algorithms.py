@@ -608,20 +608,23 @@ def test_startup_samples_the_lower_rule_then_reuses_it(monkeypatch):
     assert reuse_top == values_lo
 
 
-@pytest.mark.parametrize("alg", (int_naive, int_refined))
-@pytest.mark.parametrize("integrand, error", [
-    (lambda x: 1.0 / float(x), ZeroDivisionError),
-    (math.log, ValueError),
-], ids=("float_division", "math_log"))
-def test_integrand_exceptions_propagate(alg, integrand, error):
+@pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))
+@pytest.mark.parametrize("integrand, error, bad", [
+    (lambda x: 1.0 / float(x), ZeroDivisionError, lambda x: x == 0.0),
+    (math.log, ValueError, lambda x: x == 0.0),
+    (lambda x: 10**400 if x > 0.5 else 1, OverflowError, lambda x: x > 0.5),
+], ids=("float_division", "math_log", "int_beyond_float"))
+def test_integrand_exceptions_propagate(alg, integrand, error, bad):
     # nodes arrive as np.float64, whose arithmetic gives a masked inf at a
     # pole; an integrand that computes in Python floats raises there
-    # instead, and the exception reaches the caller unchanged, after the
-    # evaluations before it
+    # instead, and the exception reaches the caller unchanged, from the
+    # first node where the integrand is bad.  An int too large for a float
+    # raises OverflowError where the integrators convert it with float():
+    # it is not read as inf and masked
     calls = []
     with pytest.raises(error):
         alg(lambda x: calls.append(x) or integrand(x), 0.0, 1.0, 1e-6)
-    assert len(calls) > 1 and calls[-1] == 0.0
+    assert [bad(x) for x in calls] == [False] * (len(calls) - 1) + [True]
 
 
 @pytest.mark.parametrize("alg", (int_naive, int_refined, int_simpson_baseline))

@@ -42,43 +42,6 @@ def test_sample_masks_nonnumeric_at_left_endpoint():
     assert fn.count == 5  # the bad node still costs one evaluation
 
 
-def test_sample_reuse_skips_counter():
-    # degree doubling 4 -> 8: even-indexed degree-8 nodes coincide with the
-    # degree-4 nodes, so exactly 4 fresh evaluations are needed
-    st4, st8 = get_stencil(4), get_stencil(8)
-    fn = CountedFunction(np.exp)
-    sv4 = sample(fn, 0.25, 0.75, st4)
-    assert fn.count == 5
-    sv8 = sample(fn, 0.25, 0.75, st8, reuse=sv4.values)
-    assert fn.count == 9
-    # reused entries are bitwise identical to the originals
-    assert sv8.f[::2].tobytes() == sv4.f.tobytes()
-    assert sv8.values[::2] == sv4.values
-    # a bisection half reuses its two ends: 3 fresh evaluations at n = 4
-    sv_half = sample(fn, 0.25, 0.5, st4, reuse=(sv4.values[2], sv4.values[4]))
-    assert fn.count == 12
-    assert (sv_half.f[0], sv_half.f[4]) == (sv4.f[2], sv4.f[4])
-
-
-def test_sample_reuse_propagates_nan_without_eval():
-    st = get_stencil(4)
-    fn = CountedFunction(lambda x: 1.0 / x)
-    with np.errstate(all="ignore"):
-        sv = sample(fn, 0.0, 1.0, st)
-    assert sv.nan_mask == (4,)
-    assert sv.values[4] == math.inf  # 1/0 as evaluated, not a NaN
-    # a child reusing the masked endpoint inherits the mask for free
-    fn2 = CountedFunction(lambda x: 1.0 / x)
-    sv2 = sample(fn2, 0.0, 0.5, st, reuse=(sv.values[2], sv.values[4]))
-    assert fn2.count == 3
-    assert 4 in sv2.nan_mask
-    # so does the raised rule on the same interval, at its node 8
-    st8 = get_stencil(8)
-    sv8 = sample(fn2, 0.0, 1.0, st8, reuse=sv.values)
-    assert fn2.count == 7
-    assert 8 in sv8.nan_mask
-
-
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_sample_remasks_reused_nonnumeric_values_without_eval(bad):
     # a reused NaN and a reused inf of either sign are masked again like a
@@ -101,16 +64,6 @@ def test_sample_remasks_reused_nonnumeric_values_without_eval(bad):
         assert np.array(got).tobytes() == want
 
 
-def test_fit_reproduces_basis_function():
-    st = get_stencil(10)
-    vals = legendre_values(2, st.nodes)[:, 2]
-    cv = fit(type("SV", (), {"f": vals, "nan_mask": ()})(), st)
-    expected = np.zeros(11)
-    expected[2] = 1.0
-    np.testing.assert_allclose(cv.c, expected, rtol=0, atol=1e-13)
-    assert cv.eff_degree == 10
-
-
 @pytest.mark.parametrize("n", (4, 8, 10))
 def test_fit_sample_roundtrip_on_random_polynomials(n):
     # fit(sample(poly)) recovers the exact coefficients to 1e-12 relative
@@ -121,25 +74,6 @@ def test_fit_sample_roundtrip_on_random_polynomials(n):
         fn = lambda x: float(legendre_values(n, np.array([x]))[0] @ c_true)
         cv = fit(sample(CountedFunction(fn), -1.0, 1.0, st), st)
         np.testing.assert_allclose(cv.c, c_true, rtol=1e-12, atol=1e-12)
-
-
-def test_fit_single_downdate_matches_direct_subfit():
-    # with one masked node the result must interpolate f at the n remaining
-    # nodes; oracle = direct square solve of the degree-(n-1) system there
-    st = get_stencil(10)
-    rng = np.random.default_rng(42)
-    for j in range(11):
-        f = rng.standard_normal(11)
-        fv = f.copy()
-        fv[j] = 0.0
-        sv = type("SV", (), {"f": fv, "nan_mask": (j,)})()
-        cv = fit(sv, st)
-        assert cv.eff_degree == 9
-        assert cv.c[10] == 0.0
-        keep = [i for i in range(11) if i != j]
-        direct = np.linalg.solve(
-            legendre_values(9, np.array(st.nodes)[keep]), f[keep])
-        np.testing.assert_allclose(cv.c[:10], direct, rtol=0, atol=1e-10)
 
 
 def test_fit_double_downdate_interpolates_remaining_nodes():
@@ -190,20 +124,6 @@ def test_integral_examples():
     st10 = get_stencil(10)
     cv = fit(sample(CountedFunction(np.exp), 0.0, 1.0, st10), st10)
     assert integral(cv, 0.0, 1.0) == pytest.approx(np.e - 1.0, abs=1e-12)
-
-
-def test_l2_norm_examples_and_oracle():
-    # Parseval: in the orthonormal basis the Euclidean norm of a coefficient
-    # vector is the L2 norm of its polynomial over [-1, 1], which is what
-    # the error estimates charge
-    assert np.linalg.norm(np.eye(5)[0]) == 1.0
-    assert np.linalg.norm(np.zeros(5)) == 0.0
-    st = get_stencil(10)
-    rng = np.random.default_rng(3)
-    c = rng.standard_normal(11)
-    g = legendre_values(10, GL_X) @ c
-    np.testing.assert_allclose(np.linalg.norm(c), np.sqrt(g @ (GL_W * g)),
-                               rtol=1e-10)
 
 
 def test_transfer_constant_invariant():
@@ -313,8 +233,10 @@ def test_sample_matches_per_node_loop(n):
     # values: same bytes, mask, count and evaluation points, in order
     st = get_stencil(n)
     rng = np.random.default_rng(n)
-    specials = (np.nan, np.inf, -np.inf)
     for trial in range(90):
+        # every fifth trial has the finite 1.5 where the others have NaN or
+        # inf: all its values are numbers, in each reuse shape
+        specials = (np.nan, np.inf, -np.inf) if trial % 5 else (1.5,) * 3
         a = float(rng.uniform(-2.0, 2.0))
         b = a + float(rng.choice((1e-9, 1e-3, 0.5, 3.0)))
         xs = [0.5 * (a + b) + 0.5 * (b - a) * x for x in st.nodes]
