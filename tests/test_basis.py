@@ -20,10 +20,6 @@ from relquad.interp import CountedFunction, SampleVector, fit, integral, sample
 
 RULE_DEGREES = (4, 8, 10, 16, 32)
 
-# 200-point Gauss-Legendre rule: exact for polynomial integrands up to
-# degree 399, far beyond any p_k used below.
-GL_X, GL_W = npleg.leggauss(200)
-
 
 def eval_series(c, x):
     return legendre_values(len(c) - 1, x) @ c  # sum_k c[k] p_k at x
@@ -88,18 +84,26 @@ def test_nodes_nested_under_degree_doubling():
 
 
 def test_integration_weights_exact_for_every_basis_function():
-    # integral of p_0 over [-1,1] is sqrt(2); all higher p_k integrate to
-    # 0: the integral of a fit is sqrt(2) times its first coefficient, and
-    # the fit of p_k's values at the nodes integrates as p_k does
+    # over [0, 1], p_0 = 1/sqrt(2) integrates to sqrt(2)/2 and every higher
+    # p_k to 0: the integral of a fit over [a, b] is (b - a)/2 * sqrt(2)
+    # times its first coefficient, and the fit of p_k's values at the nodes
+    # integrates as p_k does
     for n in RULE_DEGREES:
-        oracle = legendre_values(n, GL_X).T @ GL_W
         st = get_stencil(n)
         weights = []
         for p_k in st.P.T:
             cv = fit(SampleVector(p_k.copy(), (), p_k.tolist()), st)
-            weights.append(integral(cv, -1.0, 1.0))
-            assert weights[-1] == SQRT2 * float(cv.c[0])
-        np.testing.assert_allclose(weights, oracle, rtol=0, atol=1e-13)
+            weights.append(integral(cv, 0.0, 1.0))
+            assert weights[-1] == 0.5 * SQRT2 * float(cv.c[0])
+        exact = np.zeros(n + 1)
+        exact[0] = 0.5 * SQRT2
+        np.testing.assert_allclose(weights, exact, rtol=0, atol=1e-14)
+    # sampled integrands: x, odd on [-1, 1], and exp on [0, 1]
+    st4, st10 = get_stencil(4), get_stencil(10)
+    cv = fit(sample(CountedFunction(lambda x: x), -1.0, 1.0, st4), st4)
+    assert abs(integral(cv, -1.0, 1.0)) <= 1e-15
+    cv = fit(sample(CountedFunction(np.exp), 0.0, 1.0, st10), st10)
+    assert abs(integral(cv, 0.0, 1.0) - (math.e - 1.0)) <= 1e-12
 
 
 def test_degree_one_stencil_by_hand():

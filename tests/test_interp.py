@@ -64,18 +64,6 @@ def test_sample_remasks_reused_nonnumeric_values_without_eval(bad):
         assert np.array(got).tobytes() == want
 
 
-@pytest.mark.parametrize("n", (4, 8, 10))
-def test_fit_sample_roundtrip_on_random_polynomials(n):
-    # fit(sample(poly)) recovers the exact coefficients to 1e-12 relative
-    st = get_stencil(n)
-    rng = np.random.default_rng(100 + n)
-    for _ in range(20):
-        c_true = rng.standard_normal(n + 1)
-        fn = lambda x: float(legendre_values(n, np.array([x]))[0] @ c_true)
-        cv = fit(sample(CountedFunction(fn), -1.0, 1.0, st), st)
-        np.testing.assert_allclose(cv.c, c_true, rtol=1e-12, atol=1e-12)
-
-
 def test_fit_double_downdate_interpolates_remaining_nodes():
     st = get_stencil(10)
     rng = np.random.default_rng(43)
@@ -113,53 +101,6 @@ def test_fit_attaches_downdated_newton():
     cv2 = fit(type("SV", (), {"f": fv, "nan_mask": (5,)})(), st)
     # degree dropped by one: the top two padded entries are zero
     assert cv2.newton[11] == 0.0 and cv2.newton[10] != 0.0
-
-
-def test_integral_examples():
-    st = get_stencil(4)
-    cv = fit(sample(CountedFunction(lambda x: 1.0), 0.0, 2.0, st), st)
-    assert integral(cv, 0.0, 2.0) == pytest.approx(2.0, abs=1e-14)
-    cv = fit(sample(CountedFunction(lambda x: x), -1.0, 1.0, st), st)
-    assert integral(cv, -1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    st10 = get_stencil(10)
-    cv = fit(sample(CountedFunction(np.exp), 0.0, 1.0, st10), st10)
-    assert integral(cv, 0.0, 1.0) == pytest.approx(np.e - 1.0, abs=1e-12)
-
-
-def test_transfer_constant_invariant():
-    st = get_stencil(8)
-    cv = fit(sample(CountedFunction(lambda x: 3.7), 0.0, 1.0, st), st)
-    for side in (0, 1):
-        np.testing.assert_allclose(transfer_to_child(cv, side), cv.c,
-                                   rtol=0, atol=1e-15)
-
-
-def test_transfer_linear_function():
-    # x on [-1,1] restricted to the left half is (t-1)/2 in child coordinates
-    st = get_stencil(10)
-    cv = fit(sample(CountedFunction(lambda x: x), -1.0, 1.0, st), st)
-    left = transfer_to_child(cv, 0)
-    t = np.linspace(-1.0, 1.0, 21)
-    got = legendre_values(10, t) @ left
-    np.testing.assert_allclose(got, (t - 1.0) / 2.0, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("n", (4, 10))
-def test_transfer_pointwise_oracle(n):
-    # the fit of random values at the nodes: a polynomial with random
-    # coefficients
-    st = get_stencil(n)
-    rng = np.random.default_rng(n)
-    f = rng.standard_normal(n + 1)
-    cv = fit(SampleVector(f, (), f.tolist()), st)
-    t = np.linspace(-1.0, 1.0, 20)
-    for side, mapped in ((0, (t - 1) / 2), (1, (t + 1) / 2)):
-        child = transfer_to_child(cv, side)
-        assert type(child) is np.ndarray
-        np.testing.assert_allclose(
-            legendre_values(n, t) @ child,
-            legendre_values(n, mapped) @ cv.c,
-            rtol=0, atol=1e-12)
 
 
 def test_transfer_preserves_padding_and_degree():
@@ -425,6 +366,7 @@ def test_dot_products_equal_matmul_expressions(n):
         cv = fit(sv, st)
         for side in (0, 1):
             c_xfer = transfer_to_child(cv, side)
+            assert type(c_xfer) is np.ndarray
             assert c_xfer.tobytes() == (st.t[side] @ cv.c).tobytes()
             # the refined prediction and the masked path's Newton terms
             assert st.P.dot(c_xfer).tobytes() == (st.P @ c_xfer).tobytes()

@@ -3,7 +3,7 @@
     python tools/mutants.py CHECKOUT MODULE [MODULE ...]
 
 MODULE names a file of CHECKOUT's ``src/relquad`` (``errest``, ``engine``,
-...).  Each mutant changes one expression of one module, in three classes:
+...).  Each mutant changes one expression of one module, in four classes:
 
 - ``negate``: an ordering comparison (one with ``<``, ``<=``, ``>`` or
   ``>=`` among its operators) ``c`` becomes ``not c``;
@@ -14,7 +14,12 @@ MODULE names a file of CHECKOUT's ``src/relquad`` (``errest``, ``engine``,
   leading underscore allowed) whose value, as imported, is an int or a
   float takes one perturbation: an int ``c`` becomes ``c - max(1, c //
   10)``, a float ``c`` becomes ``2 * c``.  A value the rule leaves as it
-  is (0.0, inf, nan) gives no mutant.
+  is (0.0, inf, nan) gives no mutant;
+- ``scale``: inside a function, the value ``e`` of an ``=`` assignment,
+  an augmented assignment or a ``return`` becomes ``(e) * (1 + 1e-9)``
+  when ``e`` is a binary ``+``, ``-``, ``*``, ``/`` or ``@``, or a
+  ``.dot(...)`` call.  Where ``e`` is an int or a list, the mutant makes
+  a float or raises, and is run like any other.
 
 Each mutant runs in a private copy of CHECKOUT (``.git`` and caches left
 out) with the mutated module written in, as tier-1 with ``-x``, criterion
@@ -54,6 +59,7 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                                 ".bench_trace")
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+SCALED = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.MatMult)
 
 
 def perturb(value):
@@ -63,6 +69,15 @@ def perturb(value):
     if type(value) is float and repr(2.0 * value) != repr(value):
         return 2.0 * value
     return None
+
+
+def scaled(value) -> bool:
+    """The scale rule's test of an assigned or returned value."""
+    if isinstance(value, ast.BinOp):
+        return isinstance(value.op, SCALED)
+    return (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "dot")
 
 
 def splice(source: str, node: ast.AST, text: str) -> str:
@@ -107,8 +122,19 @@ def mutants(source: str, module) -> list:
         value = perturb(getattr(module, target.id))
         if value is not None:
             found.append((stmt.value, 2, 0, ast.Constant(value)))
+    # keyed by id: a nested function's statements are walked once more
+    # with each function around it
+    values = {id(stmt.value): stmt.value
+              for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for stmt in ast.walk(fn)
+              if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Return))
+              and scaled(stmt.value)}
+    factor = ast.BinOp(ast.Constant(1), ast.Add(), ast.Constant(1e-9))
+    for value in values.values():
+        found.append((value, 3, 0, ast.BinOp(value, ast.Mult(), factor)))
     found.sort(key=lambda m: (m[0].lineno, m[0].col_offset, m[1], m[2]))
-    return [(node.lineno, ("negate", "boundary", "constant")[cls],
+    return [(node.lineno, ("negate", "boundary", "constant", "scale")[cls],
              ast.unparse(node), ast.unparse(new),
              splice(source, node, ast.unparse(new)))
             for node, cls, _, new in found]
